@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -114,8 +115,9 @@ class Dictionary:
 
     _term_to_id: dict[str, int] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def terms(self) -> tuple[str, ...]:
+        """Terms in id order, computed once."""
         return tuple(sorted(self._term_to_id, key=self._term_to_id.__getitem__))
 
     def id_of(self, term: str) -> int:
@@ -236,6 +238,8 @@ def parse_capture(lines: Iterable[str]) -> list[SessionTrace]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"capture line {lineno}: bad record: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise ValidationError(f"capture line {lineno}: record is not a JSON object")
         try:
             sid = rec["session_id"]
             interaction = Interaction(

@@ -20,9 +20,15 @@ from typing import IO, Iterable, Sequence
 
 from .corpus import Advert, CategorySet, Dictionary, LabeledAdvert, build_dictionary
 from .errors import ValidationError
-from .textproc import TermFilter
+from .textproc import TermFilter, default_filter
 
 MODEL_HEADER = "#pri-model v1"
+
+# Shared by every zero cell of the statistics tables (a Fraction is immutable).
+_ZERO = Fraction(0)
+
+# (category, value) pairs with value != 0.
+CategoryMass = tuple[tuple[str, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -32,33 +38,68 @@ class TermStats:
     total: dict[str, Fraction]
     per_category: dict[str, dict[str, Fraction]]
 
-    def share(self, term: str, category: str) -> Fraction:
-        return self.per_category[term].get(category, Fraction(0)) / self.total[term]
-
 
 @dataclass(frozen=True)
 class PriModel:
+    """Trained statistics plus the values scoring derives from them once.
+
+    ``shares`` maps each dictionary term to its nonzero category shares,
+    weight / total.  Scoring stores an advert text's contribution vector
+    from the text's second sighting on; a text seen only once leaves a
+    single entry in a set of seen texts, never a stored vector.
+    """
+
     categories: CategorySet
     dictionary: Dictionary
     stats: TermStats
     term_filter: TermFilter = field(compare=False)
     empty_categories: tuple[str, ...] = ()
+    shares: dict[str, CategoryMass] = field(init=False, repr=False, compare=False)
+    _seen: set[str] = field(
+        default_factory=set, init=False, repr=False, compare=False)
+    _contributions: dict[str, CategoryMass] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        shares = {
+            term: tuple(
+                (category, weight / total)
+                for category, weight in self.stats.per_category[term].items()
+                if weight
+            )
+            for term, total in self.stats.total.items()
+        }
+        object.__setattr__(self, "shares", shares)
+
+    @property
+    def cached_texts(self) -> int:
+        """How many advert texts have a stored contribution vector."""
+        return len(self._contributions)
+
+    def contribution(self, text: str) -> CategoryMass:
+        """Category mass one advert text adds to the score of its page."""
+        vector = self._contributions.get(text)
+        if vector is not None:
+            return vector
+        terms = self.term_filter.terms(text)
+        mass: dict[str, Fraction] = {}
+        for term, count in Counter(terms).items():
+            for category, share in self.shares.get(term, ()):
+                mass[category] = mass.get(category, 0) + count * share
+        # sum(share * count / length) == sum(share * count) / length, exactly.
+        vector = tuple((category, m / len(terms)) for category, m in mass.items())
+        if text in self._seen:
+            self._seen.discard(text)
+            self._contributions[text] = vector
+        else:
+            self._seen.add(text)
+        return vector
 
 
 @dataclass(frozen=True)
 class ScoreVector:
     step: int
     scores: dict[str, Fraction]
-
-    def as_floats(self) -> dict[str, float]:
-        return {c: float(v) for c, v in self.scores.items()}
-
-
-def _advert_frequencies(terms: Sequence[str]) -> dict[str, Fraction]:
-    if not terms:
-        return {}
-    length = len(terms)
-    return {t: Fraction(n, length) for t, n in Counter(terms).items()}
 
 
 def train(
@@ -68,26 +109,28 @@ def train(
 ) -> PriModel:
     if not corpus:
         raise ValidationError("cannot train on an empty corpus")
-    flt = term_filter or TermFilter()
+    flt = term_filter or default_filter()
     for advert in corpus:
         if advert.label not in categories:
             raise ValidationError(f"corpus label {advert.label!r} not in categories")
 
     dictionary = build_dictionary(corpus, flt)
     labels = categories.all_labels
-    total: dict[str, Fraction] = {t: Fraction(0) for t in dictionary}
+    total: dict[str, Fraction] = {t: _ZERO for t in dictionary}
     per_category: dict[str, dict[str, Fraction]] = {
-        t: {c: Fraction(0) for c in labels} for t in dictionary
+        t: dict.fromkeys(labels, _ZERO) for t in dictionary
     }
-    seen_labels: set[str] = set()
 
-    for advert in corpus:
-        seen_labels.add(advert.label)
-        for term, freq in _advert_frequencies(flt.terms(advert.text)).items():
+    # Each copy of an identical (label, text) pair adds the same frequencies.
+    for advert, copies in Counter(corpus).items():
+        terms = flt.terms(advert.text)
+        for term, count in Counter(terms).items():
+            freq = Fraction(count * copies, len(terms))
             total[term] += freq
             per_category[term][advert.label] += freq
 
-    empty = tuple(c for c in categories.all_labels if c not in seen_labels)
+    seen_labels = {advert.label for advert in corpus}
+    empty = tuple(c for c in labels if c not in seen_labels)
     return PriModel(
         categories=categories,
         dictionary=dictionary,
@@ -103,16 +146,11 @@ def score(
     step: int = 0,
 ) -> ScoreVector:
     """Score one page of adverts against every category."""
-    scores = {c: Fraction(0) for c in model.categories.all_labels}
+    scores = dict.fromkeys(model.categories.all_labels, _ZERO)
     for advert in adverts:
         text = advert.text if isinstance(advert, Advert) else advert
-        for term, freq in _advert_frequencies(model.term_filter.terms(text)).items():
-            if term not in model.dictionary:
-                continue
-            total = model.stats.total[term]
-            for category, weight in model.stats.per_category[term].items():
-                if weight:
-                    scores[category] += (weight / total) * freq
+        for category, value in model.contribution(text):
+            scores[category] += value
     return ScoreVector(step=step, scores=scores)
 
 
@@ -162,6 +200,12 @@ def save_model(model: PriModel, path: str | Path) -> None:
         write_model(model, fh)
 
 
+def _parse_id(text: str, lineno: int) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValidationError(f"model line {lineno}: bad term id {text!r}")
+    return int(text)
+
+
 def parse_model(lines: Iterable[str], term_filter: TermFilter | None = None) -> PriModel:
     it = iter(lines)
     try:
@@ -174,6 +218,7 @@ def parse_model(lines: Iterable[str], term_filter: TermFilter | None = None) -> 
     sensitive: tuple[str, ...] | None = None
     catchall = "other"
     empty: tuple[str, ...] = ()
+    mapping: dict[str, int] = {}
     id_to_term: dict[int, str] = {}
     totals: dict[str, Fraction] = {}
     per_category: dict[str, dict[str, Fraction]] = {}
@@ -191,43 +236,70 @@ def parse_model(lines: Iterable[str], term_filter: TermFilter | None = None) -> 
             empty = tuple(c for c in rest.split(",") if c)
         elif kind == "dict":
             id_text, _, term = rest.partition("\t")
-            id_to_term[int(id_text)] = term
+            term_id = _parse_id(id_text, lineno)
+            if term_id in id_to_term:
+                raise ValidationError(
+                    f"model line {lineno}: duplicate term id {term_id}")
+            if term in mapping:
+                raise ValidationError(f"model line {lineno}: duplicate term {term!r}")
+            id_to_term[term_id] = term
+            mapping[term] = term_id
         elif kind == "stat":
             fields = rest.split("\t")
             if len(fields) != 3:
                 raise ValidationError(f"model line {lineno}: malformed stat line")
-            term = id_to_term.get(int(fields[0]))
+            term = id_to_term.get(_parse_id(fields[0], lineno))
             if term is None:
                 raise ValidationError(f"model line {lineno}: unknown term id")
-            totals[term] = _parse_fraction(fields[1], lineno)
+            if term in totals:
+                raise ValidationError(
+                    f"model line {lineno}: duplicate stat for {term!r}")
+            total = _parse_fraction(fields[1], lineno)
+            if total <= 0:
+                raise ValidationError(f"model line {lineno}: total must be positive")
             buckets: dict[str, Fraction] = {}
             for part in fields[2].split(","):
                 if not part:
                     continue
                 category, _, value = part.partition("=")
-                buckets[category] = _parse_fraction(value, lineno)
+                if category in buckets:
+                    raise ValidationError(
+                        f"model line {lineno}: duplicate category {category!r}")
+                weight = _parse_fraction(value, lineno)
+                if weight < 0:
+                    raise ValidationError(f"model line {lineno}: negative weight")
+                buckets[category] = weight
+            totals[term] = total
             per_category[term] = buckets
         else:
             raise ValidationError(f"model line {lineno}: unknown record {kind!r}")
 
     if sensitive is None:
         raise ValidationError("model file lacks a categories line")
-    if set(totals) != set(id_to_term.values()):
+    categories = CategorySet(sensitive=sensitive, catchall=catchall)
+    undeclared = sorted(set(empty) - set(categories.all_labels))
+    if undeclared:
+        raise ValidationError(
+            f"model empty line names undeclared categories {undeclared}")
+    if sorted(id_to_term) != list(range(len(id_to_term))):
+        raise ValidationError("model dict ids are not dense from 0")
+    if set(totals) != set(mapping):
         raise ValidationError("model stats do not cover the dictionary")
-    labels = sensitive + (catchall,)
+    labels = categories.all_labels
     for term, total in totals.items():
-        if sum(per_category[term].values(), Fraction(0)) != total:
+        undeclared = sorted(set(per_category[term]) - set(labels))
+        if undeclared:
+            raise ValidationError(
+                f"model stats for {term!r} name undeclared categories {undeclared}")
+        if sum(per_category[term].values(), _ZERO) != total:
             raise ValidationError(f"model stats for {term!r} do not sum to total")
-        per_category[term] = {
-            c: per_category[term].get(c, Fraction(0)) for c in labels
-        }
+        per_category[term] = {c: per_category[term].get(c, _ZERO) for c in labels}
 
-    mapping = {term: term_id for term_id, term in sorted(id_to_term.items())}
     return PriModel(
-        categories=CategorySet(sensitive=sensitive, catchall=catchall),
+        categories=categories,
         dictionary=Dictionary(mapping),
         stats=TermStats(total=totals, per_category=per_category),
-        term_filter=term_filter or TermFilter(),
+        term_filter=term_filter or default_filter(),
         empty_categories=empty,
     )
 

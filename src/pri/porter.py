@@ -60,14 +60,31 @@ def _ends_cvc(stem: str) -> bool:
     )
 
 
-def _apply_rules(word: str, rules: tuple[tuple[str, str, int], ...]) -> str:
+_Rule = tuple[str, str, int]
+
+
+def _by_final_letter(rules: tuple[_Rule, ...]) -> dict[str, tuple[_Rule, ...]]:
+    """Index a rule table by the last letter of its suffixes, longest first.
+
+    Only rules ending in a word's last letter can match it, and sorting is
+    stable, so scanning one bucket finds the same rule as scanning the whole
+    table longest first.
+    """
+    index: dict[str, list[_Rule]] = {}
+    for rule in sorted(rules, key=lambda r: -len(r[0])):
+        index.setdefault(rule[0][-1], []).append(rule)
+    return {letter: tuple(bucket) for letter, bucket in index.items()}
+
+
+def _apply_rules(word: str, rules: dict[str, tuple[_Rule, ...]]) -> str:
     """Replace the longest matching suffix if its stem clears the measure bar.
 
-    Rules are (suffix, replacement, minimum measure) triples.  Once a suffix
-    matches, shorter rules are not considered even when the measure condition
-    fails -- longest-match decides which rule owns the word.
+    Rules are (suffix, replacement, minimum measure) triples, indexed by
+    ``_by_final_letter``.  Once a suffix matches, shorter rules are not
+    considered even when the measure condition fails -- longest-match decides
+    which rule owns the word.
     """
-    for suffix, replacement, min_m in sorted(rules, key=lambda r: -len(r[0])):
+    for suffix, replacement, min_m in rules.get(word[-1:], ()):
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
             if _measure(stem) >= min_m:
@@ -113,7 +130,7 @@ def _step1c(word: str) -> str:
     return word
 
 
-_STEP2_RULES = (
+_STEP2_RULES = _by_final_letter((
     ("ational", "ate", 1),
     ("tional", "tion", 1),
     ("enci", "ence", 1),
@@ -135,9 +152,9 @@ _STEP2_RULES = (
     ("iviti", "ive", 1),
     ("biliti", "ble", 1),
     ("logi", "log", 1),
-)
+))
 
-_STEP3_RULES = (
+_STEP3_RULES = _by_final_letter((
     ("icate", "ic", 1),
     ("ative", "", 1),
     ("alize", "al", 1),
@@ -145,9 +162,9 @@ _STEP3_RULES = (
     ("ical", "ic", 1),
     ("ful", "", 1),
     ("ness", "", 1),
-)
+))
 
-_STEP4_RULES = (
+_STEP4_RULES = _by_final_letter((
     ("al", "", 2),
     ("ance", "", 2),
     ("ence", "", 2),
@@ -166,7 +183,7 @@ _STEP4_RULES = (
     ("ous", "", 2),
     ("ive", "", 2),
     ("ize", "", 2),
-)
+))
 
 
 def _step4(word: str) -> str:

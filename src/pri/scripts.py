@@ -250,7 +250,7 @@ def click_decision(
     terms = flt.terms(item_text)
     if not terms:
         return False
-    keyword_terms = policy.keywords.term_set(flt)
+    keyword_terms = policy.keywords.term_set(term_filter)
     hits = sum(1 for t in terms if t in keyword_terms)
     return hits / len(terms) > policy.tf_threshold
 

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 from .config import load_config, parse_config
 from .corpus import Advert, CategorySet, ResultPage
 from .errors import UsageError, ValidationError
-from .textproc import TermFilter
+from .textproc import TermFilter, default_filter
 
 QUERY_INCREMENT = 1.0
 LINKS_PER_PAGE = 5
@@ -248,7 +248,7 @@ class AdEngine:
             raise ValidationError(f"no advert pool for categories: {missing}")
         self._config = config
         self._categories = categories
-        self._flt = term_filter or TermFilter()
+        self._flt = term_filter or default_filter()
         self._slices: dict[str, tuple[str, ...]] = {}
         for label in categories.all_labels:
             pool = list(pools[label])

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import Iterable
 
 from .porter import stem
@@ -22,12 +21,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric tokens in order of appearance."""
     return _TOKEN_RE.findall(text.lower())
-
-
-def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a one-word-per-line stopword file; blank lines are ignored."""
-    words = Path(path).read_text(encoding="utf-8").split()
-    return frozenset(w.lower() for w in words)
 
 
 @lru_cache(maxsize=1)
@@ -60,9 +53,6 @@ class TermFilter:
             cached = tuple(out)
             self._memo[text] = cached
         return list(cached)
-
-    def __call__(self, text: str) -> list[str]:
-        return self.terms(text)
 
 
 @lru_cache(maxsize=1)

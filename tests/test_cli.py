@@ -89,6 +89,54 @@ class TestDetect:
         assert "--baselines" in capsys.readouterr().err
 
 
+_MODEL_HEAD = "#pri-model v1\ncategories\ta\ncatchall\tother\n"
+
+# name -> (records after the header lines, expected error text)
+_MALFORMED_MODELS = {
+    "non-integer-dict-id": (
+        "dict\tx\tfoo\nstat\t0\t1/1\ta=1/1\n", "bad term id 'x'"),
+    "non-integer-stat-id": (
+        "dict\t0\tfoo\nstat\tx\t1/1\ta=1/1\n", "bad term id 'x'"),
+    "duplicate-dict-id": (
+        "dict\t0\tfoo\ndict\t0\tbar\nstat\t0\t1/1\ta=1/1\n",
+        "duplicate term id 0"),
+    "duplicate-term": (
+        "dict\t0\tfoo\ndict\t1\tfoo\nstat\t0\t1/1\ta=1/1\n",
+        "duplicate term 'foo'"),
+    "non-dense-ids": (
+        "dict\t1\tfoo\nstat\t1\t1/1\ta=1/1\n", "not dense from 0"),
+    "undeclared-stat-category": (
+        "dict\t0\tfoo\nstat\t0\t1/1\ta=1/2,zzz=1/2\n",
+        "undeclared categories ['zzz']"),
+    "undeclared-empty-category": (
+        "empty\tzzz\ndict\t0\tfoo\nstat\t0\t1/1\ta=1/1\n",
+        "undeclared categories ['zzz']"),
+    "duplicate-stat": (
+        "dict\t0\tfoo\nstat\t0\t1/1\ta=1/1\nstat\t0\t1/1\ta=1/1\n",
+        "duplicate stat"),
+    "duplicate-stat-category": (
+        "dict\t0\tfoo\nstat\t0\t1/1\ta=1/2,a=1/2\n", "duplicate category"),
+    "zero-total": (
+        "dict\t0\tfoo\nstat\t0\t0/1\ta=1/1,other=-1/1\n",
+        "total must be positive"),
+    "negative-weight": (
+        "dict\t0\tfoo\nstat\t0\t1/1\ta=2/1,other=-1/1\n", "negative weight"),
+}
+
+
+class TestMalformedModel:
+    @pytest.mark.parametrize("name", sorted(_MALFORMED_MODELS))
+    def test_malformed_record_is_a_data_error(self, tmp_path, capsys, name):
+        records, message = _MALFORMED_MODELS[name]
+        model = tmp_path / "model.txt"
+        model.write_text(_MODEL_HEAD + records, encoding="utf-8")
+        capture = tmp_path / "empty.capture"
+        save_capture([], capture)
+        code = main(["score", "--model", str(model), "--capture", str(capture)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestProbeSelect:
     def test_medical_group_accepts_the_default(self, capsys):
         assert main(["probe-select", "--topics",

@@ -149,6 +149,9 @@ class TestCaptureRoundTrip:
         lines = ["#pri-capture v1", base.format(step=2), base.format(step=1)]
         with pytest.raises(ValidationError, match="line 3"):
             parse_capture(lines)
+        lines = ["#pri-capture v1", base.format(step=1), "[1,2]"]
+        with pytest.raises(ValidationError, match="line 3: record is not a JSON"):
+            parse_capture(lines)
 
     def test_sessions_must_be_sorted(self):
         base = (

@@ -167,6 +167,57 @@ def test_random_corpora_match_reference_oracle():
             assert vector.scores[label] == expected
 
 
+def test_repeated_corpus_pairs_match_reference_oracle():
+    # Training adds each distinct (label, text) pair once, scaled by its
+    # copies; the oracle walks every copy.
+    rng = random.Random(20140424)
+    categories = CategorySet(sensitive=_LABELS[:-1], catchall="other")
+    flt = TermFilter()
+    for _ in range(40):
+        corpus = [pair for pair in _random_corpus(rng)
+                  for _ in range(rng.randint(1, 3))]
+        rng.shuffle(corpus)
+        model = train([LabeledAdvert(l, t) for l, t in corpus], categories, flt)
+        page = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 5))]
+        vector = score(model, page)
+        for label in _LABELS:
+            expected = reference_score_texts(corpus, page, label, flt.terms)
+            assert vector.scores[label] == expected
+
+
+def test_cached_and_first_seen_texts_match_reference_oracle():
+    rng = random.Random(20140425)
+    categories = CategorySet(sensitive=_LABELS[:-1], catchall="other")
+    flt = TermFilter()
+    for _ in range(30):
+        corpus = _random_corpus(rng)
+        model = train([LabeledAdvert(l, t) for l, t in corpus], categories, flt)
+        page = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 6)))
+                for _ in range(rng.randint(1, 5))]
+        first = score(model, page)
+        second = score(model, page)
+        assert model.cached_texts == len(set(page))
+        assert second == first
+        fresh = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 6)))
+                 for _ in range(rng.randint(1, 3))]
+        for texts, vector in ((page, second),
+                              (page[:2] + fresh, score(model, page[:2] + fresh))):
+            for label in _LABELS:
+                expected = reference_score_texts(corpus, texts, label, flt.terms)
+                assert vector.scores[label] == expected
+
+
+def test_texts_scored_once_leave_the_cache_empty(golden_corpus, golden_categories):
+    model = train(golden_corpus, golden_categories)
+    texts = [f"prostate treatment {word}" for word in _WORDS]
+    for text in texts:
+        score(model, [text])
+    assert model.cached_texts == 0
+    score(model, texts[:3])
+    assert model.cached_texts == 3
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------
