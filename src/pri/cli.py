@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
@@ -27,16 +28,11 @@ from .probes import (
     select_probe,
     write_candidates_csv,
 )
-from .reports import (
-    evaluate_capture,
-    render_csv,
-    render_detections,
-    render_text,
-    write_bundle,
-)
+from .reports import render_csv, render_detections, render_text, write_bundle
 from .runner import (
     DEFAULT_PROBE,
     CampaignConfig,
+    evaluate_capture,
     run_campaign,
     run_session,
 )
@@ -76,13 +72,19 @@ def _comma_list(value: str, flag: str) -> tuple[str, ...]:
     return items
 
 
-def _on_off(value: str, flag: str) -> bool:
+def _on_off(value: str) -> bool:
+    """Type of the ``--clicks`` flags and the ``clicks`` setting."""
     lowered = value.strip().lower()
     if lowered in ("on", "true", "yes", "1"):
         return True
     if lowered in ("off", "false", "no", "0"):
         return False
-    raise UsageError(f"{flag} must be on or off, not {value!r}")
+    raise argparse.ArgumentTypeError(f"must be on or off, not {value!r}")
+
+
+def _given(**values) -> dict:
+    """The settings that were set; the config dataclasses hold the defaults."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +126,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _detector_config(args: argparse.Namespace) -> DetectorConfig:
-    return DetectorConfig(
-        epsilon=args.epsilon,
-        sigma_multiplier=args.sigma_multiplier,
-        session_probe_count=args.probe_count,
-    )
+    return DetectorConfig(**_given(sigma_multiplier=args.sigma_multiplier,
+                                   session_probe_count=args.probe_count))
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
@@ -185,7 +184,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         categories,
     )
     policy = None
-    if _on_off(args.clicks, "--clicks") and script.keywords:
+    if args.clicks and script.keywords:
         policy = ClickPolicy(CategoryKeywords(script.topic, script.keywords))
     session_id = args.session_id or f"sim-{script.topic}-00"
     trace = run_session(engine, script, policy, session_id)
@@ -193,39 +192,55 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+# campaign --config key -> (the flag that overrides it, that flag's type)
+_CAMPAIGN_SETTINGS = {
+    "engine": ("engine", str),
+    "train_sessions_per_topic": ("train", int),
+    "test_sessions_per_topic": ("test", int),
+    "probe": ("probe", str),
+    "clicks": ("clicks", _on_off),
+    "sigma_multiplier": ("sigma_multiplier", float),
+    "session_probe_count": ("probe_count", int),
+}
+
+
+def _apply_config_file(args: argparse.Namespace) -> None:
+    """Fill each flag left unset from --config, converted by the flag's type."""
+    for key, text in load_config(args.config).items():
+        if key not in _CAMPAIGN_SETTINGS:
+            raise ValidationError(
+                f"{args.config}: unknown campaign setting {key!r}")
+        attribute, convert = _CAMPAIGN_SETTINGS[key]
+        try:
+            value = convert(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ValidationError(
+                f"{args.config}: bad value for {key}: {text!r}") from None
+        if getattr(args, attribute) is None:
+            setattr(args, attribute, value)
+
+
 def cmd_campaign(args: argparse.Namespace) -> int:
-    settings = load_config(args.config) if args.config else {}
-
-    def setting(flag_value, key: str, default):
-        if flag_value is not None:
-            return flag_value
-        return settings.get(key, default)
-
-    engine = load_engine_config(setting(args.engine, "engine", "google_like"))
-    if args.adaptation_lag is not None:
-        from dataclasses import replace
-        engine = replace(engine, adaptation_lag=args.adaptation_lag)
-    detector = DetectorConfig(
-        epsilon=setting(args.epsilon, "epsilon", None),
-        sigma_multiplier=float(setting(args.sigma_multiplier,
-                                       "sigma_multiplier", 3.0)),
-        session_probe_count=int(setting(args.probe_count,
-                                        "session_probe_count", 5)),
-    )
-    clicks = setting(args.clicks, "clicks", "on")
+    if args.config:
+        _apply_config_file(args)
+    engine = None if args.engine is None else load_engine_config(args.engine)
     config = CampaignConfig(
-        train_sessions_per_topic=int(setting(args.train, "train_sessions_per_topic", 3)),
-        test_sessions_per_topic=int(setting(args.test, "test_sessions_per_topic", 10)),
-        engine=engine,
-        detector=detector,
-        probe=setting(args.probe, "probe", DEFAULT_PROBE),
-        clicks_enabled=_on_off(str(clicks), "--clicks"),
+        detector=_detector_config(args),
+        **_given(engine=engine,
+                 train_sessions_per_topic=args.train,
+                 test_sessions_per_topic=args.test,
+                 probe=args.probe,
+                 clicks_enabled=args.clicks),
     )
+    if args.adaptation_lag is not None:
+        config = replace(config, engine=replace(
+            config.engine, adaptation_lag=args.adaptation_lag))
     result = run_campaign(config, master_seed=args.seed)
     paths = write_bundle(result, args.out)
+    evaluation = result.evaluation
     sys.stdout.write(
-        f"sensitive detection rate: {100.0 * result.sensitive_rate:.1f}%\n"
-        f"false positive rate: {100.0 * result.false_positive_rate:.1f}%\n"
+        f"sensitive detection rate: {100.0 * evaluation.sensitive_rate:.1f}%\n"
+        f"false positive rate: {100.0 * evaluation.false_positive_rate:.1f}%\n"
         f"wrote {len(paths)} files under {args.out}\n"
     )
     return 0
@@ -235,6 +250,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     model = parse_model(_read_lines(args.model))
     baseline = parse_baselines(_read_lines(args.baselines))
     traces = parse_capture(_read_lines(args.capture))
+    if not traces:
+        raise ValidationError(f"capture {args.capture!r} holds no sessions")
     evaluation = evaluate_capture(model, baseline, traces,
                                   _detector_config(args), args.catchall)
     render = render_csv if args.format == "csv" else render_text
@@ -247,12 +264,12 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma-multiplier", type=float, default=3.0,
-                        help="interval half-width in sigmas (default 3)")
-    parser.add_argument("--probe-count", type=int, default=5,
-                        help="probes per detection session (default 5)")
-    parser.add_argument("--epsilon", type=float, default=None,
-                        help="optional hard score bound to report violations of")
+    parser.add_argument("--sigma-multiplier", type=float, default=None,
+                        help="interval half-width in sigmas (default "
+                             f"{DetectorConfig.sigma_multiplier:g})")
+    parser.add_argument("--probe-count", type=int, default=None,
+                        help="probes per detection session (default "
+                             f"{DetectorConfig.session_probe_count})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "or a settings file path")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--session-id", default=None)
-    p.add_argument("--clicks", default="on", help="on|off (default on)")
+    p.add_argument("--clicks", type=_on_off, default="on",
+                   help="on|off (default on)")
     p.add_argument("--catchall", default="other")
     p.add_argument("--out", required=True, help="capture file to write")
     p.set_defaults(func=cmd_simulate)
@@ -336,15 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptation-lag", type=int, default=None,
                    help="override the engine's update delay")
     p.add_argument("--train", type=int, default=None,
-                   help="training sessions per topic (default 3)")
+                   help="training sessions per topic (default "
+                        f"{CampaignConfig.train_sessions_per_topic})")
     p.add_argument("--test", type=int, default=None,
-                   help="test sessions per topic (default 10)")
-    p.add_argument("--clicks", default=None, help="on|off (default on)")
+                   help="test sessions per topic (default "
+                        f"{CampaignConfig.test_sessions_per_topic})")
+    p.add_argument("--clicks", type=_on_off, default=None,
+                   help="on|off (default on)")
     p.add_argument("--probe", default=None,
                    help=f"probe query (default {DEFAULT_PROBE!r})")
-    p.add_argument("--sigma-multiplier", type=float, default=None)
-    p.add_argument("--probe-count", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
+    _add_detector_flags(p)
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("report", help="render detection tables for a capture")

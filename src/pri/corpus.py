@@ -211,6 +211,35 @@ def save_capture(traces: Iterable[SessionTrace], path: str | Path) -> None:
         write_capture(traces, fh)
 
 
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_link(value: object) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_str, value))
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+# Record key -> (the type docs/FORMATS.md gives it, a check for that type).
+_RECORD_TYPES = {
+    "session_id": ("a string", _is_str),
+    "topic": ("a string", _is_str),
+    "step": ("an int", _is_int),
+    "query": ("a string", _is_str),
+    "is_probe": ("a bool", lambda value: isinstance(value, bool)),
+    "links": ("a list of [title, snippet] string pairs", _list_of(_is_link)),
+    "adverts": ("a list of strings", _list_of(_is_str)),
+    "clicked": ("a list of ints", _list_of(_is_int)),
+}
+
+
 def parse_capture(lines: Iterable[str]) -> list[SessionTrace]:
     it = iter(lines)
     try:
@@ -240,6 +269,9 @@ def parse_capture(lines: Iterable[str]) -> list[SessionTrace]:
             raise ValidationError(f"capture line {lineno}: bad record: {exc}") from exc
         if not isinstance(rec, dict):
             raise ValidationError(f"capture line {lineno}: record is not a JSON object")
+        for key, (kind, check) in _RECORD_TYPES.items():
+            if key in rec and not check(rec[key]):
+                raise ValidationError(f"capture line {lineno}: {key} must be {kind}")
         try:
             sid = rec["session_id"]
             interaction = Interaction(

@@ -305,11 +305,3 @@ def parse_baselines(lines: Iterable[str]) -> TopicBaseline:
         except ValueError as exc:
             raise ValidationError(f"baselines line {lineno}: {exc}") from exc
     return TopicBaseline(per_topic=per_topic, catchall=catchall)
-
-
-def load_baselines(path: str | Path) -> TopicBaseline:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read baselines {path}: {exc}") from exc
-    return parse_baselines(lines)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from importlib import resources
@@ -221,14 +220,6 @@ def parse_ambiguity_csv(lines: Iterable[str]) -> AmbiguityReport:
     if not entries:
         raise ValidationError("ambiguity CSV has no data rows")
     return AmbiguityReport(entries=tuple(entries))
-
-
-def load_ambiguity_csv(path: str | Path) -> AmbiguityReport:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read ambiguity counts {path}: {exc}") from exc
-    return parse_ambiguity_csv(text.splitlines())
 
 
 def default_ambiguity_report() -> AmbiguityReport:

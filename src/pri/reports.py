@@ -1,37 +1,36 @@
-"""Turn campaign results into files and readable tables.
+"""Turn evaluations and campaign results into files and readable tables.
 
-Everything here is formatting: the numbers are computed elsewhere and this
-module only decides how they appear on disk.  All output is deterministic --
-fixed ordering, floats via repr(), no timestamps -- so rerunning a campaign
-with the same seed produces byte-identical artifacts.
+Everything here is formatting: ``pri.runner.evaluate_capture`` computes the
+numbers once, and this module only decides how they appear on disk.  All
+output is deterministic -- fixed ordering, floats via repr(), no timestamps
+-- so rerunning a campaign with the same seed produces byte-identical
+artifacts.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, fields
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
-from typing import Iterable
 
-from .corpus import SessionTrace, save_capture
-from .detector import (
-    DetectorConfig,
-    LagStatistics,
-    ProbeVerdict,
-    SessionVerdict,
-    TopicBaseline,
+from .corpus import save_capture
+from .detector import ConfusionMatrix, ConfusionRow, LagStatistics, save_baselines
+from .estimator import save_model
+from .runner import CampaignResult, Evaluation
+
+# Not called here.  perfbench/traced.py lists these names on this module in
+# LAYER_CALLS, and a traced run fails when a listed name is missing.
+from .detector import (  # noqa: F401
     classify_probe,
     confusion_matrix,
     detect_session,
     detection_rates,
     lag_statistics,
-    save_baselines,
 )
-from .estimator import PriModel, save_model
-from .runner import CampaignResult, score_probes
+from .runner import score_probes  # noqa: F401
 
 BUNDLE_FILES = (
     "model.txt",
@@ -45,84 +44,7 @@ BUNDLE_FILES = (
     "summary.md",
 )
 
-
-# ---------------------------------------------------------------------------
-# evaluation: capture -> verdicts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Detection verdicts for a set of sessions, ready to format."""
-
-    catchall: str
-    truths: dict[str, str]
-    probe_verdicts: dict[str, tuple[ProbeVerdict, ...]]
-    session_verdicts: dict[str, SessionVerdict]
-
-    @property
-    def session_ids(self) -> tuple[str, ...]:
-        return tuple(self.truths)
-
-    def topics(self) -> tuple[str, ...]:
-        seen = sorted(set(self.truths.values()) - {self.catchall})
-        return tuple(seen)
-
-    def rates(self) -> tuple[float, float]:
-        ids = self.session_ids
-        return detection_rates(
-            [self.session_verdicts[s] for s in ids],
-            [self.truths[s] for s in ids],
-            self.catchall,
-        )
-
-    def confusion(self):
-        ids = self.session_ids
-        return confusion_matrix(
-            [self.session_verdicts[s] for s in ids],
-            [self.truths[s] for s in ids],
-            self.topics(),
-        )
-
-    def lag(self) -> LagStatistics:
-        ids = self.session_ids
-        return lag_statistics(
-            [self.probe_verdicts[s] for s in ids],
-            [self.truths[s] for s in ids],
-            self.catchall,
-        )
-
-
-def evaluate_capture(
-    model: PriModel,
-    baseline: TopicBaseline,
-    traces: Iterable[SessionTrace],
-    config: DetectorConfig | None = None,
-    catchall: str = "other",
-) -> Evaluation:
-    """Classify every probe in the traces and aggregate session verdicts."""
-    config = config or DetectorConfig()
-    truths: dict[str, str] = {}
-    probe_verdicts: dict[str, tuple[ProbeVerdict, ...]] = {}
-    session_verdicts: dict[str, SessionVerdict] = {}
-    for trace in traces:
-        verdicts = tuple(
-            classify_probe(vector, baseline, config)
-            for vector in score_probes(model, trace)
-        )
-        truths[trace.session_id] = trace.topic_label
-        probe_verdicts[trace.session_id] = verdicts
-        session_verdicts[trace.session_id] = detect_session(verdicts, config)
-    return Evaluation(catchall, truths, probe_verdicts, session_verdicts)
-
-
-def campaign_evaluation(result: CampaignResult) -> Evaluation:
-    """The test-split verdicts of a finished campaign, as an Evaluation."""
-    return Evaluation(
-        catchall=result.config.catchall,
-        truths=dict(result.truths),
-        probe_verdicts=dict(result.probe_verdicts),
-        session_verdicts=dict(result.session_verdicts),
-    )
+CONFUSION_COLUMNS = tuple(f.name for f in fields(ConfusionRow))
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +59,12 @@ def topic_score_matrix(result: CampaignResult) -> dict[str, dict[str, float]]:
     is the model working; which off-diagonal cells stay warm shows which
     topic pairs share advertising vocabulary.
     """
+    evaluation = result.evaluation
     topics = result.config.categories.sensitive
     sums: dict[str, Counter] = {t: Counter() for t in topics}
     counts: dict[str, int] = {t: 0 for t in topics}
-    for sid, vectors in result.probe_scores.items():
-        truth = result.truths[sid]
+    for sid, vectors in evaluation.probe_scores.items():
+        truth = evaluation.truths[sid]
         if truth not in sums:
             continue
         for vector in vectors:
@@ -160,86 +83,106 @@ def topic_score_matrix(result: CampaignResult) -> dict[str, dict[str, float]]:
 
 
 # ---------------------------------------------------------------------------
-# report rendering (the `report` command and summary.md)
+# rows shared by the report and the bundle
 # ---------------------------------------------------------------------------
 
 def _percent(value: float) -> str:
     return f"{100.0 * value:.1f}%"
 
 
+def _confusion_rows(
+    confusion: ConfusionMatrix,
+) -> list[tuple[str, tuple[float, ...]]]:
+    """Each topic with its session rates, in CONFUSION_COLUMNS order."""
+    return [(topic, astuple(row)) for topic, row in confusion.rows.items()]
+
+
+def _lag_rows(lag: LagStatistics) -> list[tuple[str, object, str]]:
+    """(statistic, key, value): both distributions, then the E[X] mean."""
+    rows: list[tuple[str, object, str]] = [
+        ("run_length", k, repr(p)) for k, p in lag.run_length_dist.items()
+    ]
+    rows += [("first_error", k, repr(p)) for k, p in lag.first_error_dist.items()]
+    rows.append(("expected_run", "",
+                 "" if lag.expected_run is None else repr(lag.expected_run)))
+    return rows
+
+
+def _lag_lines(lag: LagStatistics, arrow: str, sep: str) -> list[tuple[str, str]]:
+    """(label, value) lines of the lag section; none when no probe erred."""
+    if lag.expected_run is None:
+        return []
+
+    def distribution(dist: dict[int, float]) -> str:
+        return sep.join(f"{k}{arrow}{_percent(p)}" for k, p in dist.items())
+
+    return [
+        ("expected run length E[X]", f"{lag.expected_run:.2f}"),
+        ("run length distribution", distribution(lag.run_length_dist)),
+        ("first-error distribution", distribution(lag.first_error_dist)),
+    ]
+
+
+def _session_counts(evaluation: Evaluation) -> tuple[int, int]:
+    """(sensitive sessions, catch-all sessions)."""
+    n_catchall = sum(1 for t in evaluation.truths.values()
+                     if t == evaluation.catchall)
+    return len(evaluation.truths) - n_catchall, n_catchall
+
+
+# ---------------------------------------------------------------------------
+# report rendering (the `report` and `detect` commands)
+# ---------------------------------------------------------------------------
+
+_TEXT_WIDTHS = (11, 11, 11, 12)
+
+
 def render_text(evaluation: Evaluation) -> str:
     """Aligned, human-readable detection report."""
-    sensitive_rate, false_positive = evaluation.rates()
-    truths = list(evaluation.truths.values())
-    n_catchall = sum(1 for t in truths if t == evaluation.catchall)
+    n_sensitive, n_catchall = _session_counts(evaluation)
     lines = [
         "Detection summary",
         "-----------------",
-        f"sessions scored:          {len(truths)}"
-        f" ({len(truths) - n_catchall} sensitive, {n_catchall} catch-all)",
-        f"sensitive detection rate: {_percent(sensitive_rate)}",
-        f"false positive rate:      {_percent(false_positive)}",
+        f"sessions scored:          {n_sensitive + n_catchall}"
+        f" ({n_sensitive} sensitive, {n_catchall} catch-all)",
+        f"sensitive detection rate: {_percent(evaluation.sensitive_rate)}",
+        f"false positive rate:      {_percent(evaluation.false_positive_rate)}",
         "",
         "Per-topic session rates",
         "-----------------------",
     ]
-    confusion = evaluation.confusion()
-    width = max((len(t) for t in confusion.rows), default=5)
-    header = (f"{'topic':<{width}}  true detect  false other"
-              "   true other  false detect")
-    lines.append(header)
-    for topic, row in confusion.rows.items():
-        lines.append(
-            f"{topic:<{width}}  {_percent(row.true_detect):>11}"
-            f"  {_percent(row.false_other):>11}  {_percent(row.true_other):>11}"
-            f"  {_percent(row.false_detect):>12}"
-        )
-    lag = evaluation.lag()
+    rows = _confusion_rows(evaluation.confusion)
+    width = max((len(topic) for topic, _ in rows), default=5)
+    lines.append(f"{'topic':<{width}}" + "".join(
+        f"  {column.replace('_', ' '):>{w}}"
+        for column, w in zip(CONFUSION_COLUMNS, _TEXT_WIDTHS)))
+    for topic, values in rows:
+        lines.append(f"{topic:<{width}}" + "".join(
+            f"  {_percent(v):>{w}}" for v, w in zip(values, _TEXT_WIDTHS)))
     lines += ["", "Misclassification lag", "---------------------"]
-    if lag.expected_run is None:
-        lines.append("no misclassified probes: run statistics empty")
-    else:
-        lines.append(f"expected run length E[X]: {lag.expected_run:.2f}")
-        runs = "  ".join(f"{k}: {_percent(p)}"
-                         for k, p in lag.run_length_dist.items())
-        firsts = "  ".join(f"{k}: {_percent(p)}"
-                           for k, p in lag.first_error_dist.items())
-        lines.append(f"run length distribution:  {runs}")
-        lines.append(f"first-error distribution: {firsts}")
+    lines += ([f"{label + ':':<25} {value}"
+               for label, value in _lag_lines(evaluation.lag, ": ", "  ")]
+              or ["no misclassified probes: run statistics empty"])
     return "\n".join(lines) + "\n"
 
 
 def render_csv(evaluation: Evaluation) -> str:
     """The same report as render_text, as one long-format CSV."""
-    sensitive_rate, false_positive = evaluation.rates()
-    truths = list(evaluation.truths.values())
+    n_sensitive, n_catchall = _session_counts(evaluation)
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("table", "row", "column", "value"))
-    n_catchall = sum(1 for t in truths if t == evaluation.catchall)
-    writer.writerow(("summary", "sessions", "sensitive",
-                     len(truths) - n_catchall))
+    writer.writerow(("summary", "sessions", "sensitive", n_sensitive))
     writer.writerow(("summary", "sessions", "catchall", n_catchall))
     writer.writerow(("summary", "rate", "sensitive_detection",
-                     repr(sensitive_rate)))
+                     repr(evaluation.sensitive_rate)))
     writer.writerow(("summary", "rate", "false_positive",
-                     repr(false_positive)))
-    for topic, row in evaluation.confusion().rows.items():
-        writer.writerow(("confusion", topic, "true_detect",
-                         repr(row.true_detect)))
-        writer.writerow(("confusion", topic, "false_other",
-                         repr(row.false_other)))
-        writer.writerow(("confusion", topic, "true_other",
-                         repr(row.true_other)))
-        writer.writerow(("confusion", topic, "false_detect",
-                         repr(row.false_detect)))
-    lag = evaluation.lag()
-    for k, p in lag.run_length_dist.items():
-        writer.writerow(("lag", "run_length", k, repr(p)))
-    for k, p in lag.first_error_dist.items():
-        writer.writerow(("lag", "first_error", k, repr(p)))
-    writer.writerow(("lag", "expected_run", "",
-                     "" if lag.expected_run is None else repr(lag.expected_run)))
+                     repr(evaluation.false_positive_rate)))
+    for topic, values in _confusion_rows(evaluation.confusion):
+        for column, value in zip(CONFUSION_COLUMNS, values):
+            writer.writerow(("confusion", topic, column, repr(value)))
+    for row in _lag_rows(evaluation.lag):
+        writer.writerow(("lag",) + row)
     return out.getvalue()
 
 
@@ -263,15 +206,15 @@ def render_detections(evaluation: Evaluation) -> str:
 def _summary_markdown(result: CampaignResult) -> str:
     config = result.config
     engine = config.engine
-    topics = config.categories.sensitive
-    lag = result.lag
+    evaluation = result.evaluation
     lines = [
         "# Campaign report",
         "",
         "## Setup",
         "",
         f"- master seed: {result.master_seed}",
-        f"- topics: {len(topics)} sensitive + catch-all `{config.catchall}`",
+        f"- topics: {len(config.categories.sensitive)} sensitive"
+        f" + catch-all `{config.catchall}`",
         f"- sessions per topic: {config.train_sessions_per_topic} training,"
         f" {config.test_sessions_per_topic} test",
         f"- probe query: `{config.probe}`",
@@ -284,30 +227,21 @@ def _summary_markdown(result: CampaignResult) -> str:
         "",
         "## Headline rates",
         "",
-        f"- sensitive-session detection rate: {_percent(result.sensitive_rate)}",
-        f"- catch-all false positive rate: {_percent(result.false_positive_rate)}",
+        f"- sensitive-session detection rate: {_percent(evaluation.sensitive_rate)}",
+        f"- catch-all false positive rate: {_percent(evaluation.false_positive_rate)}",
         "",
         "## Per-topic session rates",
         "",
-        "| topic | true detect | false other | true other | false detect |",
-        "| --- | --- | --- | --- | --- |",
+        "| topic | " + " | ".join(c.replace("_", " ") for c in CONFUSION_COLUMNS)
+        + " |",
+        "|" + " --- |" * (1 + len(CONFUSION_COLUMNS)),
     ]
-    for topic, row in result.confusion.rows.items():
-        lines.append(
-            f"| {topic} | {_percent(row.true_detect)} | {_percent(row.false_other)}"
-            f" | {_percent(row.true_other)} | {_percent(row.false_detect)} |"
-        )
+    for topic, values in _confusion_rows(evaluation.confusion):
+        lines.append("| " + " | ".join([topic, *map(_percent, values)]) + " |")
     lines += ["", "## Misclassification lag", ""]
-    if lag.expected_run is None:
-        lines.append("No probe was ever misclassified; run statistics are empty.")
-    else:
-        lines.append(f"- expected run length E[X]: {lag.expected_run:.2f}")
-        lines.append("- run length distribution: "
-                     + ", ".join(f"{k} -> {_percent(p)}"
-                                 for k, p in lag.run_length_dist.items()))
-        lines.append("- first-error distribution: "
-                     + ", ".join(f"{k} -> {_percent(p)}"
-                                 for k, p in lag.first_error_dist.items()))
+    lines += ([f"- {label}: {value}"
+               for label, value in _lag_lines(evaluation.lag, " -> ", ", ")]
+              or ["No probe was ever misclassified; run statistics are empty."])
     lines += [
         "",
         "## Files",
@@ -319,61 +253,44 @@ def _summary_markdown(result: CampaignResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _confusion_csv(result: CampaignResult) -> str:
+def _csv(header: tuple, rows) -> str:
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("topic", "true_detect", "false_other",
-                     "true_other", "false_detect"))
-    for topic, row in result.confusion.rows.items():
-        writer.writerow((topic, repr(row.true_detect), repr(row.false_other),
-                         repr(row.true_other), repr(row.false_detect)))
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
 
 
 def _heatmap_csv(result: CampaignResult) -> str:
     topics = result.config.categories.sensitive
     matrix = topic_score_matrix(result)
-    out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("session_topic",) + tuple(topics))
-    for topic in topics:
-        writer.writerow((topic,)
-                        + tuple(repr(matrix[topic][c]) for c in topics))
-    return out.getvalue()
-
-
-def _lag_csv(result: CampaignResult) -> str:
-    out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("statistic", "key", "value"))
-    lag = result.lag
-    for k, p in lag.run_length_dist.items():
-        writer.writerow(("run_length", k, repr(p)))
-    for k, p in lag.first_error_dist.items():
-        writer.writerow(("first_error", k, repr(p)))
-    writer.writerow(("expected_run", "",
-                     "" if lag.expected_run is None else repr(lag.expected_run)))
-    return out.getvalue()
+    return _csv(("session_topic",) + tuple(topics),
+                [(topic,) + tuple(repr(matrix[topic][c]) for c in topics)
+                 for topic in topics])
 
 
 def write_bundle(result: CampaignResult, out_dir: str | Path) -> tuple[Path, ...]:
     """Write every campaign artifact under out_dir and return the paths."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    evaluation = result.evaluation
     save_model(result.model, directory / "model.txt")
     save_baselines(result.baseline, directory / "baselines.txt")
     save_capture(result.training_traces, directory / "train.capture")
     save_capture(result.test_traces, directory / "test.capture")
-    evaluation = campaign_evaluation(result)
-    (directory / "sessions.csv").write_text(render_detections(evaluation),
-                                            encoding="utf-8")
-    (directory / "confusion.csv").write_text(_confusion_csv(result),
-                                             encoding="utf-8")
-    (directory / "heatmap.csv").write_text(_heatmap_csv(result),
-                                           encoding="utf-8")
-    (directory / "lag.csv").write_text(_lag_csv(result), encoding="utf-8")
-    (directory / "summary.md").write_text(_summary_markdown(result),
-                                          encoding="utf-8")
+    tables = {
+        "sessions.csv": render_detections(evaluation),
+        "confusion.csv": _csv(
+            ("topic",) + CONFUSION_COLUMNS,
+            [(topic, *map(repr, values))
+             for topic, values in _confusion_rows(evaluation.confusion)]),
+        "heatmap.csv": _heatmap_csv(result),
+        "lag.csv": _csv(("statistic", "key", "value"),
+                        _lag_rows(evaluation.lag)),
+        "summary.md": _summary_markdown(result),
+    }
+    for name, text in tables.items():
+        (directory / name).write_text(text, encoding="utf-8")
     return tuple(directory / name for name in BUNDLE_FILES)
 
 

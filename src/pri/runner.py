@@ -11,6 +11,10 @@ the adverts those sessions observed, calibrates per-topic intervals, and then
 judges a separate set of test sessions.  All randomness fans out from one
 master seed through named channels, so a campaign is a pure function of its
 configuration and that seed.
+
+``evaluate_capture`` is the one path from traces to verdicts: a campaign
+calls it on its test split, and the ``detect`` and ``report`` commands call
+it on a capture file.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import CategorySet, Interaction, LabeledAdvert, SessionTrace
 from .detector import (
@@ -142,6 +146,76 @@ class CampaignConfig:
         return CategorySet(tuple(sorted(self.keywords)), self.catchall)
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """Verdicts for a set of sessions and every aggregate derived from them.
+
+    Every field is computed once, by ``evaluate_capture``; the renderers in
+    ``pri.reports`` only format these values.
+    """
+
+    catchall: str
+    truths: dict[str, str]
+    probe_scores: dict[str, tuple[ScoreVector, ...]]
+    probe_verdicts: dict[str, tuple[ProbeVerdict, ...]]
+    session_verdicts: dict[str, SessionVerdict]
+    sensitive_rate: float
+    false_positive_rate: float
+    confusion: ConfusionMatrix
+    lag: LagStatistics
+
+    @property
+    def session_ids(self) -> tuple[str, ...]:
+        return tuple(self.truths)
+
+
+def evaluate_capture(
+    model: PriModel,
+    baseline: TopicBaseline,
+    traces: Iterable[SessionTrace],
+    config: DetectorConfig | None = None,
+    catchall: str = "other",
+) -> Evaluation:
+    """Score and classify every probe in the traces, then aggregate once.
+
+    The confusion matrix covers every true topic other than the catch-all,
+    sorted; a capture with no sessions has no confusion rows.
+    """
+    config = config or DetectorConfig()
+    truths: dict[str, str] = {}
+    probe_scores: dict[str, tuple[ScoreVector, ...]] = {}
+    probe_verdicts: dict[str, tuple[ProbeVerdict, ...]] = {}
+    session_verdicts: dict[str, SessionVerdict] = {}
+    for trace in traces:
+        vectors = score_probes(model, trace)
+        verdicts = tuple(
+            classify_probe(vector, baseline, config) for vector in vectors
+        )
+        truths[trace.session_id] = trace.topic_label
+        probe_scores[trace.session_id] = vectors
+        probe_verdicts[trace.session_id] = verdicts
+        session_verdicts[trace.session_id] = detect_session(verdicts, config)
+
+    truth_list = list(truths.values())
+    verdict_list = list(session_verdicts.values())
+    sensitive_rate, false_positive_rate = detection_rates(
+        verdict_list, truth_list, catchall
+    )
+    topics = sorted(set(truth_list) - {catchall})
+    return Evaluation(
+        catchall=catchall,
+        truths=truths,
+        probe_scores=probe_scores,
+        probe_verdicts=probe_verdicts,
+        session_verdicts=session_verdicts,
+        sensitive_rate=sensitive_rate,
+        false_positive_rate=false_positive_rate,
+        confusion=(confusion_matrix(verdict_list, truth_list, topics)
+                   if truths else ConfusionMatrix(rows={})),
+        lag=lag_statistics(list(probe_verdicts.values()), truth_list, catchall),
+    )
+
+
 @dataclass
 class CampaignResult:
     config: CampaignConfig
@@ -150,18 +224,7 @@ class CampaignResult:
     baseline: TopicBaseline
     training_traces: tuple[SessionTrace, ...]
     test_traces: tuple[SessionTrace, ...]
-    probe_scores: dict[str, tuple[ScoreVector, ...]]
-    probe_verdicts: dict[str, tuple[ProbeVerdict, ...]]
-    session_verdicts: dict[str, SessionVerdict]
-    truths: dict[str, str]
-    confusion: ConfusionMatrix
-    sensitive_rate: float
-    false_positive_rate: float
-    lag: LagStatistics
-
-    @property
-    def test_session_ids(self) -> tuple[str, ...]:
-        return tuple(trace.session_id for trace in self.test_traces)
+    evaluation: Evaluation
 
 
 def run_campaign(config: CampaignConfig, master_seed: int) -> CampaignResult:
@@ -196,27 +259,6 @@ def run_campaign(config: CampaignConfig, master_seed: int) -> CampaignResult:
         training_corpus(training, config.include_probe_adverts), categories
     )
     baseline = calibrate(model, training)
-
-    probe_scores: dict[str, tuple[ScoreVector, ...]] = {}
-    probe_verdicts: dict[str, tuple[ProbeVerdict, ...]] = {}
-    session_verdicts: dict[str, SessionVerdict] = {}
-    truths: dict[str, str] = {}
-    for trace in testing:
-        vectors = score_probes(model, trace)
-        verdicts = tuple(
-            classify_probe(vector, baseline, config.detector) for vector in vectors
-        )
-        probe_scores[trace.session_id] = vectors
-        probe_verdicts[trace.session_id] = verdicts
-        session_verdicts[trace.session_id] = detect_session(verdicts, config.detector)
-        truths[trace.session_id] = trace.topic_label
-
-    ordered_ids = [trace.session_id for trace in testing]
-    verdict_list = [session_verdicts[sid] for sid in ordered_ids]
-    truth_list = [truths[sid] for sid in ordered_ids]
-    sensitive_rate, false_positive_rate = detection_rates(
-        verdict_list, truth_list, categories.catchall
-    )
     return CampaignResult(
         config=config,
         master_seed=master_seed,
@@ -224,16 +266,6 @@ def run_campaign(config: CampaignConfig, master_seed: int) -> CampaignResult:
         baseline=baseline,
         training_traces=training,
         test_traces=testing,
-        probe_scores=probe_scores,
-        probe_verdicts=probe_verdicts,
-        session_verdicts=session_verdicts,
-        truths=truths,
-        confusion=confusion_matrix(verdict_list, truth_list, categories.sensitive),
-        sensitive_rate=sensitive_rate,
-        false_positive_rate=false_positive_rate,
-        lag=lag_statistics(
-            [probe_verdicts[sid] for sid in ordered_ids],
-            truth_list,
-            categories.catchall,
-        ),
+        evaluation=evaluate_capture(model, baseline, testing, config.detector,
+                                    categories.catchall),
     )

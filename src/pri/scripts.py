@@ -9,9 +9,8 @@ list and dressed with a connective so they read like search queries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from importlib import resources
@@ -120,7 +119,6 @@ class QueryScript:
 class ClickPolicy:
     keywords: CategoryKeywords
     tf_threshold: float = 0.1
-    dwell_seconds: int = 5
 
     def __post_init__(self) -> None:
         if self.tf_threshold <= 0:
@@ -274,11 +272,6 @@ def write_script(script: QueryScript, out: IO[str]) -> None:
             out.write(entry.text + "\n")
 
 
-def save_script(script: QueryScript, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_script(script, fh)
-
-
 def parse_script(lines: Iterable[str]) -> QueryScript:
     probe = ""
     topic = ""
@@ -318,14 +311,6 @@ def parse_script(lines: Iterable[str]) -> QueryScript:
         raise ValidationError("script file has no query entries")
     return QueryScript(topic=topic, probe=probe, entries=tuple(entries),
                        keywords=keywords)
-
-
-def load_script(path: str | Path) -> QueryScript:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read script {path}: {exc}") from exc
-    return parse_script(text.splitlines())
 
 
 def catchall_keywords(

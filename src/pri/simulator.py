@@ -216,13 +216,6 @@ _KIND_QUERY = "query"
 _KIND_CLICK = "click"
 
 
-@dataclass(frozen=True)
-class _Pending:
-    countdown: int
-    label: str
-    kind: str
-
-
 def _initial_belief(text: str, categories: CategorySet) -> dict[str, float]:
     prior = parse_prior_knowledge(text)
     unknown = sorted(set(prior) - set(categories.all_labels))
@@ -262,7 +255,10 @@ class AdEngine:
             for label, ads in self._slices.items()
         }
         self._weights = _initial_belief(config.prior_knowledge, categories)
-        self._queue: list[_Pending] = []
+        # (due step, label, kind) in registration order; applying in that
+        # order keeps float results fixed (boosts multiply, queries add).
+        self._queue: list[tuple[int, str, str]] = []
+        self._step = 0
         self._rng = random.Random(config.seed)
         self._last_served: tuple[str, ...] | None = None
 
@@ -284,8 +280,9 @@ class AdEngine:
         return self._slices[label]
 
     def submit_query(self, query: str) -> ResultPage:
+        self._step += 1
         page, slot_labels = self._compose_page(query)
-        self._advance_queue()
+        self._apply_due()
         for label in self._matched(query):
             self._register(label, _KIND_QUERY)
         self._last_served = slot_labels
@@ -330,7 +327,7 @@ class AdEngine:
         if lag <= 0:
             self._apply(label, kind)
         else:
-            self._queue.append(_Pending(lag, label, kind))
+            self._queue.append((self._step + lag, label, kind))
 
     def _apply(self, label: str, kind: str) -> None:
         if kind == _KIND_QUERY:
@@ -338,15 +335,11 @@ class AdEngine:
         else:
             self._weights[label] *= self._config.click_boost
 
-    def _advance_queue(self) -> None:
-        still_pending: list[_Pending] = []
-        for update in self._queue:
-            countdown = update.countdown - 1
-            if countdown <= 0:
-                self._apply(update.label, update.kind)
-            else:
-                still_pending.append(replace(update, countdown=countdown))
-        self._queue = still_pending
+    def _apply_due(self) -> None:
+        due = [entry for entry in self._queue if entry[0] <= self._step]
+        self._queue = [entry for entry in self._queue if entry[0] > self._step]
+        for _, label, kind in due:
+            self._apply(label, kind)
 
 
 def new_engine(

@@ -161,19 +161,19 @@ def test_criterion_3_detection_campaign_rates(google):
            "fewer than 10 test sessions per topic")
     _check(failures, config.detector.session_probe_count == 5,
            "session rule is not 5 probes")
-    _check(failures, result.sensitive_rate >= 0.95,
-           f"sensitive detection rate {result.sensitive_rate:.3f} < 0.95")
-    _check(failures, result.false_positive_rate <= 0.05,
-           f"false positive rate {result.false_positive_rate:.3f} > 0.05")
-    for topic, row in result.confusion.rows.items():
+    _check(failures, result.evaluation.sensitive_rate >= 0.95,
+           f"sensitive detection rate {result.evaluation.sensitive_rate:.3f} < 0.95")
+    _check(failures, result.evaluation.false_positive_rate <= 0.05,
+           f"false positive rate {result.evaluation.false_positive_rate:.3f} > 0.05")
+    for topic, row in result.evaluation.confusion.rows.items():
         _check(failures, row.true_detect >= 0.90,
                f"{topic}: true detect {row.true_detect:.3f} < 0.90")
         _check(failures, row.false_other <= 0.10,
                f"{topic}: false other {row.false_other:.3f} > 0.10")
     _check(failures, elapsed < 120.0, f"took {elapsed:.1f}s, limit 120s")
     _verdict(3, "detection campaign rates", failures,
-             f"rate {100 * result.sensitive_rate:.1f}%, "
-             f"fp {100 * result.false_positive_rate:.1f}%, "
+             f"rate {100 * result.evaluation.sensitive_rate:.1f}%, "
+             f"fp {100 * result.evaluation.false_positive_rate:.1f}%, "
              f"12 topics x 10 sessions, {elapsed:.1f}s")
 
 
@@ -215,8 +215,8 @@ def _own_topic_means(result) -> dict[str, float]:
     for topic in result.config.categories.all_labels:
         values = [
             float(vector.scores[topic])
-            for sid, vectors in result.probe_scores.items()
-            if result.truths[sid] == topic
+            for sid, vectors in result.evaluation.probe_scores.items()
+            if result.evaluation.truths[sid] == topic
             for vector in vectors
         ]
         means[topic] = fmean(values)
@@ -245,30 +245,31 @@ def test_criterion_5_clicking_strictly_raises_own_scores():
 def test_criterion_6_learning_lag_statistics(google):
     result, _ = google
     failures: list[str] = []
-    expected_run = result.lag.expected_run
+    expected_run = result.evaluation.lag.expected_run
     _check(failures, expected_run is not None and 0.9 <= expected_run <= 1.2,
            f"instant-update E[X] {expected_run} outside [0.9, 1.2]")
-    first_probe = result.lag.first_error_dist.get(1, 0.0)
+    first_probe = result.evaluation.lag.first_error_dist.get(1, 0.0)
     _check(failures, first_probe >= 0.9,
            f"Pr(first error at probe 1) = {first_probe:.2f} < 0.9")
 
     bing = run_campaign(
         CampaignConfig(engine=load_engine_config("bing_like")), MASTER_SEED)
     _check(failures,
-           bing.lag.expected_run is not None
-           and 1.5 <= bing.lag.expected_run <= 2.0,
-           f"delayed-update E[X] {bing.lag.expected_run} outside [1.5, 2.0]")
+           bing.evaluation.lag.expected_run is not None
+           and 1.5 <= bing.evaluation.lag.expected_run <= 2.0,
+           f"delayed-update E[X] {bing.evaluation.lag.expected_run} outside [1.5, 2.0]")
 
     base = load_engine_config("google_like")
     ladder = [expected_run]
     for lag in range(1, 5):
         config = CampaignConfig(engine=replace(base, adaptation_lag=lag))
-        ladder.append(run_campaign(config, MASTER_SEED).lag.expected_run)
+        ladder.append(
+            run_campaign(config, MASTER_SEED).evaluation.lag.expected_run)
     for lower, upper in zip(ladder, ladder[1:]):
         _check(failures, upper is not None and upper >= lower - 1e-9,
                f"E[X] ladder not nondecreasing: {ladder}")
     _verdict(6, "learning-lag statistics", failures,
-             f"E[X] google {expected_run:.2f}, bing {bing.lag.expected_run:.2f}, "
+             f"E[X] google {expected_run:.2f}, bing {bing.evaluation.lag.expected_run:.2f}, "
              f"ladder {[round(x, 2) for x in ladder]}")
 
 
@@ -279,12 +280,12 @@ def test_criterion_6_learning_lag_statistics(google):
 def test_criterion_7_probe_hygiene(google):
     result, _ = google
     failures: list[str] = []
-    catchall_ids = [sid for sid, truth in result.truths.items()
+    catchall_ids = [sid for sid, truth in result.evaluation.truths.items()
                     if truth == "other"]
     _check(failures, len(catchall_ids) >= 10,
            "fewer than 10 neutral test sessions")
     flagged = [sid for sid in catchall_ids
-               if result.session_verdicts[sid].sensitive]
+               if result.evaluation.session_verdicts[sid].sensitive]
     _check(failures, not flagged,
            f"neutral sessions flagged sensitive: {flagged}")
 

@@ -233,6 +233,39 @@ class TestCampaign:
         assert len(sessions) == 12
 
 
+# name -> (campaign --config text, expected error text)
+_MALFORMED_CONFIGS = {
+    "non-integer-train": ("train_sessions_per_topic = x\n",
+                          "bad value for train_sessions_per_topic: 'x'"),
+    "fractional-probe-count": ("session_probe_count = 2.5\n",
+                               "bad value for session_probe_count: '2.5'"),
+    "non-float-sigma": ("sigma_multiplier = abc\n",
+                        "bad value for sigma_multiplier: 'abc'"),
+    "clicks-not-on-off": ("clicks = maybe\n", "bad value for clicks: 'maybe'"),
+    "misspelt-key": ("sigma_multiplyer = 2\n",
+                     "unknown campaign setting 'sigma_multiplyer'"),
+    "removed-epsilon": ("epsilon = abc\n",
+                        "unknown campaign setting 'epsilon'"),
+    "engine-key": ("adaptation_lag = 2\n",
+                   "unknown campaign setting 'adaptation_lag'"),
+    "zero-test-sessions": ("test_sessions_per_topic = 0\n",
+                           "test_sessions_per_topic must be at least 1"),
+}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("name", sorted(_MALFORMED_CONFIGS))
+    def test_malformed_setting_is_a_data_error(self, tmp_path, capsys, name):
+        text, message = _MALFORMED_CONFIGS[name]
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code = main(["campaign", "--seed", "5", "--out", str(tmp_path / "b"),
+                     "--config", str(cfg)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+
 class TestReport:
     def test_text_format(self, cli_bundle, capsys):
         assert main(["report", "--model", str(cli_bundle / "model.txt"),
@@ -257,6 +290,19 @@ class TestReport:
                      "--format", "xml"])
         assert code == 1
 
+    def test_empty_capture_is_a_data_error(self, cli_bundle, tmp_path, capsys):
+        empty = tmp_path / "empty.capture"
+        save_capture([], empty)
+        flags = ["--model", str(cli_bundle / "model.txt"),
+                 "--baselines", str(cli_bundle / "baselines.txt"),
+                 "--capture", str(empty)]
+        assert main(["report"] + flags) == 2
+        assert "holds no sessions" in capsys.readouterr().err
+        # detect lists the sessions it judged: none, under the header.
+        assert main(["detect"] + flags) == 0
+        assert capsys.readouterr().out == (
+            "session,topic,sensitive,detected_topics\n")
+
 
 class TestTopLevel:
     def test_help_exits_cleanly(self, capsys):
@@ -272,3 +318,15 @@ class TestTopLevel:
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         assert main(["annoy"]) == 1
         assert "annoy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["detect", "report", "campaign"])
+    def test_epsilon_flag_is_gone(self, cli_bundle, tmp_path, command, capsys):
+        # It was parsed but never read; the flag is now unknown.
+        if command == "campaign":
+            flags = ["--seed", "5", "--out", str(tmp_path / "b")]
+        else:
+            flags = ["--model", str(cli_bundle / "model.txt"),
+                     "--baselines", str(cli_bundle / "baselines.txt"),
+                     "--capture", str(cli_bundle / "test.capture")]
+        assert main([command, *flags, "--epsilon", "0.1"]) == 1
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err

@@ -153,6 +153,32 @@ class TestCaptureRoundTrip:
         with pytest.raises(ValidationError, match="line 3: record is not a JSON"):
             parse_capture(lines)
 
+    @pytest.mark.parametrize("field, value", [
+        ("links", "5"),
+        ("links", '[["title"]]'),
+        ("links", '[["title", 1]]'),
+        ("adverts", "[3]"),
+        ("adverts", '"one advert"'),
+        ("clicked", "[true]"),
+        ("step", '"2"'),
+        ("step", "true"),
+        ("is_probe", "0"),
+        ("query", "null"),
+        ("session_id", "7"),
+        ("topic", "[]"),
+    ])
+    def test_mistyped_field_names_line(self, field, value):
+        def record(**changes: str) -> str:
+            fields = {"adverts": '["ad"]', "clicked": "[]", "is_probe": "false",
+                      "links": '[["title", "snippet"]]', "query": '"q"',
+                      "session_id": '"s"', "step": "2", "topic": '"other"',
+                      **changes}
+            return "{" + ",".join(f'"{k}":{v}' for k, v in fields.items()) + "}"
+
+        lines = ["#pri-capture v1", record(step="1"), record(**{field: value})]
+        with pytest.raises(ValidationError, match=f"line 3: {field} must be"):
+            parse_capture(lines)
+
     def test_sessions_must_be_sorted(self):
         base = (
             '{{"adverts":[],"clicked":[],"is_probe":false,"links":[],'

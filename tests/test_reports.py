@@ -3,17 +3,24 @@
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
 from pri.corpus import parse_capture
-from pri.detector import parse_baselines
+from pri.detector import (
+    ProbeVerdict,
+    SessionVerdict,
+    confusion_matrix,
+    detection_rates,
+    lag_statistics,
+    parse_baselines,
+)
 from pri.estimator import parse_model
 from pri.reports import (
     BUNDLE_FILES,
-    campaign_evaluation,
-    evaluate_capture,
     read_bundle_bytes,
     render_csv,
     render_detections,
@@ -21,9 +28,13 @@ from pri.reports import (
     topic_score_matrix,
     write_bundle,
 )
-from pri.runner import CampaignConfig, run_campaign
+from pri.runner import CampaignConfig, Evaluation, evaluate_capture, run_campaign
 
 from conftest import MINI_KEYWORDS
+
+# The mini campaign's tables as first written, before the renderers shared
+# any code; any change to a renderer's bytes shows up here.
+PINNED = Path(__file__).parent / "data" / "mini_campaign_seed11"
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +106,7 @@ class TestBundle:
         stats = {r[0] for r in rows[1:]}
         assert stats == {"run_length", "first_error", "expected_run"}
         expected = [r for r in rows if r[0] == "expected_run"]
-        assert float(expected[0][2]) == mini_campaign.lag.expected_run
+        assert float(expected[0][2]) == mini_campaign.evaluation.lag.expected_run
 
 
 class TestEvaluation:
@@ -107,10 +118,7 @@ class TestEvaluation:
             mini_campaign.config.detector,
             catchall="other",
         )
-        assert evaluation.session_verdicts == mini_campaign.session_verdicts
-        assert evaluation.probe_verdicts == mini_campaign.probe_verdicts
-        assert evaluation.rates() == (mini_campaign.sensitive_rate,
-                                      mini_campaign.false_positive_rate)
+        assert evaluation == mini_campaign.evaluation
 
     def test_topic_matrix_diagonal_dominates(self, mini_campaign):
         matrix = topic_score_matrix(mini_campaign)
@@ -121,27 +129,67 @@ class TestEvaluation:
 
 class TestRendering:
     def test_text_report_mentions_the_rates(self, mini_campaign):
-        text = render_text(campaign_evaluation(mini_campaign))
+        text = render_text(mini_campaign.evaluation)
         assert "sensitive detection rate: 100.0%" in text
         assert "false positive rate:      0.0%" in text
         assert "divorce" in text and "prostate" in text
 
     def test_csv_report_is_long_format(self, mini_campaign):
         rows = list(csv.reader(StringIO(
-            render_csv(campaign_evaluation(mini_campaign)))))
+            render_csv(mini_campaign.evaluation))))
         assert rows[0] == ["table", "row", "column", "value"]
         tables = {r[0] for r in rows[1:]}
         assert tables == {"summary", "confusion", "lag"}
         rate = [r for r in rows
                 if r[:3] == ["summary", "rate", "sensitive_detection"]]
-        assert float(rate[0][3]) == mini_campaign.sensitive_rate
+        assert float(rate[0][3]) == mini_campaign.evaluation.sensitive_rate
 
     def test_detections_csv_lists_every_session(self, mini_campaign):
         rows = list(csv.reader(StringIO(
-            render_detections(campaign_evaluation(mini_campaign)))))
+            render_detections(mini_campaign.evaluation))))
         assert rows[0] == ["session", "topic", "sensitive", "detected_topics"]
         ids = [r[0] for r in rows[1:]]
-        assert ids == list(mini_campaign.test_session_ids)
+        assert ids == [t.session_id for t in mini_campaign.test_traces]
         for row in rows[1:]:
-            verdict = mini_campaign.session_verdicts[row[0]]
+            verdict = mini_campaign.evaluation.session_verdicts[row[0]]
             assert row[2] == str(int(verdict.sensitive))
+
+
+class TestEmptyLag:
+    """No misclassified probe: both renderers say so instead of a table."""
+
+    @pytest.fixture
+    def evaluation(self):
+        truths = {"s1": "prostate", "s2": "other"}
+        probe_verdicts = {"s1": (ProbeVerdict(1, True, ("prostate",)),),
+                          "s2": (ProbeVerdict(1, False, ()),)}
+        session_verdicts = {"s1": SessionVerdict(True, Counter(prostate=1)),
+                            "s2": SessionVerdict(False)}
+        verdicts, topics = list(session_verdicts.values()), list(truths.values())
+        return Evaluation(
+            "other", truths, {}, probe_verdicts, session_verdicts,
+            *detection_rates(verdicts, topics, "other"),
+            confusion_matrix(verdicts, topics, ["prostate"]),
+            lag_statistics(list(probe_verdicts.values()), topics, "other"))
+
+    def test_text(self, evaluation):
+        assert render_text(evaluation).endswith(
+            "Misclassification lag\n---------------------\n"
+            "no misclassified probes: run statistics empty\n")
+
+    def test_csv(self, evaluation):
+        assert render_csv(evaluation).endswith(
+            "confusion,prostate,false_detect,0.0\nlag,expected_run,,\n")
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", ["sessions.csv", "confusion.csv",
+                                      "heatmap.csv", "lag.csv", "summary.md"])
+    def test_bundle_table(self, bundle_dir, name):
+        assert (bundle_dir / name).read_bytes() == (PINNED / name).read_bytes()
+
+    @pytest.mark.parametrize("render, name", [(render_text, "report.txt"),
+                                              (render_csv, "report.csv")])
+    def test_report(self, mini_campaign, render, name):
+        expected = (PINNED / name).read_text(encoding="utf-8")
+        assert render(mini_campaign.evaluation) == expected

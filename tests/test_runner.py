@@ -159,19 +159,21 @@ class TestCampaign:
         assert all(sid.startswith("test-") for sid in test_ids)
 
     def test_every_test_session_is_judged(self, mini_campaign):
-        ids = set(mini_campaign.test_session_ids)
-        assert set(mini_campaign.session_verdicts) == ids
-        assert set(mini_campaign.probe_verdicts) == ids
-        assert set(mini_campaign.truths) == ids
-        for sid, verdicts in mini_campaign.probe_verdicts.items():
-            assert len(verdicts) == len(mini_campaign.probe_scores[sid])
+        ids = {t.session_id for t in mini_campaign.test_traces}
+        evaluation = mini_campaign.evaluation
+        assert set(evaluation.session_verdicts) == ids
+        assert set(evaluation.probe_verdicts) == ids
+        assert set(evaluation.truths) == ids
+        for sid, verdicts in evaluation.probe_verdicts.items():
+            assert len(verdicts) == len(evaluation.probe_scores[sid])
             assert len(verdicts) >= 5
 
     def test_mini_campaign_detects_cleanly(self, mini_campaign):
-        assert mini_campaign.sensitive_rate == 1.0
-        assert mini_campaign.false_positive_rate == 0.0
+        evaluation = mini_campaign.evaluation
+        assert evaluation.sensitive_rate == 1.0
+        assert evaluation.false_positive_rate == 0.0
         for topic in ("prostate", "divorce"):
-            assert mini_campaign.confusion.rows[topic].true_detect == 1.0
+            assert evaluation.confusion.rows[topic].true_detect == 1.0
 
     def test_catchall_baseline_is_exact(self, mini_campaign):
         # Catch-all pages all carry one term multiset, so the calibrated
@@ -191,8 +193,8 @@ class TestCampaign:
             return out.getvalue()
 
         assert dump(a) == dump(b)
-        assert a.session_verdicts == b.session_verdicts
-        assert a.sensitive_rate == b.sensitive_rate
+        assert a.evaluation.session_verdicts == b.evaluation.session_verdicts
+        assert a.evaluation.sensitive_rate == b.evaluation.sensitive_rate
 
     def test_different_seeds_differ(self):
         config = CampaignConfig(keywords=MINI_KEYWORDS,
@@ -222,7 +224,8 @@ class TestCampaign:
                 classify_probe(vector, baseline, config.detector)
                 for vector in score_probes(model, trace)
             )
-            assert verdicts == mini_campaign.probe_verdicts[trace.session_id]
+            expected = mini_campaign.evaluation.probe_verdicts[trace.session_id]
+            assert verdicts == expected
 
     def test_score_probes_aligns_with_probe_steps(self, mini_campaign):
         trace = mini_campaign.test_traces[0]
