@@ -31,8 +31,8 @@ class DetectorConfig:
     session_probe_count: int = 5
 
     def __post_init__(self) -> None:
-        if self.sigma_multiplier <= 0:
-            raise ValidationError("sigma_multiplier must be positive")
+        if not (math.isfinite(self.sigma_multiplier) and self.sigma_multiplier > 0):
+            raise ValidationError("sigma_multiplier must be positive and finite")
         if self.session_probe_count <= 0:
             raise ValidationError("session_probe_count must be positive")
 
@@ -299,9 +299,18 @@ def parse_baselines(lines: Iterable[str]) -> TopicBaseline:
         if len(fields) != 4:
             raise ValidationError(f"baselines line {lineno}: malformed record")
         try:
-            per_topic[fields[0]] = IntervalStats(
+            stats = IntervalStats(
                 mean=float(fields[1]), sigma=float(fields[2]), count=int(fields[3])
             )
         except ValueError as exc:
             raise ValidationError(f"baselines line {lineno}: {exc}") from exc
+        if not (math.isfinite(stats.mean) and math.isfinite(stats.sigma)):
+            raise ValidationError(
+                f"baselines line {lineno}: mean and sigma must be finite")
+        if stats.sigma < 0:
+            raise ValidationError(f"baselines line {lineno}: negative sigma")
+        if stats.count < 2:
+            raise ValidationError(
+                f"baselines line {lineno}: count must be at least 2")
+        per_topic[fields[0]] = stats
     return TopicBaseline(per_topic=per_topic, catchall=catchall)

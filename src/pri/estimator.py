@@ -8,10 +8,20 @@ page computes, per category, the sum over dictionary terms of
 
 where a term's frequency inside an advert is its count over the advert's full
 filtered length, and terms outside the dictionary contribute nothing.
+
+Every value is exact, but the loops run on Python ints and build one
+``Fraction`` per output cell.  Training sums each (term, category) cell as an
+integer over the lcm of the advert lengths.  A model stores each category's
+shares as integer numerators over one common denominator ``D_c``, the lcm of
+that category's share denominators, and scoring sums a page's adverts over
+``L``, the lcm of their filtered lengths, so a page's score for category
+``c`` is ``Fraction(m, D_c * L)`` for an integer ``m``.  ``Fraction``
+normalises to lowest terms, so the results equal the term-by-term sums.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,8 +37,9 @@ MODEL_HEADER = "#pri-model v1"
 # Shared by every zero cell of the statistics tables (a Fraction is immutable).
 _ZERO = Fraction(0)
 
-# (category, value) pairs with value != 0.
-CategoryMass = tuple[tuple[str, Fraction], ...]
+# (category, integer numerator) pairs with numerator != 0; the denominator
+# is implied by where the mass is stored.
+CategoryMass = tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -43,10 +54,14 @@ class TermStats:
 class PriModel:
     """Trained statistics plus the values scoring derives from them once.
 
-    ``shares`` maps each dictionary term to its nonzero category shares,
-    weight / total.  Scoring stores an advert text's contribution vector
-    from the text's second sighting on; a text seen only once leaves a
-    single entry in a set of seen texts, never a stored vector.
+    ``share_denominators`` maps each category ``c`` to ``D_c``, the lcm of
+    the denominators of its shares weight / total.  ``shares`` maps each
+    dictionary term to its nonzero category shares as integer numerators
+    over ``D_c``.  An advert text's contribution is its filtered length
+    ``n`` with, per category, the integer ``sum(count * share)``; its
+    category mass is that integer over ``D_c * n``.  Scoring stores a
+    text's contribution from the text's second sighting on; a text seen
+    only once leaves a single entry in a set of seen texts.
     """
 
     categories: CategorySet
@@ -54,46 +69,61 @@ class PriModel:
     stats: TermStats
     term_filter: TermFilter = field(compare=False)
     empty_categories: tuple[str, ...] = ()
+    share_denominators: dict[str, int] = field(
+        init=False, repr=False, compare=False)
     shares: dict[str, CategoryMass] = field(init=False, repr=False, compare=False)
     _seen: set[str] = field(
         default_factory=set, init=False, repr=False, compare=False)
-    _contributions: dict[str, CategoryMass] = field(
+    _contributions: dict[str, tuple[int, CategoryMass]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        shares = {
-            term: tuple(
+        ratios = {
+            term: [
                 (category, weight / total)
                 for category, weight in self.stats.per_category[term].items()
                 if weight
-            )
+            ]
             for term, total in self.stats.total.items()
         }
+        denominators = dict.fromkeys(self.categories.all_labels, 1)
+        for pairs in ratios.values():
+            for category, share in pairs:
+                denominators[category] = math.lcm(
+                    denominators[category], share.denominator)
+        shares = {
+            term: tuple(
+                (category,
+                 share.numerator * (denominators[category] // share.denominator))
+                for category, share in pairs
+            )
+            for term, pairs in ratios.items()
+        }
+        object.__setattr__(self, "share_denominators", denominators)
         object.__setattr__(self, "shares", shares)
 
     @property
     def cached_texts(self) -> int:
-        """How many advert texts have a stored contribution vector."""
+        """How many advert texts have a stored contribution."""
         return len(self._contributions)
 
-    def contribution(self, text: str) -> CategoryMass:
-        """Category mass one advert text adds to the score of its page."""
-        vector = self._contributions.get(text)
-        if vector is not None:
-            return vector
+    def contribution(self, text: str) -> tuple[int, CategoryMass]:
+        """Filtered length of one advert text and its integer category mass."""
+        entry = self._contributions.get(text)
+        if entry is not None:
+            return entry
         terms = self.term_filter.terms(text)
-        mass: dict[str, Fraction] = {}
+        mass: dict[str, int] = {}
         for term, count in Counter(terms).items():
             for category, share in self.shares.get(term, ()):
                 mass[category] = mass.get(category, 0) + count * share
-        # sum(share * count / length) == sum(share * count) / length, exactly.
-        vector = tuple((category, m / len(terms)) for category, m in mass.items())
+        entry = (len(terms), tuple(mass.items()))
         if text in self._seen:
             self._seen.discard(text)
-            self._contributions[text] = vector
+            self._contributions[text] = entry
         else:
             self._seen.add(text)
-        return vector
+        return entry
 
 
 @dataclass(frozen=True)
@@ -116,18 +146,26 @@ def train(
 
     dictionary = build_dictionary(corpus, flt)
     labels = categories.all_labels
-    total: dict[str, Fraction] = {t: _ZERO for t in dictionary}
-    per_category: dict[str, dict[str, Fraction]] = {
-        t: dict.fromkeys(labels, _ZERO) for t in dictionary
-    }
-
     # Each copy of an identical (label, text) pair adds the same frequencies.
-    for advert, copies in Counter(corpus).items():
-        terms = flt.terms(advert.text)
+    pairs = [(advert.label, flt.terms(advert.text), copies)
+             for advert, copies in Counter(corpus).items()]
+    # Every cell is summed as an integer over the lcm of the advert lengths.
+    common = math.lcm(*(len(terms) for _, terms, _ in pairs if terms))
+    cells: dict[str, dict[str, int]] = {t: {} for t in dictionary}
+    for label, terms, copies in pairs:
+        scale = copies * (common // len(terms)) if terms else 0
         for term, count in Counter(terms).items():
-            freq = Fraction(count * copies, len(terms))
-            total[term] += freq
-            per_category[term][advert.label] += freq
+            cell = cells[term]
+            cell[label] = cell.get(label, 0) + count * scale
+
+    total: dict[str, Fraction] = {}
+    per_category: dict[str, dict[str, Fraction]] = {}
+    for term, cell in cells.items():
+        total[term] = Fraction(sum(cell.values()), common)
+        row = dict.fromkeys(labels, _ZERO)
+        for label, value in cell.items():
+            row[label] = Fraction(value, common)
+        per_category[term] = row
 
     seen_labels = {advert.label for advert in corpus}
     empty = tuple(c for c in labels if c not in seen_labels)
@@ -146,11 +184,24 @@ def score(
     step: int = 0,
 ) -> ScoreVector:
     """Score one page of adverts against every category."""
-    scores = dict.fromkeys(model.categories.all_labels, _ZERO)
+    entries = []
     for advert in adverts:
         text = advert.text if isinstance(advert, Advert) else advert
-        for category, value in model.contribution(text):
-            scores[category] += value
+        length, mass = model.contribution(text)
+        if mass:
+            entries.append((length, mass))
+    scores = dict.fromkeys(model.categories.all_labels, _ZERO)
+    if entries:
+        # Each advert's mass is over D_c * n; bring them all over D_c * L.
+        common = math.lcm(*(length for length, _ in entries))
+        sums: dict[str, int] = {}
+        for length, mass in entries:
+            scale = common // length
+            for category, value in mass:
+                sums[category] = sums.get(category, 0) + value * scale
+        denominators = model.share_denominators
+        for category, value in sums.items():
+            scores[category] = Fraction(value, denominators[category] * common)
     return ScoreVector(step=step, scores=scores)
 
 

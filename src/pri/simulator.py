@@ -19,6 +19,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -163,6 +164,9 @@ def apportion_slots(
     return counts
 
 
+# Sessions submit the same queries again and again; the links depend on
+# the query alone, so each distinct query is hashed once.
+@lru_cache(maxsize=4096)
 def links_for_query(query: str) -> tuple[tuple[str, str], ...]:
     """Organic links for a query: stable, rank-ordered, content-free."""
     links = []

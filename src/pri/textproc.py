@@ -37,22 +37,33 @@ class TermFilter:
             default_stopwords() if stopwords is None else frozenset(stopwords)
         )
         self._memo: dict[str, tuple[str, ...]] = {}
+        # token -> its stemmed term, or None when either stopword pass drops it.
+        self._tokens: dict[str, str | None] = {}
 
     def terms(self, text: str) -> list[str]:
         # Sessions re-filter the same advert strings thousands of times;
-        # memoizing per instance keeps stemming off the hot path.
+        # memoizing per instance keeps stemming off the hot path.  Distinct
+        # texts still share most of their words, so tokens are memoized too.
         cached = self._memo.get(text)
         if cached is None:
+            tokens = self._tokens
             out = []
             for token in tokenize(text):
-                if token in self.stopwords:
-                    continue
-                stemmed = stem(token)
-                if stemmed not in self.stopwords:
-                    out.append(stemmed)
+                if token in tokens:
+                    term = tokens[token]
+                else:
+                    term = tokens[token] = self._term(token)
+                if term is not None:
+                    out.append(term)
             cached = tuple(out)
             self._memo[text] = cached
         return list(cached)
+
+    def _term(self, token: str) -> str | None:
+        if token in self.stopwords:
+            return None
+        stemmed = stem(token)
+        return None if stemmed in self.stopwords else stemmed
 
 
 @lru_cache(maxsize=1)

@@ -6,9 +6,13 @@ import csv
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pri.cli import main
 from pri.corpus import Advert, Interaction, ResultPage, SessionTrace, save_capture
+from pri.detector import parse_baselines
+from pri.errors import ValidationError
 from pri.estimator import parse_model
 
 TOY_CORPUS = str(resources.files("pri") / "data" / "examples" / "toy_corpus.txt")
@@ -121,6 +125,8 @@ _MALFORMED_MODELS = {
         "total must be positive"),
     "negative-weight": (
         "dict\t0\tfoo\nstat\t0\t1/1\ta=2/1,other=-1/1\n", "negative weight"),
+    "zero-denominator": (
+        "dict\t0\tfoo\nstat\t0\t3/0\ta=1/1\n", "bad rational '3/0'"),
 }
 
 
@@ -250,6 +256,8 @@ _MALFORMED_CONFIGS = {
                    "unknown campaign setting 'adaptation_lag'"),
     "zero-test-sessions": ("test_sessions_per_topic = 0\n",
                            "test_sessions_per_topic must be at least 1"),
+    "nan-sigma": ("sigma_multiplier = nan\n",
+                  "sigma_multiplier must be positive and finite"),
 }
 
 
@@ -302,6 +310,89 @@ class TestReport:
         assert main(["detect"] + flags) == 0
         assert capsys.readouterr().out == (
             "session,topic,sensitive,detected_topics\n")
+
+
+@pytest.mark.parametrize("command", ["detect", "report"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_sigma_multiplier_is_a_data_error(cli_bundle, capsys,
+                                                     command, value):
+    code = main([command, "--model", str(cli_bundle / "model.txt"),
+                 "--baselines", str(cli_bundle / "baselines.txt"),
+                 "--capture", str(cli_bundle / "test.capture"),
+                 "--sigma-multiplier", value])
+    assert code == 2
+    assert "sigma_multiplier must be positive and finite" in capsys.readouterr().err
+
+
+# name -> (topic records after the header lines, expected error text)
+_MALFORMED_BASELINES = {
+    "nan-mean": ("other\tnan\t0.5\t4\n",
+                 "line 3: mean and sigma must be finite"),
+    "infinite-sigma": ("other\t0.5\tinf\t4\n",
+                       "line 3: mean and sigma must be finite"),
+    "negative-sigma": ("other\t0.5\t-1.0\t4\n", "line 3: negative sigma"),
+    "count-one": ("other\t0.5\t0.1\t1\n", "line 3: count must be at least 2"),
+    "all-three": ("a\t0.5\t0.1\t4\nother\tnan\t-1.0\t0\n",
+                  "line 4: mean and sigma must be finite"),
+}
+
+
+class TestMalformedBaselines:
+    @pytest.mark.parametrize("name", sorted(_MALFORMED_BASELINES))
+    def test_malformed_record_is_a_data_error(self, cli_bundle, tmp_path,
+                                              capsys, name):
+        records, message = _MALFORMED_BASELINES[name]
+        baselines = tmp_path / "baselines.txt"
+        baselines.write_text("#pri-baselines v1\ncatchall\tother\n" + records,
+                             encoding="utf-8")
+        code = main(["report", "--model", str(cli_bundle / "model.txt"),
+                     "--baselines", str(baselines),
+                     "--capture", str(cli_bundle / "test.capture")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_sigma_is_accepted(self):
+        # The catch-all's own probes all score alike, so its sigma is 0.
+        baseline = parse_baselines(["#pri-baselines v1", "other\t0.5\t0.0\t2"])
+        assert baseline.per_topic["other"].sigma == 0.0
+
+
+_IDS = ("0", "1", "x", "-1", "")
+_VALUES = ("1/2", "3/0", "0/1", "-1/3", "2", "x", "", "1e999", "nan", "-inf",
+           "0.5", "-1")
+_BUCKETS = ("", "a=1/2", "other=1/2", "a=1/1,other=0/1", "a=-1/2", "a=x",
+            "zzz=1/1", "a=1/0", "=", ",")
+_any = st.sampled_from(_IDS + _VALUES + _BUCKETS)
+# Free-form records, plus records shaped like each kind of line so that
+# drawn values reach the checks behind the field count.
+_record = st.one_of(
+    st.tuples(st.sampled_from(("dict", "stat", "categories", "catchall",
+                               "empty", "other", "a", "")),
+              st.lists(_any, max_size=4)),
+    st.tuples(st.just("dict"),
+              st.tuples(st.sampled_from(_IDS), st.sampled_from(("foo", "bar")))),
+    st.tuples(st.just("stat"),
+              st.tuples(st.sampled_from(_IDS), st.sampled_from(_VALUES),
+                        st.sampled_from(_BUCKETS))),
+    st.tuples(st.sampled_from(("a", "other")),
+              st.tuples(st.sampled_from(_VALUES), st.sampled_from(_VALUES),
+                        st.sampled_from(_IDS + ("2", "5")))),
+).map(lambda record: "\t".join((record[0], *record[1])))
+
+
+# A valid prelude lets the drawn records reach the checks past the header.
+@pytest.mark.parametrize("parse, prelude", [
+    (parse_baselines, ["#pri-baselines v1", "catchall\tother"]),
+    (parse_model, ["#pri-model v1", "categories\ta", "dict\t0\tfoo"]),
+])
+@given(records=st.lists(_record, max_size=6), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_parsers_raise_only_validation_errors(parse, prelude, records, data):
+    head = data.draw(st.sampled_from([prelude, prelude, prelude[:1], ["#junk"]]))
+    try:
+        parse(head + records)
+    except ValidationError:
+        pass
 
 
 class TestTopLevel:

@@ -16,7 +16,7 @@ from pri.estimator import load_model, parse_model, score, train, write_model
 from pri.textproc import TermFilter
 
 from conftest import GOLDEN_DICTIONARY, GOLDEN_PAGE_ADVERT
-from oracle import reference_score_texts
+from oracle import frequency, reference_score_texts
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,68 @@ def test_texts_scored_once_leave_the_cache_empty(golden_corpus, golden_categorie
     assert model.cached_texts == 0
     score(model, texts[:3])
     assert model.cached_texts == 3
+
+
+def _assert_matches_oracle(model, corpus, page, flt):
+    vector = score(model, page)
+    assert list(vector.scores) == list(model.categories.all_labels)
+    for label in model.categories.all_labels:
+        expected = reference_score_texts(corpus, page, label, flt.terms)
+        assert vector.scores[label] == expected
+    return vector
+
+
+def test_integer_kernels_match_reference_oracle():
+    # Pages mix filtered lengths 1 to 12, an advert with no terms, one with
+    # no dictionary terms, and texts already cached with first-seen ones;
+    # "music" never occurs in training, so it is an empty category.
+    rng = random.Random(20140426)
+    categories = CategorySet(sensitive=_LABELS[:-1], catchall="other")
+    flt = TermFilter()
+    for _ in range(25):
+        corpus = [(rng.choice(("sports", "travel", "other")), text)
+                  for _, text in _random_corpus(rng)]
+        model = train([LabeledAdvert(l, t) for l, t in corpus], categories, flt)
+        assert "music" in model.empty_categories
+        lengths = list(range(1, 13))
+        rng.shuffle(lengths)
+        page = [" ".join(rng.choices(_WORDS, k=n)) for n in lengths[:6]]
+        page += ["the of and", "gardening equipment sale"]
+        assert sorted(len(flt.terms(t)) for t in page) == sorted(
+            [0, 3] + lengths[:6])
+        first = _assert_matches_oracle(model, corpus, page, flt)
+        assert first.scores["music"] == 0
+        assert _assert_matches_oracle(model, corpus, page, flt) == first
+        fresh = [" ".join(rng.choices(_WORDS, k=n)) for n in lengths[6:]]
+        mixed = page[:4] + fresh + page[4:]
+        _assert_matches_oracle(model, corpus, mixed, flt)
+
+
+def test_training_on_duplicated_pairs_survives_the_model_file():
+    rng = random.Random(20140427)
+    categories = CategorySet(sensitive=_LABELS[:-1], catchall="other")
+    flt = TermFilter()
+    for _ in range(20):
+        corpus = [pair for pair in _random_corpus(rng)
+                  for _ in range(rng.randint(1, 4))]
+        rng.shuffle(corpus)
+        model = train([LabeledAdvert(l, t) for l, t in corpus], categories, flt)
+        training = [(label, flt.terms(text)) for label, text in corpus]
+        dictionary = set(model.dictionary)
+        for term in model.dictionary:
+            for label in _LABELS:
+                assert model.stats.per_category[term][label] == sum(
+                    (frequency(term, terms, dictionary)
+                     for l, terms in training if l == label), F(0))
+        buffer = StringIO()
+        write_model(model, buffer)
+        again = parse_model(buffer.getvalue().splitlines(), flt)
+        assert again.stats == model.stats
+        assert again.share_denominators == model.share_denominators
+        assert again.shares == model.shares
+        page = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 12)))
+                for _ in range(rng.randint(1, 5))]
+        assert _assert_matches_oracle(again, corpus, page, flt) == score(model, page)
 
 
 # ---------------------------------------------------------------------------

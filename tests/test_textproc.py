@@ -51,6 +51,20 @@ class TestFilter:
         # "ies" alone stems to "i", which is a stopword and must not leak.
         assert filter_terms("ies") == []
 
+    def test_token_memo_matches_a_fresh_filter(self):
+        # Each of "ies", "thes", "hes" and "shes" stems to a stopword; the
+        # token memo must keep them dropped in every later text.
+        stopwords = default_stopwords()
+        texts = ["ies ponies thes", "hes ies risk", "ponies ies shes risk",
+                 "ies ponies thes"]
+        warm = TermFilter()
+        for _ in range(2):
+            for text in texts:
+                expected = [stem(t) for t in tokenize(text)
+                            if t not in stopwords and stem(t) not in stopwords]
+                assert warm.terms(text) == expected == TermFilter().terms(text)
+        assert warm.terms("ies ponies thes") == ["poni"]
+
 
 def _domain_words() -> list[str]:
     """Every word the bundled data files and generators can emit into pages.
