@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from .errors import ValidationError
-from .textproc import TermFilter
+from .textproc import filter_terms
 
 CAPTURE_HEADER = "#pri-capture v1"
 
@@ -120,12 +120,6 @@ class Dictionary:
         """Terms in id order, computed once."""
         return tuple(sorted(self._term_to_id, key=self._term_to_id.__getitem__))
 
-    def id_of(self, term: str) -> int:
-        return self._term_to_id[term]
-
-    def term_of(self, term_id: int) -> str:
-        return self.terms[term_id]
-
     def __contains__(self, term: object) -> bool:
         return term in self._term_to_id
 
@@ -164,13 +158,13 @@ def load_corpus(path: str | Path, categories: CategorySet) -> list[LabeledAdvert
     return parse_corpus(lines, categories)
 
 
-def build_dictionary(corpus: list[LabeledAdvert], term_filter: TermFilter) -> Dictionary:
+def build_dictionary(corpus: list[LabeledAdvert]) -> Dictionary:
     """Collect every filtered term of the corpus, ids by first occurrence."""
     if not corpus:
         raise ValidationError("cannot build a dictionary from an empty corpus")
     mapping: dict[str, int] = {}
     for advert in corpus:
-        for term in term_filter.terms(advert.text):
+        for term in filter_terms(advert.text):
             if term not in mapping:
                 mapping[term] = len(mapping)
     if not mapping:

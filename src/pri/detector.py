@@ -286,7 +286,7 @@ def parse_baselines(lines: Iterable[str]) -> TopicBaseline:
         raise ValidationError("empty baselines file") from None
     if header != BASELINES_HEADER:
         raise ValidationError(f"unsupported baselines header {header!r}")
-    catchall = "other"
+    catchall: str | None = None
     per_topic: dict[str, IntervalStats] = {}
     for lineno, raw in enumerate(it, start=2):
         line = raw.rstrip("\n")
@@ -294,6 +294,9 @@ def parse_baselines(lines: Iterable[str]) -> TopicBaseline:
             continue
         fields = line.split("\t")
         if fields[0] == "catchall" and len(fields) == 2:
+            if catchall is not None:
+                raise ValidationError(
+                    f"baselines line {lineno}: second catchall line")
             catchall = fields[1]
             continue
         if len(fields) != 4:
@@ -312,5 +315,9 @@ def parse_baselines(lines: Iterable[str]) -> TopicBaseline:
         if stats.count < 2:
             raise ValidationError(
                 f"baselines line {lineno}: count must be at least 2")
+        if fields[0] in per_topic:
+            raise ValidationError(
+                f"baselines line {lineno}: duplicate topic {fields[0]!r}")
         per_topic[fields[0]] = stats
-    return TopicBaseline(per_topic=per_topic, catchall=catchall)
+    return TopicBaseline(per_topic=per_topic,
+                         catchall="other" if catchall is None else catchall)

@@ -30,7 +30,7 @@ from typing import IO, Iterable, Sequence
 
 from .corpus import Advert, CategorySet, Dictionary, LabeledAdvert, build_dictionary
 from .errors import ValidationError
-from .textproc import TermFilter, default_filter
+from .textproc import TermFilter, default_filter, filter_terms
 
 MODEL_HEADER = "#pri-model v1"
 
@@ -67,7 +67,6 @@ class PriModel:
     categories: CategorySet
     dictionary: Dictionary
     stats: TermStats
-    term_filter: TermFilter = field(compare=False)
     empty_categories: tuple[str, ...] = ()
     share_denominators: dict[str, int] = field(
         init=False, repr=False, compare=False)
@@ -103,6 +102,11 @@ class PriModel:
         object.__setattr__(self, "shares", shares)
 
     @property
+    def term_filter(self) -> TermFilter:
+        """The process-wide filter every model reads advert text with."""
+        return default_filter()
+
+    @property
     def cached_texts(self) -> int:
         """How many advert texts have a stored contribution."""
         return len(self._contributions)
@@ -112,7 +116,7 @@ class PriModel:
         entry = self._contributions.get(text)
         if entry is not None:
             return entry
-        terms = self.term_filter.terms(text)
+        terms = filter_terms(text)
         mass: dict[str, int] = {}
         for term, count in Counter(terms).items():
             for category, share in self.shares.get(term, ()):
@@ -135,19 +139,17 @@ class ScoreVector:
 def train(
     corpus: list[LabeledAdvert],
     categories: CategorySet,
-    term_filter: TermFilter | None = None,
 ) -> PriModel:
     if not corpus:
         raise ValidationError("cannot train on an empty corpus")
-    flt = term_filter or default_filter()
     for advert in corpus:
         if advert.label not in categories:
             raise ValidationError(f"corpus label {advert.label!r} not in categories")
 
-    dictionary = build_dictionary(corpus, flt)
+    dictionary = build_dictionary(corpus)
     labels = categories.all_labels
     # Each copy of an identical (label, text) pair adds the same frequencies.
-    pairs = [(advert.label, flt.terms(advert.text), copies)
+    pairs = [(advert.label, filter_terms(advert.text), copies)
              for advert, copies in Counter(corpus).items()]
     # Every cell is summed as an integer over the lcm of the advert lengths.
     common = math.lcm(*(len(terms) for _, terms, _ in pairs if terms))
@@ -173,7 +175,6 @@ def train(
         categories=categories,
         dictionary=dictionary,
         stats=TermStats(total=total, per_category=per_category),
-        term_filter=flt,
         empty_categories=empty,
     )
 
@@ -257,7 +258,7 @@ def _parse_id(text: str, lineno: int) -> int:
     return int(text)
 
 
-def parse_model(lines: Iterable[str], term_filter: TermFilter | None = None) -> PriModel:
+def parse_model(lines: Iterable[str]) -> PriModel:
     it = iter(lines)
     try:
         header = next(it).rstrip("\n")
@@ -350,14 +351,13 @@ def parse_model(lines: Iterable[str], term_filter: TermFilter | None = None) -> 
         categories=categories,
         dictionary=Dictionary(mapping),
         stats=TermStats(total=totals, per_category=per_category),
-        term_filter=term_filter or default_filter(),
         empty_categories=empty,
     )
 
 
-def load_model(path: str | Path, term_filter: TermFilter | None = None) -> PriModel:
+def load_model(path: str | Path) -> PriModel:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ValidationError(f"cannot read model {path}: {exc}") from exc
-    return parse_model(lines, term_filter)
+    return parse_model(lines)

@@ -19,7 +19,7 @@ from importlib import resources
 
 from .corpus import ResultPage
 from .errors import ValidationError
-from .textproc import TermFilter, default_filter, tokenize
+from .textproc import default_filter, filter_terms, term_set, tokenize
 
 DEFAULT_PROBES = ("symptoms and causes", "help and advice")
 DEFAULT_MIN_RATIO = 0.01
@@ -48,11 +48,6 @@ class AmbiguityEntry:
     @property
     def ratio(self) -> float:
         return ambiguity_ratio(self.n_topic, self.n_topic_probe)
-
-    @property
-    def anomalous(self) -> bool:
-        """Probe text should narrow results, never widen them."""
-        return self.n_topic_probe > self.n_topic
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,6 @@ def _page_texts(page: ResultPage) -> Iterable[str]:
 
 def extract_candidates(
     pages: Sequence[ResultPage],
-    term_filter: TermFilter | None = None,
     top_k: int = 10,
 ) -> list[ProbeCandidate]:
     """Rank stems by aggregate frequency over link and advert text."""
@@ -91,7 +85,7 @@ def extract_candidates(
         raise ValidationError("cannot extract probe candidates from zero pages")
     if top_k <= 0:
         raise ValidationError("top_k must be positive")
-    flt = term_filter or default_filter()
+    flt = default_filter()
     stem_counts: Counter = Counter()
     surface_counts: dict[str, Counter] = {}
     for page in pages:
@@ -109,12 +103,6 @@ def extract_candidates(
         surface = min(surfaces, key=lambda s: (-surfaces[s], s))
         candidates.append(ProbeCandidate(term=term, surface=surface, tf=count))
     return candidates
-
-
-def render_probe(candidates: Sequence[ProbeCandidate], connective: str = "and") -> str:
-    if not candidates:
-        raise ValidationError("cannot render a probe from zero candidates")
-    return f" {connective} ".join(c.surface for c in candidates)
 
 
 def ambiguity_ratio(n_topic: int, n_topic_probe: int) -> float:
@@ -136,7 +124,6 @@ def select_probe(
     topics: Sequence[str],
     min_ratio: float = DEFAULT_MIN_RATIO,
     keywords: Mapping[str, Sequence[str]] | None = None,
-    term_filter: TermFilter | None = None,
 ) -> str:
     """First probe usable for every topic in the group.
 
@@ -147,16 +134,12 @@ def select_probe(
         raise ValidationError("no candidate probes supplied")
     if not topics:
         raise ValidationError("no topics in the group")
-    flt = term_filter or default_filter()
-    keyword_stems: dict[str, frozenset[str]] = {}
-    for topic in topics:
-        phrases = (keywords or {}).get(topic, ())
-        keyword_stems[topic] = frozenset(
-            term for phrase in phrases for term in flt.terms(phrase)
-        )
+    keyword_stems = {
+        topic: term_set(tuple((keywords or {}).get(topic, ()))) for topic in topics
+    }
     failures: list[str] = []
     for probe in probes:
-        probe_terms = frozenset(flt.terms(probe))
+        probe_terms = frozenset(filter_terms(probe))
         revealing = sorted(t for t in topics if probe_terms & keyword_stems[t])
         if revealing:
             failures.append(
@@ -199,13 +182,21 @@ def write_ambiguity_csv(report: AmbiguityReport, out: IO[str]) -> None:
 
 def parse_ambiguity_csv(lines: Iterable[str]) -> AmbiguityReport:
     reader = csv.DictReader(lines)
+    try:
+        fieldnames = reader.fieldnames
+        rows = list(reader)
+    except csv.Error as exc:
+        # DictReader.line_num moves only once a row parses; its reader's
+        # counts the line that failed.
+        raise ValidationError(
+            f"ambiguity CSV line {reader.reader.line_num}: {exc}") from exc
     required = {"topic", "probe", "n_topic", "n_topic_probe"}
-    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    if fieldnames is None or not required.issubset(fieldnames):
         raise ValidationError(
             "ambiguity CSV needs columns topic, probe, n_topic, n_topic_probe"
         )
     entries = []
-    for row in reader:
+    for row in rows:
         try:
             entries.append(
                 AmbiguityEntry(

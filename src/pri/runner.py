@@ -84,7 +84,7 @@ def run_session(
         clicked: list[int] = []
         if not is_probe and policy is not None:
             for advert in page.adverts:
-                if click_decision(advert.text, policy, is_probe_response=False):
+                if click_decision(advert.text, policy):
                     engine.register_click(advert.position)
                     clicked.append(advert.position)
         interactions.append(
@@ -95,15 +95,11 @@ def run_session(
                         interactions=tuple(interactions))
 
 
-def training_corpus(
-    traces: Sequence[SessionTrace], include_probe_adverts: bool = True
-) -> list[LabeledAdvert]:
+def training_corpus(traces: Sequence[SessionTrace]) -> list[LabeledAdvert]:
     """Every observed advert, labeled with the topic of its session."""
     corpus: list[LabeledAdvert] = []
     for trace in traces:
         for interaction in trace.interactions:
-            if interaction.is_probe and not include_probe_adverts:
-                continue
             for advert in interaction.page.adverts:
                 corpus.append(LabeledAdvert(label=trace.topic_label,
                                             text=advert.text))
@@ -129,7 +125,6 @@ class CampaignConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     probe: str = DEFAULT_PROBE
     clicks_enabled: bool = True
-    include_probe_adverts: bool = True
 
     def __post_init__(self) -> None:
         if not self.keywords:
@@ -255,9 +250,7 @@ def run_campaign(config: CampaignConfig, master_seed: int) -> CampaignResult:
     training = run_block("train", config.train_sessions_per_topic)
     testing = run_block("test", config.test_sessions_per_topic)
 
-    model = train(
-        training_corpus(training, config.include_probe_adverts), categories
-    )
+    model = train(training_corpus(training), categories)
     baseline = calibrate(model, training)
     return CampaignResult(
         config=config,

@@ -10,19 +10,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import IO, Iterable, Mapping, Sequence
 
 from importlib import resources
 
 from .errors import ValidationError
-from .textproc import TermFilter, default_filter
-
-
-@lru_cache(maxsize=None)
-def _default_term_set(phrases: tuple[str, ...]) -> frozenset[str]:
-    flt = default_filter()
-    return frozenset(t for p in phrases for t in flt.terms(p))
+from .textproc import filter_terms, term_set
 
 # Connective templates used to dress keyword groups up as plausible queries.
 # Kept free of terms from every bundled topic vocabulary so the dressing never
@@ -55,12 +48,9 @@ class CategoryKeywords:
                 f"category {self.label!r} needs nonempty keyword phrases"
             )
 
-    def term_set(self, term_filter: TermFilter | None = None) -> frozenset[str]:
-        if term_filter is None:
-            return _default_term_set(self.phrases)
-        return frozenset(
-            t for p in self.phrases for t in term_filter.terms(p)
-        )
+    @property
+    def term_set(self) -> frozenset[str]:
+        return term_set(self.phrases)
 
 
 @dataclass(frozen=True)
@@ -232,23 +222,12 @@ def _check_generated(script: QueryScript, min_queries: int, max_queries: int) ->
         raise ValidationError(f"probe gaps out of range: {bad}")
 
 
-def click_decision(
-    item_text: str,
-    policy: ClickPolicy,
-    is_probe_response: bool,
-    term_filter: TermFilter | None = None,
-) -> bool:
-    """Click iff keyword-term frequency in the item text exceeds the threshold.
-
-    Responses to probe queries are never clicked.
-    """
-    if is_probe_response:
-        return False
-    flt = term_filter or default_filter()
-    terms = flt.terms(item_text)
+def click_decision(item_text: str, policy: ClickPolicy) -> bool:
+    """Click iff keyword-term frequency in the item text exceeds the threshold."""
+    terms = filter_terms(item_text)
     if not terms:
         return False
-    keyword_terms = policy.keywords.term_set(term_filter)
+    keyword_terms = policy.keywords.term_set
     hits = sum(1 for t in terms if t in keyword_terms)
     return hits / len(terms) > policy.tf_threshold
 

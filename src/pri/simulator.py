@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 from .config import load_config, parse_config
 from .corpus import Advert, CategorySet, ResultPage
 from .errors import UsageError, ValidationError
-from .textproc import TermFilter, default_filter
+from .textproc import filter_terms, term_set
 
 QUERY_INCREMENT = 1.0
 LINKS_PER_PAGE = 5
@@ -238,14 +238,12 @@ class AdEngine:
         config: EngineConfig,
         pools: Mapping[str, Sequence[str]],
         categories: CategorySet,
-        term_filter: TermFilter | None = None,
     ) -> None:
         missing = [c for c in categories.all_labels if c not in pools]
         if missing:
             raise ValidationError(f"no advert pool for categories: {missing}")
         self._config = config
         self._categories = categories
-        self._flt = term_filter or default_filter()
         self._slices: dict[str, tuple[str, ...]] = {}
         for label in categories.all_labels:
             pool = list(pools[label])
@@ -254,10 +252,7 @@ class AdEngine:
             size = diversity_slice(len(pool), config.ads_per_page,
                                    config.pool_diversity)
             self._slices[label] = tuple(pool[:size])
-        self._vocab = {
-            label: frozenset(t for ad in ads for t in self._flt.terms(ad))
-            for label, ads in self._slices.items()
-        }
+        self._vocab = {label: term_set(ads) for label, ads in self._slices.items()}
         self._weights = _initial_belief(config.prior_knowledge, categories)
         # (due step, label, kind) in registration order; applying in that
         # order keeps float results fixed (boosts multiply, queries add).
@@ -317,7 +312,7 @@ class AdEngine:
         return page, tuple(slot_labels)
 
     def _matched(self, query: str) -> list[str]:
-        terms = set(self._flt.terms(query))
+        terms = set(filter_terms(query))
         if not terms:
             return []
         return [

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable
 
 from .porter import stem
 
@@ -32,10 +31,8 @@ def default_stopwords() -> frozenset[str]:
 class TermFilter:
     """Maps free text to its sequence of stemmed content terms."""
 
-    def __init__(self, stopwords: Iterable[str] | None = None) -> None:
-        self.stopwords = (
-            default_stopwords() if stopwords is None else frozenset(stopwords)
-        )
+    def __init__(self) -> None:
+        self.stopwords = default_stopwords()
         self._memo: dict[str, tuple[str, ...]] = {}
         # token -> its stemmed term, or None when either stopword pass drops it.
         self._tokens: dict[str, str | None] = {}
@@ -74,3 +71,10 @@ def default_filter() -> TermFilter:
 def filter_terms(text: str) -> list[str]:
     """Apply the bundled default filter to one piece of text."""
     return default_filter().terms(text)
+
+
+@lru_cache(maxsize=None)
+def term_set(texts: tuple[str, ...]) -> frozenset[str]:
+    """Every filtered term of a list of phrases or adverts, computed once."""
+    flt = default_filter()
+    return frozenset(t for text in texts for t in flt.terms(text))

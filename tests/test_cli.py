@@ -3,17 +3,31 @@
 from __future__ import annotations
 
 import csv
+import json
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pri.cli import main
-from pri.corpus import Advert, Interaction, ResultPage, SessionTrace, save_capture
+from pri.config import parse_config
+from pri.corpus import (
+    Advert,
+    CategorySet,
+    Interaction,
+    ResultPage,
+    SessionTrace,
+    parse_capture,
+    parse_corpus,
+    save_capture,
+)
 from pri.detector import parse_baselines
 from pri.errors import ValidationError
 from pri.estimator import parse_model
+from pri.probes import parse_ambiguity_csv
+from pri.scripts import parse_script
+from pri.simulator import parse_prior_knowledge
 
 TOY_CORPUS = str(resources.files("pri") / "data" / "examples" / "toy_corpus.txt")
 
@@ -162,6 +176,15 @@ class TestProbeSelect:
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert rows[0] == ["rank", "term", "tf"]
         assert len(rows) == 4
+
+    def test_oversized_ambiguity_field_is_a_data_error(self, tmp_path, capsys):
+        survey = tmp_path / "big.csv"
+        survey.write_text("topic,probe,n_topic,n_topic_probe\n"
+                          f"anorexia,{'x' * 131073},10,5\n", encoding="utf-8")
+        code = main(["probe-select", "--topics", "anorexia",
+                     "--ambiguity", str(survey)])
+        assert code == 2
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
 
     def test_some_mode_is_required(self, capsys):
         assert main(["probe-select"]) == 1
@@ -334,6 +357,10 @@ _MALFORMED_BASELINES = {
     "count-one": ("other\t0.5\t0.1\t1\n", "line 3: count must be at least 2"),
     "all-three": ("a\t0.5\t0.1\t4\nother\tnan\t-1.0\t0\n",
                   "line 4: mean and sigma must be finite"),
+    "duplicate-topic": ("other\t0.5\t0.1\t4\nother\t0.9\t0.2\t3\ncatchall\tzzz\n",
+                        "line 4: duplicate topic 'other'"),
+    "second-catchall": ("other\t0.5\t0.1\t4\ncatchall\tzzz\n",
+                        "line 4: second catchall line"),
 }
 
 
@@ -380,17 +407,85 @@ _record = st.one_of(
 ).map(lambda record: "\t".join((record[0], *record[1])))
 
 
+_WORDS = ("", "a", "other", "p", "x y", "payday loans", "0", "1", "-1", "nan",
+          "1e999", "\u00e9", '"', "=", ":", ",", "\t", "\x00")
+_word = st.sampled_from(_WORDS)
+# Free-form lines come out the way str.splitlines yields them: no line
+# boundary character inside a line.
+_free_line = st.text(max_size=12).map(lambda text: "".join(text.splitlines()))
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | _word,
+    lambda children: st.lists(children, max_size=2), max_leaves=4)
+_CAPTURE_KEYS = ("session_id", "topic", "step", "query", "is_probe", "links",
+                 "adverts", "clicked")
+_capture_record = st.one_of(
+    st.fixed_dictionaries(
+        {"session_id": st.sampled_from(("a", "b")), "step": st.integers(-1, 3),
+         "query": _word, "is_probe": st.booleans(),
+         "links": st.lists(st.lists(_word, min_size=2, max_size=2), max_size=2),
+         "adverts": st.lists(_word, max_size=2),
+         "clicked": st.lists(st.integers(-1, 2), max_size=2)},
+        optional={"topic": _word}),
+    st.dictionaries(st.sampled_from(_CAPTURE_KEYS), _json_value, max_size=8),
+    _json_value,
+).map(json.dumps)
+
+
+def _joined(heads, separators):
+    return st.tuples(st.sampled_from(heads), st.sampled_from(separators),
+                     _word).map("".join)
+
+
+def parse_corpus_of_a(lines):
+    return parse_corpus(lines, CategorySet(("a",)))
+
+
+def parse_prior_knowledge_of(lines):
+    return parse_prior_knowledge(",".join(lines))
+
+
+# Line shapes per parser, each mixed with free-form lines.
+_LINES = {
+    parse_baselines: _record,
+    parse_model: _record,
+    parse_capture: _capture_record,
+    parse_corpus_of_a: _joined(_WORDS, ("\t", "")),
+    parse_config: _joined(("", "include", "#", "a", "seed"), (" = ", "=", " ")),
+    parse_script: _joined(("", "!", "! probe:", "! topic:", "! keywords:",
+                           "! wait", "! bogus"), ("", " ")),
+    parse_ambiguity_csv: st.lists(
+        _word | st.sampled_from(("topic", "probe", "n_topic", "n_topic_probe")),
+        max_size=5).map(",".join),
+    parse_prior_knowledge_of: _joined(_WORDS, (":", "", "::")),
+}
+# One data row with a field past the csv module's default size limit.
+_OVERSIZED_FIELD = "a," + "x" * 131073 + ",1,1"
+
+
 # A valid prelude lets the drawn records reach the checks past the header.
 @pytest.mark.parametrize("parse, prelude", [
     (parse_baselines, ["#pri-baselines v1", "catchall\tother"]),
     (parse_model, ["#pri-model v1", "categories\ta", "dict\t0\tfoo"]),
+    (parse_capture, ["#pri-capture v1"]),
+    (parse_corpus_of_a, ["# corpus", "a\tcancer risk"]),
+    (parse_config, ["seed = 1"]),
+    (parse_script, ["! probe: p", "! topic: a"]),
+    (parse_ambiguity_csv, ["topic,probe,n_topic,n_topic_probe", "a,p,10,5"]),
+    (parse_prior_knowledge_of, ["a:1"]),
 ])
-@given(records=st.lists(_record, max_size=6), data=st.data())
+@given(data=st.data())
+# st.data() cannot be drawn from in an explicit example, so the pinned input
+# arrives as data=None and is appended to the prelude.
+@example(data=None)
 @settings(max_examples=300, deadline=None)
-def test_parsers_raise_only_validation_errors(parse, prelude, records, data):
-    head = data.draw(st.sampled_from([prelude, prelude, prelude[:1], ["#junk"]]))
+def test_parsers_raise_only_validation_errors(parse, prelude, data):
+    if data is None:
+        lines = prelude + [_OVERSIZED_FIELD]
+    else:
+        head = data.draw(st.sampled_from([prelude, prelude, prelude[:1], ["#junk"]]))
+        lines = head + data.draw(st.lists(_LINES[parse] | _free_line, max_size=6))
     try:
-        parse(head + records)
+        parse(lines)
     except ValidationError:
         pass
 

@@ -63,21 +63,21 @@ class TestCorpusParsing:
 
 
 class TestDictionary:
-    def test_build_requires_adverts(self, golden_filter):
+    def test_build_requires_adverts(self):
         with pytest.raises(ValidationError):
-            build_dictionary([], golden_filter)
+            build_dictionary([])
 
-    def test_all_stopword_corpus_rejected(self, golden_filter):
+    def test_all_stopword_corpus_rejected(self):
         with pytest.raises(ValidationError):
-            build_dictionary([LabeledAdvert("other", "the and of")], golden_filter)
+            build_dictionary([LabeledAdvert("other", "the and of")])
 
-    def test_repeated_term_counted_once(self, golden_filter):
-        d = build_dictionary([LabeledAdvert("other", "help help")], golden_filter)
+    def test_repeated_term_counted_once(self):
+        d = build_dictionary([LabeledAdvert("other", "help help")])
         assert len(d) == 1 and "help" in d
 
-    def test_term_set_is_order_independent(self, golden_corpus, golden_filter):
-        forward = build_dictionary(golden_corpus, golden_filter)
-        backward = build_dictionary(list(reversed(golden_corpus)), golden_filter)
+    def test_term_set_is_order_independent(self, golden_corpus):
+        forward = build_dictionary(golden_corpus)
+        backward = build_dictionary(list(reversed(golden_corpus)))
         assert set(forward) == set(backward)
 
 

@@ -21,7 +21,7 @@ from oracle import frequency, reference_score_texts
 
 @pytest.fixture(scope="module")
 def golden_model(golden_corpus, golden_categories, golden_filter):
-    return train(golden_corpus, golden_categories, golden_filter)
+    return train(golden_corpus, golden_categories)
 
 
 class TestGoldenTraining:
@@ -158,7 +158,7 @@ def test_random_corpora_match_reference_oracle():
     flt = TermFilter()
     for _ in range(60):
         corpus = _random_corpus(rng)
-        model = train([LabeledAdvert(l, t) for l, t in corpus], categories, flt)
+        model = train([LabeledAdvert(l, t) for l, t in corpus], categories)
         page = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 6)))
                 for _ in range(rng.randint(0, 5))]
         vector = score(model, page)
@@ -177,7 +177,7 @@ def test_repeated_corpus_pairs_match_reference_oracle():
         corpus = [pair for pair in _random_corpus(rng)
                   for _ in range(rng.randint(1, 3))]
         rng.shuffle(corpus)
-        model = train([LabeledAdvert(l, t) for l, t in corpus], categories, flt)
+        model = train([LabeledAdvert(l, t) for l, t in corpus], categories)
         page = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 6)))
                 for _ in range(rng.randint(1, 5))]
         vector = score(model, page)
@@ -192,7 +192,7 @@ def test_cached_and_first_seen_texts_match_reference_oracle():
     flt = TermFilter()
     for _ in range(30):
         corpus = _random_corpus(rng)
-        model = train([LabeledAdvert(l, t) for l, t in corpus], categories, flt)
+        model = train([LabeledAdvert(l, t) for l, t in corpus], categories)
         page = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 6)))
                 for _ in range(rng.randint(1, 5))]
         first = score(model, page)
@@ -237,7 +237,7 @@ def test_integer_kernels_match_reference_oracle():
     for _ in range(25):
         corpus = [(rng.choice(("sports", "travel", "other")), text)
                   for _, text in _random_corpus(rng)]
-        model = train([LabeledAdvert(l, t) for l, t in corpus], categories, flt)
+        model = train([LabeledAdvert(l, t) for l, t in corpus], categories)
         assert "music" in model.empty_categories
         lengths = list(range(1, 13))
         rng.shuffle(lengths)
@@ -261,7 +261,7 @@ def test_training_on_duplicated_pairs_survives_the_model_file():
         corpus = [pair for pair in _random_corpus(rng)
                   for _ in range(rng.randint(1, 4))]
         rng.shuffle(corpus)
-        model = train([LabeledAdvert(l, t) for l, t in corpus], categories, flt)
+        model = train([LabeledAdvert(l, t) for l, t in corpus], categories)
         training = [(label, flt.terms(text)) for label, text in corpus]
         dictionary = set(model.dictionary)
         for term in model.dictionary:
@@ -271,7 +271,7 @@ def test_training_on_duplicated_pairs_survives_the_model_file():
                      for l, terms in training if l == label), F(0))
         buffer = StringIO()
         write_model(model, buffer)
-        again = parse_model(buffer.getvalue().splitlines(), flt)
+        again = parse_model(buffer.getvalue().splitlines())
         assert again.stats == model.stats
         assert again.share_denominators == model.share_denominators
         assert again.shares == model.shares
@@ -382,8 +382,8 @@ def test_model_rejects_bad_header():
         parse_model(["#pri-model v9", "dict\t0\thelp"])
 
 
-def test_dictionary_ids_follow_first_occurrence(golden_corpus, golden_filter):
-    dictionary = build_dictionary(golden_corpus, golden_filter)
+def test_dictionary_ids_follow_first_occurrence(golden_corpus):
+    dictionary = build_dictionary(golden_corpus)
     assert dictionary.terms[:3] == ("prostat", "cancer", "possibl")
-    assert dictionary.id_of("prostat") == 0
-    assert dictionary.term_of(2) == "possibl"
+    assert dictionary.terms.index("prostat") == 0
+    assert dictionary.terms[2] == "possibl"

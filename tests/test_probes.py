@@ -20,7 +20,6 @@ from pri.probes import (
     extract_candidates,
     parse_ambiguity_csv,
     ratio_percent,
-    render_probe,
     select_probe,
     write_ambiguity_csv,
     write_candidates_csv,
@@ -96,10 +95,6 @@ class TestCandidateRanking:
         assert by_term["symptom"].surface == "symptoms"
         assert by_term["caus"].surface == "causes"
 
-    def test_rendering_joins_with_connective(self):
-        ranked = extract_candidates([_page("symptoms symptoms causes")])
-        assert render_probe(ranked[:2]) == "symptoms and causes"
-
     def test_top_k_truncates(self):
         pages = [_page("alpha beta gamma delta epsilon")]
         assert len(extract_candidates(pages, top_k=3)) == 3
@@ -161,11 +156,6 @@ class TestAmbiguityRatio:
         assert ambiguity_ratio(n * k, np_ * k) == pytest.approx(
             ambiguity_ratio(n, np_)
         )
-
-    def test_anomalous_flag(self):
-        entry = AmbiguityEntry("t", "p", 10, 20)
-        assert entry.anomalous
-        assert not AmbiguityEntry("t", "p", 20, 10).anomalous
 
 
 class TestSelection:

@@ -120,14 +120,6 @@ class TestTrainingCorpus:
         assert {advert.label for advert in corpus} == {"location"}
         assert len(corpus) == sum(len(it.page.adverts) for it in trace.interactions)
 
-    def test_probe_pages_can_be_excluded(self, default_keywords):
-        script = example_script()
-        trace = run_session(location_engine(default_keywords), script, None, "s")
-        full = training_corpus([trace], include_probe_adverts=True)
-        lean = training_corpus([trace], include_probe_adverts=False)
-        probe_ads = sum(len(it.page.adverts) for it in trace.probes)
-        assert len(full) - len(lean) == probe_ads
-
 
 class TestCampaignConfig:
     def test_defaults_describe_twelve_topics(self):

@@ -196,7 +196,7 @@ class TestBundledData:
             t for c in CONNECTIVES for t in filter_terms(c)
         }
         for label, keywords in catalog.items():
-            assert not connective_terms & keywords.term_set(), label
+            assert not connective_terms & keywords.term_set, label
 
     def test_catalog_includes_catchall(self):
         catalog = keyword_catalog()
@@ -214,23 +214,19 @@ class TestClickDecision:
         text = ("payday cheap holiday cinema guitar museum puppy laptop "
                 "garden festival")
         assert len(filter_terms(text)) == 10
-        assert click_decision(text, self.POLICY, is_probe_response=False)
+        assert click_decision(text, self.POLICY)
 
     def test_one_hit_in_ten_terms_does_not_click(self):
         text = ("payday trail holiday cinema guitar museum puppy laptop "
                 "garden festival")
-        assert not click_decision(text, self.POLICY, is_probe_response=False)
+        assert not click_decision(text, self.POLICY)
 
     def test_zero_hits_never_clicks(self):
-        assert not click_decision("holiday cinema museum", self.POLICY, False)
-
-    def test_probe_responses_never_clicked(self):
-        assert not click_decision("payday payday payday", self.POLICY,
-                                  is_probe_response=True)
+        assert not click_decision("holiday cinema museum", self.POLICY)
 
     def test_empty_text_never_clicked(self):
-        assert not click_decision("", self.POLICY, False)
-        assert not click_decision("the of and", self.POLICY, False)
+        assert not click_decision("", self.POLICY)
+        assert not click_decision("the of and", self.POLICY)
 
     def test_threshold_validation(self):
         with pytest.raises(ValidationError):
@@ -238,7 +234,7 @@ class TestClickDecision:
 
     def test_matching_respects_stemming(self):
         # "debts" stems to the keyword stem of "unsecured debt".
-        assert click_decision("debts debts debts", self.POLICY, False)
+        assert click_decision("debts debts debts", self.POLICY)
 
     @given(st.integers(0, 8), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
@@ -248,7 +244,7 @@ class TestClickDecision:
         def item(hits):
             words = ["payday"] * hits + filler[: 8 - hits]
             return " ".join(words)
-        a = click_decision(item(min(hits_a, hits_b)), self.POLICY, False)
-        b = click_decision(item(max(hits_a, hits_b)), self.POLICY, False)
+        a = click_decision(item(min(hits_a, hits_b)), self.POLICY)
+        b = click_decision(item(max(hits_a, hits_b)), self.POLICY)
         if a:
             assert b

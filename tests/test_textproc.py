@@ -43,10 +43,6 @@ class TestFilter:
     def test_all_stopwords_filters_to_nothing(self):
         assert filter_terms("is it on and off") == []
 
-    def test_custom_stopword_set(self):
-        flt = TermFilter(stopwords={"cancer"})
-        assert flt.terms("the cancer risk") == ["the", "risk"]
-
     def test_post_stem_stopword_pass(self):
         # "ies" alone stems to "i", which is a stopword and must not leak.
         assert filter_terms("ies") == []
