@@ -261,6 +261,10 @@ def parse_capture(lines: Iterable[str]) -> list[SessionTrace]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"capture line {lineno}: bad record: {exc}") from exc
+        except RecursionError:
+            raise ValidationError(
+                f"capture line {lineno}: bad record: nested too deeply"
+            ) from None
         if not isinstance(rec, dict):
             raise ValidationError(f"capture line {lineno}: record is not a JSON object")
         for key, (kind, check) in _RECORD_TYPES.items():

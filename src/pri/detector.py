@@ -26,7 +26,6 @@ BASELINES_HEADER = "#pri-baselines v1"
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    epsilon: float | None = None
     sigma_multiplier: float = 3.0
     session_probe_count: int = 5
 
@@ -163,20 +162,6 @@ def detect_session(
         topics.update(verdict.detected_topics)
     return SessionVerdict(sensitive=any(v.sensitive_flag for v in head),
                           topics=topics)
-
-
-def epsilon_violation(
-    scores: ScoreVector, config: DetectorConfig, catchall: str = "other"
-) -> set[str]:
-    """Sensitive categories whose score exceeds e^epsilon (strictly)."""
-    if config.epsilon is None:
-        raise ValidationError("epsilon is not set in the detector config")
-    threshold = math.exp(config.epsilon)
-    return {
-        topic
-        for topic, value in scores.scores.items()
-        if topic != catchall and float(value) > threshold
-    }
 
 
 def confusion_matrix(

@@ -61,22 +61,31 @@ def topic_score_matrix(result: CampaignResult) -> dict[str, dict[str, float]]:
     """
     evaluation = result.evaluation
     topics = result.config.categories.sensitive
-    sums: dict[str, Counter] = {t: Counter() for t in topics}
+    # Per cell, numerators summed as ints over each distinct denominator:
+    # the probe scores of a campaign share few denominators, so the exact
+    # mean needs one Fraction per denominator, not one addition per score.
+    sums: dict[str, dict[str, Counter]] = {
+        t: {c: Counter() for c in topics} for t in topics
+    }
     counts: dict[str, int] = {t: 0 for t in topics}
     for sid, vectors in evaluation.probe_scores.items():
         truth = evaluation.truths[sid]
         if truth not in sums:
             continue
+        row = sums[truth]
         for vector in vectors:
             counts[truth] += 1
             for category in topics:
-                sums[truth][category] += vector.scores[category]
+                value = vector.scores[category]
+                row[category][value.denominator] += value.numerator
     matrix: dict[str, dict[str, float]] = {}
     for topic in topics:
         if not counts[topic]:
             raise ValueError(f"no probe scores for topic {topic!r}")
         matrix[topic] = {
-            category: float(Fraction(sums[topic][category]) / counts[topic])
+            category: float(sum(
+                (Fraction(n, d) for d, n in sums[topic][category].items()),
+                Fraction(0)) / counts[topic])
             for category in topics
         }
     return matrix

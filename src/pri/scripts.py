@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import IO, Iterable, Mapping, Sequence
 
 from importlib import resources
@@ -48,7 +49,7 @@ class CategoryKeywords:
                 f"category {self.label!r} needs nonempty keyword phrases"
             )
 
-    @property
+    @cached_property
     def term_set(self) -> frozenset[str]:
         return term_set(self.phrases)
 
@@ -224,12 +225,19 @@ def _check_generated(script: QueryScript, min_queries: int, max_queries: int) ->
 
 def click_decision(item_text: str, policy: ClickPolicy) -> bool:
     """Click iff keyword-term frequency in the item text exceeds the threshold."""
-    terms = filter_terms(item_text)
+    return _keyword_share(item_text, policy.keywords.term_set) > policy.tf_threshold
+
+
+# Sessions meet a few hundred distinct (advert, topic) pairs thousands of
+# times, so each pair's share is computed once.  A text with no terms has
+# share 0, which never exceeds the positive threshold.
+@lru_cache(maxsize=4096)
+def _keyword_share(text: str, keyword_terms: frozenset[str]) -> float:
+    terms = filter_terms(text)
     if not terms:
-        return False
-    keyword_terms = policy.keywords.term_set
+        return 0.0
     hits = sum(1 for t in terms if t in keyword_terms)
-    return hits / len(terms) > policy.tf_threshold
+    return hits / len(terms)
 
 
 # ---------------------------------------------------------------------------

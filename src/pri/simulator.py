@@ -152,16 +152,20 @@ def apportion_slots(
     weights: Mapping[str, float], order: Sequence[str], slots: int
 ) -> dict[str, int]:
     """Largest-remainder apportionment; remainder ties keep `order`."""
-    total = sum(weights[label] for label in order)
+    values = [weights[label] for label in order]
+    total = sum(values)
     if total <= 0:
         raise ValidationError("category weights must sum to a positive value")
-    quotas = {label: slots * weights[label] / total for label in order}
-    counts = {label: int(quotas[label]) for label in order}
-    leftover = slots - sum(counts.values())
-    by_remainder = sorted(order, key=lambda l: quotas[l] - counts[l], reverse=True)
-    for label in by_remainder[:leftover]:
-        counts[label] += 1
-    return counts
+    quotas = [slots * value / total for value in values]
+    counts = [int(quota) for quota in quotas]
+    leftover = slots - sum(counts)
+    if leftover > 0:
+        # A stable sort keeps `order` among equal remainders, reversed or not.
+        by_remainder = sorted(range(len(order)),
+                              key=lambda i: quotas[i] - counts[i], reverse=True)
+        for i in by_remainder[:leftover]:
+            counts[i] += 1
+    return dict(zip(order, counts))
 
 
 # Sessions submit the same queries again and again; the links depend on
@@ -175,6 +179,25 @@ def links_for_query(query: str) -> tuple[tuple[str, str], ...]:
         words = [LINK_WORDS[byte % len(LINK_WORDS)] for byte in digest[:8]]
         links.append((" ".join(words[:3]), " ".join(words[3:])))
     return tuple(links)
+
+
+# A campaign serves thousands of adverts but only a few hundred distinct
+# (text, position) pairs; adverts are frozen, so pages can share them.
+@lru_cache(maxsize=4096)
+def _advert(text: str, position: int) -> Advert:
+    return Advert(text=text, position=position)
+
+
+# Keyed by the query and the engine's (label, vocabulary) pairs: engines built
+# from the same slices share their answers, and queries repeat across sessions.
+@lru_cache(maxsize=4096)
+def _matched_labels(
+    query: str, vocab: tuple[tuple[str, frozenset[str]], ...]
+) -> tuple[str, ...]:
+    terms = set(filter_terms(query))
+    if not terms:
+        return ()
+    return tuple(label for label, words in vocab if terms & words)
 
 
 def _topic_ads(label: str, phrases: Sequence[str]) -> list[str]:
@@ -252,7 +275,9 @@ class AdEngine:
             size = diversity_slice(len(pool), config.ads_per_page,
                                    config.pool_diversity)
             self._slices[label] = tuple(pool[:size])
-        self._vocab = {label: term_set(ads) for label, ads in self._slices.items()}
+        self._vocab = tuple(
+            (label, term_set(ads)) for label, ads in self._slices.items()
+        )
         self._weights = _initial_belief(config.prior_knowledge, categories)
         # (due step, label, kind) in registration order; applying in that
         # order keeps float results fixed (boosts multiply, queries add).
@@ -273,16 +298,11 @@ class AdEngine:
         """Current applied weights (pending updates excluded)."""
         return dict(self._weights)
 
-    def advert_slice(self, label: str) -> tuple[str, ...]:
-        if label not in self._slices:
-            raise ValidationError(f"unknown category {label!r}")
-        return self._slices[label]
-
     def submit_query(self, query: str) -> ResultPage:
         self._step += 1
         page, slot_labels = self._compose_page(query)
         self._apply_due()
-        for label in self._matched(query):
+        for label in _matched_labels(query, self._vocab):
             self._register(label, _KIND_QUERY)
         self._last_served = slot_labels
         return page
@@ -302,24 +322,16 @@ class AdEngine:
                                  self._config.ads_per_page)
         adverts: list[Advert] = []
         slot_labels: list[str] = []
-        for label in self._categories.all_labels:
+        choice = self._rng.choice
+        for label, count in counts.items():
+            if not count:
+                continue
             ads = self._slices[label]
-            for _ in range(counts[label]):
-                adverts.append(Advert(text=self._rng.choice(ads),
-                                      position=len(adverts)))
+            for _ in range(count):
+                adverts.append(_advert(choice(ads), len(adverts)))
                 slot_labels.append(label)
         page = ResultPage(links=links_for_query(query), adverts=tuple(adverts))
         return page, tuple(slot_labels)
-
-    def _matched(self, query: str) -> list[str]:
-        terms = set(filter_terms(query))
-        if not terms:
-            return []
-        return [
-            label
-            for label in self._categories.all_labels
-            if terms & self._vocab[label]
-        ]
 
     def _register(self, label: str, kind: str) -> None:
         lag = self._config.adaptation_lag
@@ -335,6 +347,8 @@ class AdEngine:
             self._weights[label] *= self._config.click_boost
 
     def _apply_due(self) -> None:
+        if not self._queue:
+            return
         due = [entry for entry in self._queue if entry[0] <= self._step]
         self._queue = [entry for entry in self._queue if entry[0] > self._step]
         for _, label, kind in due:

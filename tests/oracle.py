@@ -2,13 +2,17 @@
 
 These are deliberately naive, literal translations of the scoring definition:
 a double loop over dictionary terms and adverts in exact rational arithmetic.
-They share no code with the package under test.
+The slot apportionment and the topic-score matrix are kept in their plain
+forms, one dict per intermediate and one Fraction addition per score, as the
+references for the package's faster versions.  They share no code with the
+package under test.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 TermLists = Sequence[tuple[str, Sequence[str]]]  # (label, filtered terms)
 
@@ -55,3 +59,40 @@ def reference_score_texts(
     training = [(label, filter_fn(text)) for label, text in corpus]
     page = [filter_fn(text) for text in page_texts]
     return reference_score(training, page, category)
+
+
+def reference_apportion_slots(
+    weights: Mapping[str, float], order: Sequence[str], slots: int
+) -> dict[str, int]:
+    """Largest-remainder apportionment with one dict per intermediate."""
+    total = sum(weights[label] for label in order)
+    quotas = {label: slots * weights[label] / total for label in order}
+    counts = {label: int(quotas[label]) for label in order}
+    leftover = slots - sum(counts.values())
+    by_remainder = sorted(order, key=lambda l: quotas[l] - counts[l], reverse=True)
+    for label in by_remainder[:leftover]:
+        counts[label] += 1
+    return counts
+
+
+def reference_topic_score_matrix(result) -> dict[str, dict[str, float]]:
+    """Mean probe score per (true topic, category), adding every Fraction."""
+    evaluation = result.evaluation
+    topics = result.config.categories.sensitive
+    sums: dict[str, Counter] = {t: Counter() for t in topics}
+    counts: dict[str, int] = {t: 0 for t in topics}
+    for sid, vectors in evaluation.probe_scores.items():
+        truth = evaluation.truths[sid]
+        if truth not in sums:
+            continue
+        for vector in vectors:
+            counts[truth] += 1
+            for category in topics:
+                sums[truth][category] += vector.scores[category]
+    return {
+        topic: {
+            category: float(Fraction(sums[topic][category]) / counts[topic])
+            for category in topics
+        }
+        for topic in topics
+    }

@@ -29,6 +29,9 @@ from pri.probes import parse_ambiguity_csv
 from pri.scripts import parse_script
 from pri.simulator import parse_prior_knowledge
 
+# 100,000 nested arrays: past the JSON decoder's recursion limit.
+_DEEP_RECORD = "[" * 100_000
+
 TOY_CORPUS = str(resources.files("pri") / "data" / "examples" / "toy_corpus.txt")
 
 
@@ -89,6 +92,15 @@ class TestScore:
         assert rows[0] == ["session", "step", "category", "score"]
         assert ["g-prostate-00", "1", "prostate", "0.32"] in rows
         assert ["g-prostate-00", "1", "other", "0.08"] in rows
+
+    def test_deeply_nested_record_is_a_data_error(self, toy_model, tmp_path,
+                                                  capsys):
+        capture = tmp_path / "deep.capture"
+        capture.write_text(f"#pri-capture v1\n{_DEEP_RECORD}\n")
+        code = main(["score", "--model", str(toy_model),
+                     "--capture", str(capture)])
+        assert code == 2
+        assert "capture line 2" in capsys.readouterr().err
 
 
 class TestDetect:
@@ -458,8 +470,13 @@ _LINES = {
         max_size=5).map(",".join),
     parse_prior_knowledge_of: _joined(_WORDS, (":", "", "::")),
 }
-# One data row with a field past the csv module's default size limit.
-_OVERSIZED_FIELD = "a," + "x" * 131073 + ",1,1"
+# Pinned inputs, each appended to every parser's prelude:
+# one data row with a field past the csv module's default size limit, and
+# a record nested past the JSON decoder's recursion limit.
+_PINNED_LINES = {
+    "oversized-field": "a," + "x" * 131073 + ",1,1",
+    "deep-record": _DEEP_RECORD,
+}
 
 
 # A valid prelude lets the drawn records reach the checks past the header.
@@ -474,13 +491,14 @@ _OVERSIZED_FIELD = "a," + "x" * 131073 + ",1,1"
     (parse_prior_knowledge_of, ["a:1"]),
 ])
 @given(data=st.data())
-# st.data() cannot be drawn from in an explicit example, so the pinned input
-# arrives as data=None and is appended to the prelude.
-@example(data=None)
+# st.data() cannot be drawn from in an explicit example, so a pinned input
+# arrives as its name in _PINNED_LINES and is appended to the prelude.
+@example(data="oversized-field")
+@example(data="deep-record")
 @settings(max_examples=300, deadline=None)
 def test_parsers_raise_only_validation_errors(parse, prelude, data):
-    if data is None:
-        lines = prelude + [_OVERSIZED_FIELD]
+    if isinstance(data, str):
+        lines = prelude + [_PINNED_LINES[data]]
     else:
         head = data.draw(st.sampled_from([prelude, prelude, prelude[:1], ["#junk"]]))
         lines = head + data.draw(st.lists(_LINES[parse] | _free_line, max_size=6))

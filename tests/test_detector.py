@@ -23,7 +23,6 @@ from pri.detector import (
     confusion_matrix,
     detect_session,
     detection_rates,
-    epsilon_violation,
     lag_statistics,
     parse_baselines,
     write_baselines,
@@ -199,31 +198,6 @@ class TestSessionRule:
         assert shuffled.sensitive == session.sensitive
 
 
-class TestEpsilonRule:
-    def test_worked_threshold(self):
-        scores = _vector("0.08", prostate="8/25")
-        config = DetectorConfig(epsilon=math.log(0.3))
-        assert epsilon_violation(scores, config) == {"prostate"}
-
-    def test_larger_epsilon_clears(self):
-        scores = _vector("0.08", prostate="8/25")
-        config = DetectorConfig(epsilon=math.log(0.5))
-        assert epsilon_violation(scores, config) == set()
-
-    def test_huge_epsilon_always_clears(self):
-        scores = _vector("0.9", prostate="100")
-        assert epsilon_violation(scores, DetectorConfig(epsilon=50.0)) == set()
-
-    def test_epsilon_unset_rejected(self):
-        with pytest.raises(ValidationError, match="epsilon"):
-            epsilon_violation(_vector("0.1"), DetectorConfig())
-
-    def test_catchall_not_reported(self):
-        scores = _vector("5", prostate="0")
-        config = DetectorConfig(epsilon=0.0)
-        assert epsilon_violation(scores, config) == set()
-
-
 def _session(topic_detected: bool, flag=True, topic="gambling"):
     topics = Counter({topic: 1}) if topic_detected else Counter()
     return SessionVerdict(sensitive=flag, topics=topics)
@@ -346,9 +320,6 @@ class TestBaselinePersistence:
 
 
 class TestConfigValidation:
-    def test_negative_epsilon_allowed(self):
-        DetectorConfig(epsilon=math.log(0.3))
-
     def test_bad_multiplier_rejected(self):
         with pytest.raises(ValidationError):
             DetectorConfig(sigma_multiplier=0.0)

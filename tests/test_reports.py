@@ -30,7 +30,16 @@ from pri.reports import (
 )
 from pri.runner import CampaignConfig, Evaluation, evaluate_capture, run_campaign
 
+from pri.scripts import _keyword_share
+from pri.simulator import (
+    _advert,
+    _matched_labels,
+    links_for_query,
+    load_engine_config,
+)
+
 from conftest import MINI_KEYWORDS
+from oracle import reference_topic_score_matrix
 
 # The mini campaign's tables as first written, before the renderers shared
 # any code; any change to a renderer's bytes shows up here.
@@ -125,6 +134,38 @@ class TestEvaluation:
         for topic, row in matrix.items():
             others = [v for c, v in row.items() if c != topic]
             assert row[topic] > max(others)
+
+
+class TestFastPaths:
+    """The heatmap's integer sums and the process-wide caches change no byte."""
+
+    def test_topic_matrix_matches_reference(self, mini_campaign):
+        assert (topic_score_matrix(mini_campaign)
+                == reference_topic_score_matrix(mini_campaign))
+
+    def test_topic_matrix_matches_reference_without_clicks(self):
+        config = CampaignConfig(keywords=MINI_KEYWORDS,
+                                train_sessions_per_topic=2,
+                                test_sessions_per_topic=2,
+                                clicks_enabled=False)
+        result = run_campaign(config, master_seed=11)
+        assert topic_score_matrix(result) == reference_topic_score_matrix(result)
+
+    def test_caches_carry_nothing_between_campaigns(self, bundle_dir, tmp_path):
+        def bundle(engine: str, seed: int, name: str) -> dict[str, bytes]:
+            config = CampaignConfig(keywords=MINI_KEYWORDS,
+                                    train_sessions_per_topic=2,
+                                    test_sessions_per_topic=2,
+                                    engine=load_engine_config(engine))
+            write_bundle(run_campaign(config, master_seed=seed), tmp_path / name)
+            return read_bundle_bytes(tmp_path / name)
+
+        for cached in (_advert, _matched_labels, links_for_query, _keyword_share):
+            cached.cache_clear()
+        cold = bundle("google_like", 11, "cold")
+        bundle("bing_like", 29, "bing")
+        warm = bundle("google_like", 11, "warm")
+        assert cold == warm == read_bundle_bytes(bundle_dir)
 
 
 class TestRendering:

@@ -22,7 +22,9 @@ from pri.scripts import (
     load_trending_queries,
     parse_script,
     write_script,
+    _keyword_share,
 )
+from pri.simulator import build_ad_pools
 from pri.textproc import filter_terms
 
 # A session script in the published example's shape: keyword and probe
@@ -248,3 +250,24 @@ class TestClickDecision:
         b = click_decision(item(max(hits_a, hits_b)), self.POLICY)
         if a:
             assert b
+
+    def test_matches_the_direct_rule_on_every_pool_advert(self):
+        # Every advert the engine can serve, against every topic's policy,
+        # first with the memo cold and then with it warm.
+        def direct(text, policy):
+            terms = filter_terms(text)
+            if not terms:
+                return False
+            hits = sum(1 for t in terms if t in policy.keywords.term_set)
+            return hits / len(terms) > policy.tf_threshold
+
+        catalog = keyword_catalog()
+        pools = build_ad_pools(load_default_keywords(), "other")
+        pairs = [(text, ClickPolicy(keywords))
+                 for pool in pools.values() for text in pool
+                 for keywords in catalog.values()]
+        expected = [direct(text, policy) for text, policy in pairs]
+        assert any(expected) and not all(expected)
+        _keyword_share.cache_clear()
+        for _ in range(2):
+            assert [click_decision(t, p) for t, p in pairs] == expected

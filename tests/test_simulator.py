@@ -30,6 +30,8 @@ from pri.simulator import (
 )
 from pri.textproc import filter_terms
 
+from oracle import reference_apportion_slots
+
 
 @pytest.fixture(scope="module")
 def pools(default_keywords):
@@ -187,6 +189,26 @@ class TestApportionment:
         total = sum(raw)
         for label, weight in weights.items():
             assert counts[label] >= int(slots * weight / total)
+
+    @given(
+        st.lists(
+            st.floats(0.001, 50.0) | st.sampled_from((0.5, 1.0, 2.0, 3.0, 1 / 12)),
+            min_size=1, max_size=8,
+        ),
+        st.integers(1, 8),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_including_remainder_ties(self, raw, slots, rng):
+        # Repeated weights give exactly equal remainders; the shuffled order
+        # decides who wins those ties.
+        labels = [f"c{i}" for i in range(len(raw))]
+        weights = dict(zip(labels, raw))
+        rng.shuffle(labels)
+        order = tuple(labels)
+        counts = apportion_slots(weights, order, slots)
+        assert counts == reference_apportion_slots(weights, order, slots)
+        assert list(counts) == list(order)
 
 
 class TestAdPools:
@@ -388,15 +410,42 @@ class TestEngineServing:
         assert cold.links == warm.links
         assert composition(cold, pools) != composition(warm, pools)
 
-    def test_narrow_slice_excludes_shared_copy(self, pools, categories):
-        config = EngineConfig(3, 2.0, 3, 1.7, "other:100", 7)
-        engine = new_engine(config, pools, categories)
-        assert engine.advert_slice("payday") == tuple(pools["payday"][:2])
-        assert not set(engine.advert_slice("payday")) & set(SHARED_FINANCE_ADS)
+    @staticmethod
+    def payday_adverts(config, pools) -> list[str]:
+        """Texts served in payday slots while payday queries raise its weight."""
+        engine = new_engine(config, pools, CategorySet(("payday",), "other"))
+        served = []
+        for _ in range(40):
+            page = engine.submit_query("cheap payday advice")
+            served += [ad.text for ad in page.adverts
+                       if ad.text not in pools["other"]]
+        return served
 
-    def test_broad_slice_keeps_whole_pool(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories)
-        assert engine.advert_slice("payday") == tuple(pools["payday"])
+    def test_narrow_slice_excludes_shared_copy(self, pools):
+        config = EngineConfig(3, 2.0, 3, 1.7, "other:100", 7)
+        served = self.payday_adverts(config, pools)
+        assert served
+        assert set(served) <= set(pools["payday"][:2])
+        assert not set(served) & set(SHARED_FINANCE_ADS)
+
+    def test_broad_slice_keeps_whole_pool(self, pools):
+        served = self.payday_adverts(google_config(), pools)
+        assert set(served) == set(pools["payday"])
+
+    def test_query_matches_follow_each_engines_slices(self, pools, categories):
+        # Only the shared loan copy carries these terms: broad slices hold
+        # it, narrow ones do not.  The broad engine answers first, so a match
+        # remembered without the engine's vocabulary would leak into the
+        # narrow one.
+        narrow = EngineConfig(0, 2.0, 3, 1.7, "other:100", 7)
+        raised = {}
+        for name, config in (("broad", google_config()), ("narrow", narrow)):
+            engine = new_engine(config, pools, categories)
+            before = engine.belief()
+            engine.submit_query("lenders approved in minutes")
+            after = engine.belief()
+            raised[name] = {label for label in before if after[label] > before[label]}
+        assert raised == {"broad": {"payday", "bankrupt"}, "narrow": set()}
 
     def test_clicks_need_a_served_page(self, pools, categories):
         engine = new_engine(google_config(), pools, categories)
