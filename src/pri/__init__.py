@@ -1,8 +1,8 @@
 """Probe-based detection of interest profiling in search-engine adverts."""
 
-from .corpus import CategorySet, LabeledAdvert, SessionTrace, load_capture, load_corpus
+from .corpus import CategorySet, LabeledAdvert, SessionTrace
 from .detector import DetectorConfig, calibrate, classify_probe, detect_session
-from .estimator import PriModel, load_model, save_model, score, train
+from .estimator import PriModel, save_model, score, train
 from .runner import CampaignConfig, run_campaign, run_session
 from .textproc import TermFilter, filter_terms, tokenize
 
@@ -12,14 +12,11 @@ __all__ = [
     "CategorySet",
     "LabeledAdvert",
     "SessionTrace",
-    "load_capture",
-    "load_corpus",
     "DetectorConfig",
     "calibrate",
     "classify_probe",
     "detect_session",
     "PriModel",
-    "load_model",
     "save_model",
     "score",
     "train",

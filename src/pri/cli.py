@@ -14,7 +14,7 @@ from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
-from .config import load_config
+from .config import load_config, read_lines
 from .corpus import CategorySet, parse_capture, parse_corpus, save_capture
 from .detector import DetectorConfig, calibrate, parse_baselines
 from .errors import PriError, UsageError, ValidationError
@@ -51,13 +51,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_lines(path: str) -> list[str]:
-    try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path!r}: {exc.strerror or exc}") from exc
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -92,7 +85,7 @@ def _given(**values) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args: argparse.Namespace) -> int:
-    lines = _read_lines(args.corpus)
+    lines = read_lines(args.corpus)
     if args.categories:
         sensitive = _comma_list(args.categories, "--categories")
     else:
@@ -109,8 +102,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    model = parse_model(_read_lines(args.model))
-    traces = parse_capture(_read_lines(args.capture))
+    model = parse_model(read_lines(args.model))
+    traces = parse_capture(read_lines(args.capture))
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("session", "step", "category", "score"))
@@ -131,14 +124,14 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    model = parse_model(_read_lines(args.model))
-    traces = parse_capture(_read_lines(args.capture))
+    model = parse_model(read_lines(args.model))
+    traces = parse_capture(read_lines(args.capture))
     if args.baselines:
-        baseline = parse_baselines(_read_lines(args.baselines))
+        baseline = parse_baselines(read_lines(args.baselines))
     else:
-        baseline = calibrate(model, parse_capture(_read_lines(args.calibrate)))
+        baseline = calibrate(model, parse_capture(read_lines(args.calibrate)))
     evaluation = evaluate_capture(model, baseline, traces,
-                                  _detector_config(args), args.catchall)
+                                  _detector_config(args))
     _emit(render_detections(evaluation), args.out)
     return 0
 
@@ -147,7 +140,7 @@ def cmd_probe_select(args: argparse.Namespace) -> int:
     if args.capture and args.topics:
         raise UsageError("--capture and --topics are separate modes; pick one")
     if args.capture:
-        traces = parse_capture(_read_lines(args.capture))
+        traces = parse_capture(read_lines(args.capture))
         pages = [it.page for trace in traces for it in trace.interactions]
         candidates = extract_candidates(pages, top_k=args.top)
         out = StringIO()
@@ -157,7 +150,7 @@ def cmd_probe_select(args: argparse.Namespace) -> int:
     if args.topics:
         topics = _comma_list(args.topics, "--topics")
         if args.ambiguity:
-            report = parse_ambiguity_csv(_read_lines(args.ambiguity))
+            report = parse_ambiguity_csv(read_lines(args.ambiguity))
         else:
             report = default_ambiguity_report()
         probes = (tuple(p.strip() for p in args.probes.split(";") if p.strip())
@@ -172,14 +165,14 @@ def cmd_probe_select(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    script = parse_script(_read_lines(args.script))
+    script = parse_script(read_lines(args.script))
     if not script.topic:
         raise ValidationError(
             f"script {args.script!r} names no topic; add a '! topic:' line")
     keywords = load_default_keywords()
     categories = CategorySet(tuple(sorted(keywords)), args.catchall)
     engine = new_engine(
-        load_engine_config(args.engine, seed=args.seed),
+        replace(load_engine_config(args.engine), seed=args.seed),
         build_ad_pools(keywords, args.catchall),
         categories,
     )
@@ -247,13 +240,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    model = parse_model(_read_lines(args.model))
-    baseline = parse_baselines(_read_lines(args.baselines))
-    traces = parse_capture(_read_lines(args.capture))
+    model = parse_model(read_lines(args.model))
+    baseline = parse_baselines(read_lines(args.baselines))
+    traces = parse_capture(read_lines(args.capture))
     if not traces:
         raise ValidationError(f"capture {args.capture!r} holds no sessions")
     evaluation = evaluate_capture(model, baseline, traces,
-                                  _detector_config(args), args.catchall)
+                                  _detector_config(args))
     render = render_csv if args.format == "csv" else render_text
     _emit(render(evaluation), args.out)
     return 0
@@ -303,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--baselines", help="calibrated baselines file")
     source.add_argument("--calibrate",
                         help="training capture to calibrate baselines from")
-    p.add_argument("--catchall", default="other")
     _add_detector_flags(p)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_detect)
@@ -371,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baselines", required=True)
     p.add_argument("--capture", required=True)
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--catchall", default="other")
     _add_detector_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)

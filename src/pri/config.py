@@ -1,17 +1,47 @@
-"""Line-oriented ``key = value`` configuration files.
+"""Reading input files, and line-oriented ``key = value`` configuration.
 
-Blank lines and ``#`` comments are skipped.  An ``include FILE`` line splices
-in another file, resolved relative to the including file; later assignments
-override earlier ones, so a file can include a base profile and then adjust
-individual keys.
+``read_lines`` is the one way a user's path becomes lines of text, and
+``bundled_lines`` the one way a data file shipped with the package does.
+
+In configuration files, blank lines and ``#`` comments are skipped.  An
+``include FILE`` line splices in another file, resolved relative to the
+including file; later assignments override earlier ones, so a file can
+include a base profile and then adjust individual keys.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from importlib import resources
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import UsageError, ValidationError
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file.
+
+    A path that cannot be read is a usage error; bytes that are not UTF-8
+    are invalid data, reported with the line they sit on.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise UsageError(f"cannot read {str(path)!r}: {exc.strerror or exc}") from exc
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; the line it starts or
+        # continues is the last line of that prefix plus one character.
+        before = data[:exc.start].decode("utf-8")
+        lineno = len((before + "x").splitlines())
+        raise ValidationError(f"{path} line {lineno}: not UTF-8 text") from None
+
+
+def bundled_lines(name: str) -> list[str]:
+    """The lines of one of the package's own data files."""
+    data = resources.files("pri").joinpath(f"data/{name}")
+    return data.read_text("utf-8").splitlines()
 
 
 def parse_config(
@@ -33,11 +63,7 @@ def _load(path: Path, seen: frozenset[Path]) -> dict[str, str]:
     resolved = path.resolve()
     if resolved in seen:
         raise ValidationError(f"configuration include cycle at {path}")
-    try:
-        text = resolved.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
-    return _parse(text.splitlines(), str(path), resolved.parent,
+    return _parse(read_lines(path), str(path), resolved.parent,
                   seen | {resolved})
 
 

@@ -150,12 +150,24 @@ def parse_corpus(lines: Iterable[str], categories: CategorySet) -> list[LabeledA
     return out
 
 
-def load_corpus(path: str | Path, categories: CategorySet) -> list[LabeledAdvert]:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read corpus {path}: {exc}") from exc
-    return parse_corpus(lines, categories)
+def headed_lines(
+    lines: Iterable[str], header: str, kind: str
+) -> Iterator[tuple[int, str]]:
+    """Check a versioned file's header line, then yield its nonblank lines.
+
+    Each line comes with its 1-based number and without a trailing newline.
+    """
+    it = iter(lines)
+    first = next(it, None)
+    if first is None:
+        raise ValidationError(f"empty {kind} file")
+    first = first.rstrip("\n")
+    if first != header:
+        raise ValidationError(f"unsupported {kind} header {first!r}")
+    for lineno, raw in enumerate(it, start=2):
+        line = raw.rstrip("\n")
+        if line.strip():
+            yield lineno, line
 
 
 def build_dictionary(corpus: list[LabeledAdvert]) -> Dictionary:
@@ -235,14 +247,6 @@ _RECORD_TYPES = {
 
 
 def parse_capture(lines: Iterable[str]) -> list[SessionTrace]:
-    it = iter(lines)
-    try:
-        header = next(it).rstrip("\n")
-    except StopIteration:
-        raise ValidationError("empty capture: missing header") from None
-    if header != CAPTURE_HEADER:
-        raise ValidationError(f"unsupported capture header {header!r}")
-
     traces: list[SessionTrace] = []
     current_id: str | None = None
     current_topic = ""
@@ -253,12 +257,9 @@ def parse_capture(lines: Iterable[str]) -> list[SessionTrace]:
         if current_id is not None:
             traces.append(SessionTrace(current_id, current_topic, tuple(pending)))
 
-    for lineno, raw in enumerate(it, start=2):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in headed_lines(lines, CAPTURE_HEADER, "capture"):
         try:
-            rec = json.loads(line)
+            rec = json.loads(line.strip())
         except json.JSONDecodeError as exc:
             raise ValidationError(f"capture line {lineno}: bad record: {exc}") from exc
         except RecursionError:
@@ -318,11 +319,3 @@ def parse_capture(lines: Iterable[str]) -> list[SessionTrace]:
 
     flush()
     return traces
-
-
-def load_capture(path: str | Path) -> list[SessionTrace]:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read capture {path}: {exc}") from exc
-    return parse_capture(lines)

@@ -14,10 +14,11 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .corpus import SessionTrace
+from .corpus import SessionTrace, headed_lines
 from .errors import ValidationError
 from .estimator import PriModel, ScoreVector, score
 
@@ -91,6 +92,30 @@ class LagStatistics:
     expected_run: float | None
 
 
+def sample_sigma(values: Sequence[float]) -> float:
+    """Sample standard deviation of finite floats, correctly rounded.
+
+    The variance is exact, a ``Fraction``, and its square root is rounded
+    once, as ``statistics.stdev`` does from Python 3.11 on; earlier versions
+    can differ in the last bit, which would change a baselines file.
+    """
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact, Fraction(0)) / len(exact)
+    variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
+    n, m = variance.numerator, variance.denominator
+    # Scale n/m by 4**-q so its root has 2 * 53 + 3 bits, take that root
+    # rounded to odd, and let the final conversion round it to nearest:
+    # the two roundings together give the correctly rounded root.
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 def baselines_from_samples(
     samples: Mapping[str, Sequence[float]], catchall: str
 ) -> TopicBaseline:
@@ -103,7 +128,7 @@ def baselines_from_samples(
     per_topic = {
         topic: IntervalStats(
             mean=statistics.fmean(values),
-            sigma=statistics.stdev(values),
+            sigma=sample_sigma(values),
             count=len(values),
         )
         for topic, values in samples.items()
@@ -264,19 +289,9 @@ def save_baselines(baseline: TopicBaseline, path: str | Path) -> None:
 
 
 def parse_baselines(lines: Iterable[str]) -> TopicBaseline:
-    it = iter(lines)
-    try:
-        header = next(it).rstrip("\n")
-    except StopIteration:
-        raise ValidationError("empty baselines file") from None
-    if header != BASELINES_HEADER:
-        raise ValidationError(f"unsupported baselines header {header!r}")
     catchall: str | None = None
     per_topic: dict[str, IntervalStats] = {}
-    for lineno, raw in enumerate(it, start=2):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
+    for lineno, line in headed_lines(lines, BASELINES_HEADER, "baselines"):
         fields = line.split("\t")
         if fields[0] == "catchall" and len(fields) == 2:
             if catchall is not None:

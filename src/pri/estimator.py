@@ -28,7 +28,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .corpus import Advert, CategorySet, Dictionary, LabeledAdvert, build_dictionary
+from .corpus import (
+    Advert,
+    CategorySet,
+    Dictionary,
+    LabeledAdvert,
+    build_dictionary,
+    headed_lines,
+)
 from .errors import ValidationError
 from .textproc import TermFilter, default_filter, filter_terms
 
@@ -259,14 +266,6 @@ def _parse_id(text: str, lineno: int) -> int:
 
 
 def parse_model(lines: Iterable[str]) -> PriModel:
-    it = iter(lines)
-    try:
-        header = next(it).rstrip("\n")
-    except StopIteration:
-        raise ValidationError("empty model file") from None
-    if header != MODEL_HEADER:
-        raise ValidationError(f"unsupported model header {header!r}")
-
     sensitive: tuple[str, ...] | None = None
     catchall = "other"
     empty: tuple[str, ...] = ()
@@ -275,10 +274,7 @@ def parse_model(lines: Iterable[str]) -> PriModel:
     totals: dict[str, Fraction] = {}
     per_category: dict[str, dict[str, Fraction]] = {}
 
-    for lineno, raw in enumerate(it, start=2):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
+    for lineno, line in headed_lines(lines, MODEL_HEADER, "model"):
         kind, _, rest = line.partition("\t")
         if kind == "categories":
             sensitive = tuple(c for c in rest.split(",") if c)
@@ -353,11 +349,3 @@ def parse_model(lines: Iterable[str]) -> PriModel:
         stats=TermStats(total=totals, per_category=per_category),
         empty_categories=empty,
     )
-
-
-def load_model(path: str | Path) -> PriModel:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read model {path}: {exc}") from exc
-    return parse_model(lines)

@@ -15,8 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
 
-from importlib import resources
-
+from .config import bundled_lines
 from .corpus import ResultPage
 from .errors import ValidationError
 from .textproc import default_filter, filter_terms, term_set, tokenize
@@ -113,11 +112,6 @@ def ambiguity_ratio(n_topic: int, n_topic_probe: int) -> float:
     return n_topic_probe / n_topic
 
 
-def ratio_percent(ratio: float) -> int:
-    """Whole-number percentage, rounding to nearest."""
-    return round(ratio * 100)
-
-
 def select_probe(
     probes: Sequence[str],
     report: AmbiguityReport,
@@ -170,16 +164,6 @@ def write_candidates_csv(candidates: Sequence[ProbeCandidate], out: IO[str]) -> 
         writer.writerow([rank, candidate.term, candidate.tf])
 
 
-def write_ambiguity_csv(report: AmbiguityReport, out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["topic", "probe", "n_topic", "n_topic_probe", "ratio"])
-    for entry in report.entries:
-        writer.writerow(
-            [entry.topic, entry.probe, entry.n_topic, entry.n_topic_probe,
-             f"{entry.ratio:.6f}"]
-        )
-
-
 def parse_ambiguity_csv(lines: Iterable[str]) -> AmbiguityReport:
     reader = csv.DictReader(lines)
     try:
@@ -214,7 +198,4 @@ def parse_ambiguity_csv(lines: Iterable[str]) -> AmbiguityReport:
 
 
 def default_ambiguity_report() -> AmbiguityReport:
-    text = (
-        resources.files("pri").joinpath("data/probe_ambiguity.csv").read_text("utf-8")
-    )
-    return parse_ambiguity_csv(text.splitlines())
+    return parse_ambiguity_csv(bundled_lines("probe_ambiguity.csv"))

@@ -169,13 +169,18 @@ def evaluate_capture(
     baseline: TopicBaseline,
     traces: Iterable[SessionTrace],
     config: DetectorConfig | None = None,
-    catchall: str = "other",
 ) -> Evaluation:
     """Score and classify every probe in the traces, then aggregate once.
 
+    The catch-all is the model's, and the baseline must name the same one.
     The confusion matrix covers every true topic other than the catch-all,
     sorted; a capture with no sessions has no confusion rows.
     """
+    catchall = model.categories.catchall
+    if baseline.catchall != catchall:
+        raise ValidationError(
+            f"baselines catch-all {baseline.catchall!r} differs from the "
+            f"model's {catchall!r}")
     config = config or DetectorConfig()
     truths: dict[str, str] = {}
     probe_scores: dict[str, tuple[ScoreVector, ...]] = {}
@@ -259,6 +264,5 @@ def run_campaign(config: CampaignConfig, master_seed: int) -> CampaignResult:
         baseline=baseline,
         training_traces=training,
         test_traces=testing,
-        evaluation=evaluate_capture(model, baseline, testing, config.detector,
-                                    categories.catchall),
+        evaluation=evaluate_capture(model, baseline, testing, config.detector),
     )

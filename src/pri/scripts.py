@@ -11,10 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from importlib import resources
-
+from .config import bundled_lines
 from .errors import ValidationError
 from .textproc import filter_terms, term_set
 
@@ -118,13 +117,9 @@ class ClickPolicy:
 
 def load_default_keywords() -> dict[str, list[str]]:
     """Bundled keyword phrase lists, keyed by sensitive category label."""
-    text = (
-        resources.files("pri")
-        .joinpath("data/category_keywords.tsv")
-        .read_text("utf-8")
-    )
     keywords: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = bundled_lines("category_keywords.tsv")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -137,14 +132,9 @@ def load_default_keywords() -> dict[str, list[str]]:
 
 def load_trending_queries() -> list[str]:
     """Bundled non-sensitive query pool for the catch-all category."""
-    text = (
-        resources.files("pri")
-        .joinpath("data/trending_queries.txt")
-        .read_text("utf-8")
-    )
     return [
         line.strip()
-        for line in text.splitlines()
+        for line in bundled_lines("trending_queries.txt")
         if line.strip() and not line.lstrip().startswith("#")
     ]
 
@@ -244,19 +234,6 @@ def _keyword_share(text: str, keyword_terms: frozenset[str]) -> float:
 # script files (directives "! keywords:", "! probe:", "! topic:", "! wait N";
 # every other nonempty line is a query, probes recognized by their text)
 # ---------------------------------------------------------------------------
-
-
-def write_script(script: QueryScript, out: IO[str]) -> None:
-    if script.keywords:
-        out.write(f"! keywords: {' '.join(script.keywords)}\n")
-    out.write(f"! probe: {script.probe}\n")
-    if script.topic:
-        out.write(f"! topic: {script.topic}\n")
-    for entry in script.entries:
-        if entry.kind == KIND_WAIT:
-            out.write(f"! wait {entry.seconds}\n")
-        else:
-            out.write(entry.text + "\n")
 
 
 def parse_script(lines: Iterable[str]) -> QueryScript:

@@ -18,13 +18,12 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .config import load_config, parse_config
+from .config import bundled_lines, load_config, parse_config
 from .corpus import Advert, CategorySet, ResultPage
 from .errors import UsageError, ValidationError
 from .textproc import filter_terms, term_set
@@ -367,14 +366,8 @@ def new_engine(
 # engine configuration files
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "adaptation_lag": int,
-    "click_boost": float,
-    "ads_per_page": int,
-    "pool_diversity": float,
-    "prior_knowledge": str,
-    "seed": int,
-}
+# setting -> the type of its default, which converts the file's text
+_CONFIG_KEYS = {f.name: type(f.default) for f in fields(EngineConfig)}
 
 
 def engine_config_from_mapping(mapping: Mapping[str, str]) -> EngineConfig:
@@ -393,14 +386,11 @@ def engine_config_from_mapping(mapping: Mapping[str, str]) -> EngineConfig:
     return EngineConfig(**kwargs)  # type: ignore[arg-type]
 
 
-def load_engine_config(
-    source: str | Path, *, seed: int | None = None
-) -> EngineConfig:
+def load_engine_config(source: str | Path) -> EngineConfig:
     """Resolve a preset name or a configuration file path."""
     name = str(source)
     if name in ENGINE_PRESETS:
-        text = resources.files("pri").joinpath(f"data/{name}.cfg").read_text("utf-8")
-        mapping = parse_config(text.splitlines(), source=name)
+        mapping = parse_config(bundled_lines(f"{name}.cfg"), source=name)
     else:
         path = Path(source)
         if not path.exists():
@@ -409,7 +399,4 @@ def load_engine_config(
                 f"{', '.join(ENGINE_PRESETS)} and no such file"
             )
         mapping = load_config(path)
-    config = engine_config_from_mapping(mapping)
-    if seed is not None:
-        config = replace(config, seed=seed)
-    return config
+    return engine_config_from_mapping(mapping)

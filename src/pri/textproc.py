@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from importlib import resources
 
+from .config import bundled_lines
 from .porter import stem
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -24,8 +24,8 @@ def tokenize(text: str) -> list[str]:
 
 @lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:
-    text = resources.files("pri").joinpath("data/stopwords.txt").read_text("utf-8")
-    return frozenset(text.split())
+    return frozenset(word for line in bundled_lines("stopwords.txt")
+                     for word in line.split())
 
 
 class TermFilter:

@@ -18,7 +18,7 @@ import pytest
 
 from pri.corpus import CategorySet, LabeledAdvert
 from pri.estimator import score, train
-from pri.probes import DEFAULT_PROBES, default_ambiguity_report, ratio_percent
+from pri.probes import DEFAULT_PROBES, default_ambiguity_report
 from pri.reports import read_bundle_bytes, topic_score_matrix, write_bundle
 from pri.runner import CampaignConfig, run_campaign
 from pri.simulator import load_engine_config
@@ -294,7 +294,7 @@ def test_criterion_7_probe_hygiene(google):
     cells = 0
     for topic, _n, _np1, _np2, pct1, pct2 in AMBIGUITY_ROWS:
         for probe, expected in ((p1, pct1), (p2, pct2)):
-            got = ratio_percent(report.lookup(topic, probe).ratio)
+            got = round(100 * report.lookup(topic, probe).ratio)
             cells += 1
             _check(failures, got == expected,
                    f"{topic}/{probe!r}: rounded ratio {got}% != {expected}%")

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pri.cli import main
-from pri.config import parse_config
+from pri.config import parse_config, read_lines
 from pri.corpus import (
     Advert,
     CategorySet,
@@ -22,10 +24,11 @@ from pri.corpus import (
     parse_corpus,
     save_capture,
 )
-from pri.detector import parse_baselines
-from pri.errors import ValidationError
-from pri.estimator import parse_model
+from pri.detector import TopicBaseline, parse_baselines, save_baselines
+from pri.errors import PriError, ValidationError
+from pri.estimator import PriModel, TermStats, parse_model, save_model
 from pri.probes import parse_ambiguity_csv
+from pri.reports import write_bundle
 from pri.scripts import parse_script
 from pri.simulator import parse_prior_knowledge
 
@@ -33,6 +36,9 @@ from pri.simulator import parse_prior_knowledge
 _DEEP_RECORD = "[" * 100_000
 
 TOY_CORPUS = str(resources.files("pri") / "data" / "examples" / "toy_corpus.txt")
+
+# The seed-11 mini campaign's report tables, as tests/test_reports.py pins them.
+PINNED = Path(__file__).parent / "data" / "mini_campaign_seed11"
 
 
 @pytest.fixture(scope="module")
@@ -534,3 +540,160 @@ class TestTopLevel:
                      "--capture", str(cli_bundle / "test.capture")]
         assert main([command, *flags, "--epsilon", "0.1"]) == 1
         assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+
+
+# Valid text on lines 1 and 2; line 3 holds a byte UTF-8 never produces.
+_NOT_UTF8 = b"# one\n# two\nbad \xff byte\n"
+
+# name -> argv; BAD is the non-UTF-8 file, B/ the campaign bundle, OUT a
+# path to write, SCRIPT a valid query script and INCLUDER a settings file
+# whose one line includes BAD.
+_NOT_UTF8_COMMANDS = {
+    "train-corpus": ["train", "--corpus", "BAD", "--out", "OUT"],
+    "score-model": ["score", "--model", "BAD", "--capture", "B/test.capture"],
+    "score-capture": ["score", "--model", "B/model.txt", "--capture", "BAD"],
+    "detect-model": ["detect", "--model", "BAD", "--capture", "B/test.capture",
+                     "--baselines", "B/baselines.txt"],
+    "detect-capture": ["detect", "--model", "B/model.txt", "--capture", "BAD",
+                       "--baselines", "B/baselines.txt"],
+    "detect-baselines": ["detect", "--model", "B/model.txt",
+                         "--capture", "B/test.capture", "--baselines", "BAD"],
+    "detect-calibrate": ["detect", "--model", "B/model.txt",
+                         "--capture", "B/test.capture", "--calibrate", "BAD"],
+    "report-model": ["report", "--model", "BAD", "--baselines",
+                     "B/baselines.txt", "--capture", "B/test.capture"],
+    "report-baselines": ["report", "--model", "B/model.txt", "--baselines",
+                         "BAD", "--capture", "B/test.capture"],
+    "report-capture": ["report", "--model", "B/model.txt", "--baselines",
+                       "B/baselines.txt", "--capture", "BAD"],
+    "simulate-script": ["simulate", "--script", "BAD", "--engine",
+                        "google_like", "--seed", "9", "--out", "OUT"],
+    "simulate-engine": ["simulate", "--script", "SCRIPT", "--engine", "BAD",
+                        "--seed", "9", "--out", "OUT"],
+    "probe-select-ambiguity": ["probe-select", "--topics", "anorexia",
+                               "--ambiguity", "BAD"],
+    "campaign-config": ["campaign", "--seed", "5", "--out", "OUT",
+                        "--config", "BAD"],
+    "campaign-engine": ["campaign", "--seed", "5", "--out", "OUT",
+                        "--engine", "BAD"],
+    "campaign-include": ["campaign", "--seed", "5", "--out", "OUT",
+                         "--config", "INCLUDER"],
+}
+
+
+class TestInputFiles:
+    """Every file a command reads goes through ``read_lines``."""
+
+    @pytest.mark.parametrize("name", sorted(_NOT_UTF8_COMMANDS))
+    def test_non_utf8_bytes_are_a_data_error_naming_the_line(
+            self, cli_bundle, tmp_path, capsys, name):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(_NOT_UTF8)
+        script = tmp_path / "s.script"
+        script.write_text(TestSimulate.SCRIPT, encoding="utf-8")
+        includer = tmp_path / "includer.cfg"
+        includer.write_text("include bad.txt\n", encoding="utf-8")
+        paths = {"BAD": bad, "OUT": tmp_path / "out", "SCRIPT": script,
+                 "INCLUDER": includer}
+        argv = [str(cli_bundle / arg[2:]) if arg.startswith("B/")
+                else str(paths.get(arg, arg))
+                for arg in _NOT_UTF8_COMMANDS[name]]
+        assert main(argv) == 2
+        assert f"{bad} line 3: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["score", "campaign"])
+    def test_missing_file_is_a_usage_error(self, cli_bundle, tmp_path,
+                                           capsys, command):
+        missing = str(tmp_path / "nope.txt")
+        if command == "score":
+            argv = ["score", "--model", missing,
+                    "--capture", str(cli_bundle / "test.capture")]
+        else:
+            argv = ["campaign", "--seed", "5", "--out", str(tmp_path / "b"),
+                    "--config", missing]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "nope.txt" in err
+
+    @given(data=st.binary(max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_read_lines_returns_lines_or_a_package_error(self, tmp_path_factory,
+                                                         data):
+        path = tmp_path_factory.getbasetemp() / "input.txt"
+        path.write_bytes(data)
+        try:
+            lines = read_lines(path)
+        except PriError as exc:
+            assert f"{path} line " in str(exc)
+        else:
+            assert lines == data.decode("utf-8").splitlines()
+
+
+def _misc(label):
+    return "misc" if label == "other" else label
+
+
+@pytest.fixture(scope="module")
+def renamed_bundles(mini_campaign, tmp_path_factory):
+    """The seed-11 mini bundle, and a copy whose catch-all is ``misc``."""
+    original = tmp_path_factory.mktemp("other")
+    write_bundle(mini_campaign, original)
+    renamed = tmp_path_factory.mktemp("misc")
+    model = mini_campaign.model
+    save_model(PriModel(
+        CategorySet(model.categories.sensitive, "misc"),
+        model.dictionary,
+        TermStats(model.stats.total,
+                  {term: {_misc(c): w for c, w in cells.items()}
+                   for term, cells in model.stats.per_category.items()}),
+        model.empty_categories,
+    ), renamed / "model.txt")
+    baseline = mini_campaign.baseline
+    save_baselines(TopicBaseline(
+        {_misc(t): stats for t, stats in baseline.per_topic.items()}, "misc"),
+        renamed / "baselines.txt")
+    save_capture([replace(trace, topic_label=_misc(trace.topic_label))
+                  for trace in mini_campaign.test_traces],
+                 renamed / "test.capture")
+    return original, renamed
+
+
+def _inputs(bundle, baselines=None):
+    return ["--model", str(bundle / "model.txt"),
+            "--baselines", str(baselines or bundle / "baselines.txt"),
+            "--capture", str(bundle / "test.capture")]
+
+
+class TestCatchallFromTheModel:
+    @pytest.mark.parametrize("format, pinned", [("text", "report.txt"),
+                                                 ("csv", "report.csv")])
+    def test_renamed_catchall_reports_the_same_bytes(self, renamed_bundles,
+                                                     capsys, format, pinned):
+        expected = (PINNED / pinned).read_text(encoding="utf-8")
+        for bundle in renamed_bundles:
+            assert main(["report", *_inputs(bundle), "--format", format]) == 0
+            assert capsys.readouterr().out == expected
+
+    def test_renamed_catchall_detects_the_same_sessions(self, renamed_bundles,
+                                                        capsys):
+        outputs = []
+        for bundle in renamed_bundles:
+            assert main(["detect", *_inputs(bundle)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert ",misc," in outputs[1]
+        assert outputs[1] == outputs[0].replace(",other,", ",misc,")
+
+    @pytest.mark.parametrize("command", ["detect", "report"])
+    def test_baselines_with_another_catchall_are_a_data_error(
+            self, renamed_bundles, capsys, command):
+        original, renamed = renamed_bundles
+        code = main([command, *_inputs(original, renamed / "baselines.txt")])
+        assert code == 2
+        assert ("baselines catch-all 'misc' differs from the model's 'other'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["detect", "report"])
+    def test_catchall_flag_is_gone(self, renamed_bundles, capsys, command):
+        original, _ = renamed_bundles
+        assert main([command, *_inputs(original), "--catchall", "other"]) == 1
+        assert "unrecognized arguments: --catchall" in capsys.readouterr().err

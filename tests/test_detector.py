@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import statistics
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -25,6 +27,7 @@ from pri.detector import (
     detection_rates,
     lag_statistics,
     parse_baselines,
+    sample_sigma,
     write_baselines,
 )
 from pri.errors import ValidationError
@@ -56,6 +59,18 @@ class TestCalibration:
         baseline = _baseline(gambling=[0.5, 0.5, 0.5], other=[0.1, 0.1])
         lo, hi = baseline.interval("gambling", 3.0)
         assert lo == hi == 0.5
+
+    def test_sample_sigma_rounds_the_exact_root_once(self):
+        # Variance exactly 2 and 0: math.sqrt rounds correctly everywhere.
+        assert sample_sigma([1.0, 3.0]) == math.sqrt(2)
+        assert sample_sigma([0.5, 0.5, 0.5]) == 0.0
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics.stdev rounds correctly from 3.11 on")
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_sample_sigma_equals_correctly_rounded_stdev(self, values):
+        assert sample_sigma(values) == statistics.stdev(values)
 
     def test_too_few_samples_names_category(self):
         with pytest.raises(ValidationError, match="gambling"):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from pri.corpus import CategorySet, LabeledAdvert, build_dictionary
 from pri.errors import ValidationError
-from pri.estimator import load_model, parse_model, score, train, write_model
+from pri.config import read_lines
+from pri.estimator import parse_model, score, train, write_model
 from pri.textproc import TermFilter
 
 from conftest import GOLDEN_DICTIONARY, GOLDEN_PAGE_ADVERT
@@ -366,7 +367,7 @@ def test_model_round_trip(golden_model, tmp_path):
 
     path = tmp_path / "model.txt"
     path.write_text(text, encoding="utf-8")
-    assert load_model(path).stats == golden_model.stats
+    assert parse_model(read_lines(path)).stats == golden_model.stats
 
 
 def test_model_round_trip_is_canonical(golden_model):

@@ -19,9 +19,7 @@ from pri.probes import (
     default_ambiguity_report,
     extract_candidates,
     parse_ambiguity_csv,
-    ratio_percent,
     select_probe,
-    write_ambiguity_csv,
     write_candidates_csv,
 )
 from pri.textproc import filter_terms
@@ -121,12 +119,12 @@ class TestAmbiguityRatio:
     def test_anorexia_row(self):
         ratio = ambiguity_ratio(28_500_000, 834_000)
         assert ratio == pytest.approx(0.02926, abs=1e-5)
-        assert ratio_percent(ratio) == 3
+        assert round(100 * ratio) == 3
 
     def test_bankrupt_row_rounds_to_zero(self):
         ratio = ambiguity_ratio(86_900_000, 434_000)
         assert ratio == pytest.approx(0.004994, abs=1e-6)
-        assert ratio_percent(ratio) == 0
+        assert round(100 * ratio) == 0
 
     def test_equal_counts(self):
         assert ambiguity_ratio(7, 7) == 1.0
@@ -143,8 +141,8 @@ class TestAmbiguityRatio:
             entry2 = report.lookup(topic, p2)
             assert (entry1.n_topic, entry1.n_topic_probe) == (n, np1)
             assert (entry2.n_topic, entry2.n_topic_probe) == (n, np2)
-            assert ratio_percent(entry1.ratio) == pct1
-            assert ratio_percent(entry2.ratio) == pct2
+            assert round(100 * entry1.ratio) == pct1
+            assert round(100 * entry2.ratio) == pct2
 
     @given(
         st.integers(1, 10**9),
@@ -213,12 +211,15 @@ class TestSelection:
 
 
 class TestCsvRoundTrips:
-    def test_ambiguity_round_trip(self):
-        report = default_ambiguity_report()
-        out = StringIO()
-        write_ambiguity_csv(report, out)
-        reparsed = parse_ambiguity_csv(out.getvalue().splitlines())
-        assert reparsed == report
+    def test_ambiguity_csv_parses_to_report(self):
+        text = ("topic,probe,n_topic,n_topic_probe,ratio\n"
+                "anorexia,symptoms and causes,28500000,834000,0.029263\n"
+                "payday,help and advice,70300000,6570000,0.093457\n")
+        assert parse_ambiguity_csv(text.splitlines()) == AmbiguityReport((
+            AmbiguityEntry("anorexia", "symptoms and causes", 28_500_000,
+                           834_000),
+            AmbiguityEntry("payday", "help and advice", 70_300_000, 6_570_000),
+        ))
 
     def test_candidate_csv_shape(self):
         candidates = extract_candidates([_page("help help advice")])

@@ -125,7 +125,6 @@ class TestEvaluation:
             mini_campaign.baseline,
             mini_campaign.test_traces,
             mini_campaign.config.detector,
-            catchall="other",
         )
         assert evaluation == mini_campaign.evaluation
 

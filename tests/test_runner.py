@@ -29,7 +29,7 @@ from conftest import MINI_KEYWORDS
 def location_engine(default_keywords, seed=3):
     pools = build_ad_pools(default_keywords, "other")
     categories = CategorySet(tuple(sorted(default_keywords)), "other")
-    config = load_engine_config("google_like", seed=seed)
+    config = replace(load_engine_config("google_like"), seed=seed)
     return new_engine(config, pools, categories)
 
 

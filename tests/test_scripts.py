@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from io import StringIO
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,8 @@ from pri.scripts import (
     CONNECTIVES,
     CategoryKeywords,
     ClickPolicy,
+    QueryScript,
+    ScriptEntry,
     catchall_keywords,
     click_decision,
     generate_script,
@@ -21,7 +22,6 @@ from pri.scripts import (
     load_default_keywords,
     load_trending_queries,
     parse_script,
-    write_script,
     _keyword_share,
 )
 from pri.simulator import build_ad_pools
@@ -85,11 +85,19 @@ class TestParseExample:
         assert waits[0] == 7
         assert max(waits) <= 10 and min(waits) >= 1
 
-    def test_round_trip_byte_identical_structure(self):
-        script = parse_script(EXAMPLE_SCRIPT.splitlines())
-        out = StringIO()
-        write_script(script, out)
-        assert parse_script(out.getvalue().splitlines()) == script
+    def test_literal_file_parses_to_expected_script(self):
+        text = ("! keywords: london uk\n! probe: help and advice\n"
+                "! topic: location\nhelp and advice\n! wait 3\n"
+                "cheap hotels in london\n\nhelp and advice\n")
+        assert parse_script(text.splitlines()) == QueryScript(
+            topic="location",
+            probe="help and advice",
+            entries=(ScriptEntry("probe", "help and advice"),
+                     ScriptEntry("wait", seconds=3),
+                     ScriptEntry("query", "cheap hotels in london"),
+                     ScriptEntry("probe", "help and advice")),
+            keywords=("london", "uk"),
+        )
 
     def test_missing_probe_directive_rejected(self):
         with pytest.raises(ValidationError, match="probe"):
@@ -114,12 +122,6 @@ class TestGeneration:
         script = generate_script(LOCATION, "help and advice", random.Random(1))
         assert script.query_entries[0].kind == "probe"
         assert script.query_entries[-1].kind == "probe"
-
-    def test_round_trips_through_file_format(self):
-        script = generate_script(LOCATION, "help and advice", random.Random(3))
-        out = StringIO()
-        write_script(script, out)
-        assert parse_script(out.getvalue().splitlines()) == script
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

@@ -110,8 +110,10 @@ class TestEnginePresets:
         config = load_engine_config("bing_like")
         assert config == EngineConfig(3, 2.0, 3, 1.7, "other:100", 0)
 
-    def test_seed_override(self):
-        assert load_engine_config("google_like", seed=99).seed == 99
+    def test_seed_override(self, tmp_path):
+        custom = tmp_path / "seeded.cfg"
+        custom.write_text("seed = 99\n", encoding="utf-8")
+        assert load_engine_config(custom) == EngineConfig(seed=99)
 
     def test_unknown_name_is_usage_error(self):
         with pytest.raises(UsageError, match="no-such-engine"):
