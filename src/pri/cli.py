@@ -36,7 +36,7 @@ from .runner import (
     run_campaign,
     run_session,
 )
-from .scripts import CategoryKeywords, ClickPolicy, load_default_keywords, parse_script
+from .scripts import MIN_PROBES, CategoryKeywords, load_default_keywords, parse_script
 from .simulator import build_ad_pools, load_engine_config, new_engine
 
 
@@ -109,8 +109,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     writer.writerow(("session", "step", "category", "score"))
     for trace in traces:
         for interaction in trace.interactions:
-            vector = score(model, interaction.page.adverts,
-                           step=interaction.step)
+            vector = score(model, interaction.page.adverts)
             for category in model.categories.all_labels:
                 writer.writerow((trace.session_id, interaction.step, category,
                                  repr(float(vector.scores[category]))))
@@ -176,11 +175,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         build_ad_pools(keywords, args.catchall),
         categories,
     )
-    policy = None
+    clicks = None
     if args.clicks and script.keywords:
-        policy = ClickPolicy(CategoryKeywords(script.topic, script.keywords))
+        clicks = CategoryKeywords(script.topic, script.keywords)
     session_id = args.session_id or f"sim-{script.topic}-00"
-    trace = run_session(engine, script, policy, session_id)
+    trace = run_session(engine, script, clicks, session_id)
     save_capture([trace], args.out)
     return 0
 
@@ -262,7 +261,8 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
                              f"{DetectorConfig.sigma_multiplier:g})")
     parser.add_argument("--probe-count", type=int, default=None,
                         help="probes per detection session (default "
-                             f"{DetectorConfig.session_probe_count})")
+                             f"{DetectorConfig.session_probe_count}; at most "
+                             f"{MIN_PROBES} for a campaign)")
 
 
 def build_parser() -> argparse.ArgumentParser:

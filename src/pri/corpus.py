@@ -57,22 +57,17 @@ class LabeledAdvert:
 @dataclass(frozen=True)
 class Advert:
     text: str
-    position: int
 
 
 @dataclass(frozen=True)
 class ResultPage:
-    """One response page: ordered (title, snippet) links plus advert slots."""
+    """One response page: ordered (title, snippet) links plus advert slots.
+
+    An advert's slot is its index in ``adverts``.
+    """
 
     links: tuple[tuple[str, str], ...]
     adverts: tuple[Advert, ...]
-
-    def __post_init__(self) -> None:
-        for i, ad in enumerate(self.adverts):
-            if ad.position != i:
-                raise ValidationError(
-                    f"advert positions must be dense from 0, got {ad.position} at {i}"
-                )
 
 
 @dataclass(frozen=True)
@@ -278,9 +273,7 @@ def parse_capture(lines: Iterable[str]) -> list[SessionTrace]:
                 query=rec["query"],
                 page=ResultPage(
                     links=tuple((t, s) for t, s in rec["links"]),
-                    adverts=tuple(
-                        Advert(text, i) for i, text in enumerate(rec["adverts"])
-                    ),
+                    adverts=tuple(Advert(text) for text in rec["adverts"]),
                 ),
                 clicked=tuple(rec["clicked"]),
                 is_probe=rec["is_probe"],

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -61,7 +61,6 @@ class TopicBaseline:
 
 @dataclass(frozen=True)
 class ProbeVerdict:
-    step: int
     sensitive_flag: bool
     detected_topics: tuple[str, ...]
 
@@ -69,7 +68,7 @@ class ProbeVerdict:
 @dataclass(frozen=True)
 class SessionVerdict:
     sensitive: bool
-    topics: Counter = field(default_factory=Counter)
+    topics: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,12 @@ def sample_sigma(values: Sequence[float]) -> float:
 def baselines_from_samples(
     samples: Mapping[str, Sequence[float]], catchall: str
 ) -> TopicBaseline:
-    """Summarize per-topic score samples; every topic needs >= 2 of them."""
+    """Summarize per-topic score samples; every topic needs >= 2 of them.
+
+    A topic whose samples are all equal takes that value as its mean, which
+    ``statistics.fmean`` can miss by one ulp; its sigma is 0, so its interval
+    is exactly that point.
+    """
     short = sorted(t for t, values in samples.items() if len(values) < 2)
     if short:
         raise ValidationError(
@@ -127,7 +131,8 @@ def baselines_from_samples(
         )
     per_topic = {
         topic: IntervalStats(
-            mean=statistics.fmean(values),
+            mean=(values[0] if len(set(values)) == 1
+                  else statistics.fmean(values)),
             sigma=sample_sigma(values),
             count=len(values),
         )
@@ -145,7 +150,7 @@ def calibrate(model: PriModel, training_traces: Iterable[SessionTrace]) -> Topic
                 f"session {trace.session_id}: unknown topic {trace.topic_label!r}"
             )
         for probe in trace.probes:
-            vector = score(model, probe.page.adverts, step=probe.step)
+            vector = score(model, probe.page.adverts)
             samples[trace.topic_label].append(float(vector.scores[trace.topic_label]))
     return baselines_from_samples(samples, catchall=model.categories.catchall)
 
@@ -169,8 +174,7 @@ def classify_probe(
             and topic in baseline.per_topic
             and baseline.contains(topic, float(value), m)
         )
-    return ProbeVerdict(step=scores.step, sensitive_flag=flag,
-                        detected_topics=detected)
+    return ProbeVerdict(sensitive_flag=flag, detected_topics=detected)
 
 
 def detect_session(
@@ -182,11 +186,9 @@ def detect_session(
             f"incomplete session: {len(verdicts)} probe verdicts, need {n}"
         )
     head = verdicts[:n]
-    topics: Counter = Counter()
-    for verdict in head:
-        topics.update(verdict.detected_topics)
-    return SessionVerdict(sensitive=any(v.sensitive_flag for v in head),
-                          topics=topics)
+    return SessionVerdict(
+        sensitive=any(v.sensitive_flag for v in head),
+        topics=frozenset(t for v in head for t in v.detected_topics))
 
 
 def confusion_matrix(
@@ -200,8 +202,8 @@ def confusion_matrix(
     for topic in topics:
         own = [v for v, t in zip(session_verdicts, ground_truth) if t == topic]
         rest = [v for v, t in zip(session_verdicts, ground_truth) if t != topic]
-        detected_own = sum(1 for v in own if v.topics.get(topic, 0) > 0)
-        detected_rest = sum(1 for v in rest if v.topics.get(topic, 0) > 0)
+        detected_own = sum(1 for v in own if topic in v.topics)
+        detected_rest = sum(1 for v in rest if topic in v.topics)
         true_detect = detected_own / len(own) if own else 0.0
         false_detect = detected_rest / len(rest) if rest else 0.0
         rows[topic] = ConfusionRow(

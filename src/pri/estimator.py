@@ -139,7 +139,6 @@ class PriModel:
 
 @dataclass(frozen=True)
 class ScoreVector:
-    step: int
     scores: dict[str, Fraction]
 
 
@@ -186,11 +185,7 @@ def train(
     )
 
 
-def score(
-    model: PriModel,
-    adverts: Sequence[str | Advert],
-    step: int = 0,
-) -> ScoreVector:
+def score(model: PriModel, adverts: Sequence[str | Advert]) -> ScoreVector:
     """Score one page of adverts against every category."""
     entries = []
     for advert in adverts:
@@ -210,7 +205,7 @@ def score(
         denominators = model.share_denominators
         for category, value in sums.items():
             scores[category] = Fraction(value, denominators[category] * common)
-    return ScoreVector(step=step, scores=scores)
+    return ScoreVector(scores)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ a topic it will be used against.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence
@@ -128,6 +129,8 @@ def select_probe(
         raise ValidationError("no candidate probes supplied")
     if not topics:
         raise ValidationError("no topics in the group")
+    if not math.isfinite(min_ratio):
+        raise ValidationError(f"min_ratio must be finite, not {min_ratio!r}")
     keyword_stems = {
         topic: term_set(tuple((keywords or {}).get(topic, ()))) for topic in topics
     }

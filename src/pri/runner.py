@@ -2,8 +2,8 @@
 
 A session walks one generated (or hand-written) query script against a fresh
 engine instance: every query entry becomes one interaction, wait entries only
-pace the script and leave no mark on the trace, and the configured click
-policy decides which advert slots of user-query pages get clicked.  Probe
+pace the script and leave no mark on the trace, and the session topic's
+keywords decide which advert slots of user-query pages get clicked.  Probe
 responses are never clicked.
 
 A campaign runs per-topic training sessions, fits the term-frequency model on
@@ -44,7 +44,8 @@ from .estimator import PriModel, ScoreVector, score, train
 from .scripts import (
     KIND_PROBE,
     KIND_WAIT,
-    ClickPolicy,
+    MIN_PROBES,
+    CategoryKeywords,
     QueryScript,
     click_decision,
     generate_script,
@@ -65,10 +66,13 @@ def derive_seed(master_seed: int, channel: str) -> int:
 def run_session(
     engine: AdEngine,
     script: QueryScript,
-    policy: ClickPolicy | None,
+    keywords: CategoryKeywords | None,
     session_id: str,
 ) -> SessionTrace:
-    """Drive one script against one engine and capture what the user saw."""
+    """Drive one script against one engine and capture what the user saw.
+
+    With ``keywords`` None the user never clicks.
+    """
     if script.topic not in engine.categories:
         raise ValidationError(
             f"session {session_id}: topic {script.topic!r} is not an engine category"
@@ -82,11 +86,11 @@ def run_session(
         is_probe = entry.kind == KIND_PROBE
         page = engine.submit_query(entry.text)
         clicked: list[int] = []
-        if not is_probe and policy is not None:
-            for advert in page.adverts:
-                if click_decision(advert.text, policy):
-                    engine.register_click(advert.position)
-                    clicked.append(advert.position)
+        if not is_probe and keywords is not None:
+            for slot, advert in enumerate(page.adverts):
+                if click_decision(advert.text, keywords):
+                    engine.register_click(slot)
+                    clicked.append(slot)
         interactions.append(
             Interaction(step=step, query=entry.text, page=page,
                         clicked=tuple(clicked), is_probe=is_probe)
@@ -107,10 +111,7 @@ def training_corpus(traces: Sequence[SessionTrace]) -> list[LabeledAdvert]:
 
 
 def score_probes(model: PriModel, trace: SessionTrace) -> tuple[ScoreVector, ...]:
-    return tuple(
-        score(model, probe.page.adverts, step=probe.step)
-        for probe in trace.probes
-    )
+    return tuple(score(model, probe.page.adverts) for probe in trace.probes)
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,11 @@ class CampaignConfig:
             raise ValidationError("test_sessions_per_topic must be at least 1")
         if not self.probe.strip():
             raise ValidationError("probe text must be nonempty")
+        if self.detector.session_probe_count > MIN_PROBES:
+            raise ValidationError(
+                f"session_probe_count {self.detector.session_probe_count} "
+                f"exceeds {MIN_PROBES}, the fewest probes a generated script "
+                "holds")
 
     @property
     def categories(self) -> CategorySet:
@@ -248,8 +254,8 @@ def run_campaign(config: CampaignConfig, master_seed: int) -> CampaignResult:
                     pools,
                     categories,
                 )
-                policy = ClickPolicy(catalog[topic]) if config.clicks_enabled else None
-                traces.append(run_session(engine, script, policy, session_id))
+                clicks = catalog[topic] if config.clicks_enabled else None
+                traces.append(run_session(engine, script, clicks, session_id))
         return tuple(traces)
 
     training = run_block("train", config.train_sessions_per_topic)

@@ -8,6 +8,7 @@ list and dressed with a connective so they read like search queries.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -29,6 +30,14 @@ MIN_PROBE_GAP = 1
 MAX_PROBE_GAP = 5
 MIN_WAIT = 1
 MAX_WAIT = 10
+# A generated script of q queries holds p probes with at most MAX_PROBE_GAP
+# user queries between neighbours, so q <= p + (p - 1) * MAX_PROBE_GAP: even
+# the shortest script holds this many probes.
+MIN_PROBES = math.ceil((MIN_QUERIES + MAX_PROBE_GAP) / (MAX_PROBE_GAP + 1))
+
+# An advert is clicked when more than this share of its filtered terms are
+# terms of the session topic's keyword phrases.
+CLICK_SHARE = 0.1
 
 KIND_QUERY = "query"
 KIND_PROBE = "probe"
@@ -74,6 +83,8 @@ class QueryScript:
     topic: str
     probe: str
     entries: tuple[ScriptEntry, ...]
+    # The words of a script file's "! keywords:" line; generated scripts
+    # have none, as a campaign clicks by its topic's CategoryKeywords.
     keywords: tuple[str, ...] = ()
 
     @property
@@ -105,16 +116,6 @@ class QueryScript:
         return tuple(gaps)
 
 
-@dataclass(frozen=True)
-class ClickPolicy:
-    keywords: CategoryKeywords
-    tf_threshold: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.tf_threshold <= 0:
-            raise ValidationError("click threshold must be positive")
-
-
 def load_default_keywords() -> dict[str, list[str]]:
     """Bundled keyword phrase lists, keyed by sensitive category label."""
     keywords: dict[str, list[str]] = {}
@@ -139,31 +140,14 @@ def load_trending_queries() -> list[str]:
     ]
 
 
-def _keyword_terms_line(keywords: CategoryKeywords) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for phrase in keywords.phrases:
-        for word in phrase.split():
-            seen.setdefault(word, None)
-    return tuple(seen)
-
-
 def generate_script(
-    keywords: CategoryKeywords,
-    probe: str,
-    rng: random.Random,
-    min_queries: int = MIN_QUERIES,
-    max_queries: int = MAX_QUERIES,
+    keywords: CategoryKeywords, probe: str, rng: random.Random
 ) -> QueryScript:
     """Probe-led script: [probe, gap of 1-5 user queries]... ending on a probe."""
     if not probe.strip():
         raise ValidationError("scripts need a probe query")
-    if min_queries < 3:
-        raise ValidationError("scripts need room for at least two probes")
-    if min_queries > max_queries:
-        raise ValidationError("min_queries exceeds max_queries")
     # Aim below the ceiling so a final full gap cannot overshoot it.
-    target_cap = max(min_queries, max_queries - MAX_PROBE_GAP - 1)
-    target = rng.randint(min_queries, target_cap)
+    target = rng.randint(MIN_QUERIES, MAX_QUERIES - MAX_PROBE_GAP - 1)
 
     queries: list[ScriptEntry] = [ScriptEntry(KIND_PROBE, probe)]
     while len(queries) < target:
@@ -189,19 +173,14 @@ def generate_script(
         if i < len(queries) - 1:
             entries.append(ScriptEntry(KIND_WAIT, seconds=rng.randint(MIN_WAIT,
                                                                       MAX_WAIT)))
-    script = QueryScript(
-        topic=keywords.label,
-        probe=probe,
-        entries=tuple(entries),
-        keywords=_keyword_terms_line(keywords),
-    )
-    _check_generated(script, min_queries, max_queries)
+    script = QueryScript(topic=keywords.label, probe=probe, entries=tuple(entries))
+    _check_generated(script)
     return script
 
 
-def _check_generated(script: QueryScript, min_queries: int, max_queries: int) -> None:
+def _check_generated(script: QueryScript) -> None:
     count = script.query_count
-    if not min_queries <= count <= max_queries:
+    if not MIN_QUERIES <= count <= MAX_QUERIES:
         raise ValidationError(f"generated script has {count} queries")
     if script.query_entries[0].kind != KIND_PROBE:
         raise ValidationError("generated script must open with a probe")
@@ -213,14 +192,14 @@ def _check_generated(script: QueryScript, min_queries: int, max_queries: int) ->
         raise ValidationError(f"probe gaps out of range: {bad}")
 
 
-def click_decision(item_text: str, policy: ClickPolicy) -> bool:
-    """Click iff keyword-term frequency in the item text exceeds the threshold."""
-    return _keyword_share(item_text, policy.keywords.term_set) > policy.tf_threshold
+def click_decision(item_text: str, keywords: CategoryKeywords) -> bool:
+    """Click iff keyword terms make up more than CLICK_SHARE of the item text."""
+    return _keyword_share(item_text, keywords.term_set) > CLICK_SHARE
 
 
 # Sessions meet a few hundred distinct (advert, topic) pairs thousands of
 # times, so each pair's share is computed once.  A text with no terms has
-# share 0, which never exceeds the positive threshold.
+# share 0, which never exceeds CLICK_SHARE.
 @lru_cache(maxsize=4096)
 def _keyword_share(text: str, keyword_terms: frozenset[str]) -> float:
     terms = filter_terms(text)
@@ -277,23 +256,15 @@ def parse_script(lines: Iterable[str]) -> QueryScript:
                        keywords=keywords)
 
 
-def catchall_keywords(
-    label: str = "other", queries: Sequence[str] | None = None
-) -> CategoryKeywords:
-    """Catch-all phrase pool drawn from the bundled trending queries."""
-    pool = list(queries) if queries is not None else load_trending_queries()
-    return CategoryKeywords(label=label, phrases=tuple(pool))
-
-
 def keyword_catalog(
-    keywords: Mapping[str, Sequence[str]] | None = None,
-    catchall: str = "other",
+    keywords: Mapping[str, Sequence[str]], catchall: str
 ) -> dict[str, CategoryKeywords]:
-    """CategoryKeywords for every topic including the catch-all pool."""
-    table = keywords if keywords is not None else load_default_keywords()
+    """CategoryKeywords for every topic, plus the catch-all's phrase pool
+    drawn from the bundled trending queries."""
     catalog = {
         label: CategoryKeywords(label=label, phrases=tuple(phrases))
-        for label, phrases in table.items()
+        for label, phrases in keywords.items()
     }
-    catalog[catchall] = catchall_keywords(catchall)
+    catalog[catchall] = CategoryKeywords(
+        label=catchall, phrases=tuple(load_trending_queries()))
     return catalog

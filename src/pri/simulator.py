@@ -180,11 +180,11 @@ def links_for_query(query: str) -> tuple[tuple[str, str], ...]:
     return tuple(links)
 
 
-# A campaign serves thousands of adverts but only a few hundred distinct
-# (text, position) pairs; adverts are frozen, so pages can share them.
+# A campaign serves thousands of adverts but only a few dozen distinct
+# texts; adverts are frozen, so pages can share them.
 @lru_cache(maxsize=4096)
-def _advert(text: str, position: int) -> Advert:
-    return Advert(text=text, position=position)
+def _advert(text: str) -> Advert:
+    return Advert(text)
 
 
 # Keyed by the query and the engine's (label, vocabulary) pairs: engines built
@@ -286,10 +286,6 @@ class AdEngine:
         self._last_served: tuple[str, ...] | None = None
 
     @property
-    def config(self) -> EngineConfig:
-        return self._config
-
-    @property
     def categories(self) -> CategorySet:
         return self._categories
 
@@ -327,7 +323,7 @@ class AdEngine:
                 continue
             ads = self._slices[label]
             for _ in range(count):
-                adverts.append(_advert(choice(ads), len(adverts)))
+                adverts.append(_advert(choice(ads)))
                 slot_labels.append(label)
         page = ResultPage(links=links_for_query(query), adverts=tuple(adverts))
         return page, tuple(slot_labels)

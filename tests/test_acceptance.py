@@ -161,20 +161,40 @@ def test_criterion_3_detection_campaign_rates(google):
            "fewer than 10 test sessions per topic")
     _check(failures, config.detector.session_probe_count == 5,
            "session rule is not 5 probes")
-    _check(failures, result.evaluation.sensitive_rate >= 0.95,
-           f"sensitive detection rate {result.evaluation.sensitive_rate:.3f} < 0.95")
-    _check(failures, result.evaluation.false_positive_rate <= 0.05,
-           f"false positive rate {result.evaluation.false_positive_rate:.3f} > 0.05")
-    for topic, row in result.evaluation.confusion.rows.items():
-        _check(failures, row.true_detect >= 0.90,
-               f"{topic}: true detect {row.true_detect:.3f} < 0.90")
-        _check(failures, row.false_other <= 0.10,
-               f"{topic}: false other {row.false_other:.3f} > 0.10")
+    _check_rates(failures, result.evaluation)
     _check(failures, elapsed < 120.0, f"took {elapsed:.1f}s, limit 120s")
     _verdict(3, "detection campaign rates", failures,
              f"rate {100 * result.evaluation.sensitive_rate:.1f}%, "
              f"fp {100 * result.evaluation.false_positive_rate:.1f}%, "
              f"12 topics x 10 sessions, {elapsed:.1f}s")
+
+
+def _check_rates(failures: list[str], evaluation) -> None:
+    _check(failures, evaluation.sensitive_rate >= 0.95,
+           f"sensitive detection rate {evaluation.sensitive_rate:.3f} < 0.95")
+    _check(failures, evaluation.false_positive_rate <= 0.05,
+           f"false positive rate {evaluation.false_positive_rate:.3f} > 0.05")
+    for topic, row in evaluation.confusion.rows.items():
+        _check(failures, row.true_detect >= 0.90,
+               f"{topic}: true detect {row.true_detect:.3f} < 0.90")
+        _check(failures, row.false_other <= 0.10,
+               f"{topic}: false other {row.false_other:.3f} > 0.10")
+
+
+# At these seeds every catch-all training probe scores the same value, so the
+# catch-all interval is a single point.  statistics.fmean of those equal
+# floats lands one ulp off that point, which would flag every catch-all test
+# session; the mean must be the value itself.
+@pytest.mark.parametrize("engine, seed", [
+    ("google_like", 4), ("google_like", 22), ("bing_like", 8), ("bing_like", 11),
+])
+def test_criterion_3_rates_hold_when_catchall_scores_are_equal(engine, seed):
+    result = run_campaign(
+        CampaignConfig(engine=load_engine_config(engine)), seed)
+    failures: list[str] = []
+    _check_rates(failures, result.evaluation)
+    assert result.baseline.per_topic["other"].sigma == 0.0
+    assert not failures, f"{engine} seed {seed}: " + "; ".join(failures)
 
 
 # ---------------------------------------------------------------------------

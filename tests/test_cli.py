@@ -83,7 +83,7 @@ class TestScore:
     def test_golden_advert_scores_as_csv(self, toy_model, tmp_path):
         page = ResultPage(
             links=(),
-            adverts=(Advert("patient choose safer treatment here", 0),),
+            adverts=(Advert("patient choose safer treatment here"),),
         )
         trace = SessionTrace("g-prostate-00", "prostate", (
             Interaction(step=1, query="symptoms and causes", page=page,
@@ -188,6 +188,14 @@ class TestProbeSelect:
         assert "too narrowing" in err
         assert "shares keyword terms" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_min_ratio_is_a_data_error(self, value, capsys):
+        # NaN compares false with every ratio: unchecked, it passes any probe.
+        code = main(["probe-select", "--topics", "payday,bankrupt,gambling",
+                     "--min-ratio", value])
+        assert code == 2
+        assert "min_ratio must be finite" in capsys.readouterr().err
+
     def test_capture_mode_ranks_page_terms(self, cli_bundle, capsys):
         assert main(["probe-select", "--capture",
                      str(cli_bundle / "test.capture"), "--top", "3"]) == 0
@@ -264,6 +272,15 @@ class TestCampaign:
         assert code == 1
         assert "--seed" in capsys.readouterr().err
 
+    def test_probe_count_above_min_probes_fails_before_simulating(
+            self, tmp_path, capsys):
+        out = tmp_path / "b"
+        code = main(["campaign", "--seed", "5", "--out", str(out),
+                     "--train", "1", "--test", "1", "--probe-count", "6"])
+        assert code == 2
+        assert "session_probe_count 6 exceeds 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_override_the_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "campaign.cfg"
         cfg.write_text("test_sessions_per_topic = 2\n"
@@ -299,6 +316,8 @@ _MALFORMED_CONFIGS = {
                            "test_sessions_per_topic must be at least 1"),
     "nan-sigma": ("sigma_multiplier = nan\n",
                   "sigma_multiplier must be positive and finite"),
+    "probe-count-above-min-probes": ("session_probe_count = 6\n",
+                                     "session_probe_count 6 exceeds 5"),
 }
 
 

@@ -84,7 +84,7 @@ class TestDictionary:
 def _page(*advert_texts: str, links=()) -> ResultPage:
     return ResultPage(
         links=tuple(links),
-        adverts=tuple(Advert(t, i) for i, t in enumerate(advert_texts)),
+        adverts=tuple(Advert(t) for t in advert_texts),
     )
 
 

@@ -28,7 +28,7 @@ from pri.textproc import filter_terms
 def _page(*advert_texts, links=()):
     return ResultPage(
         links=tuple(links),
-        adverts=tuple(Advert(t, i) for i, t in enumerate(advert_texts)),
+        adverts=tuple(Advert(t) for t in advert_texts),
     )
 
 

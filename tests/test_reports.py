@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from io import StringIO
 from pathlib import Path
 
@@ -201,9 +200,9 @@ class TestEmptyLag:
     @pytest.fixture
     def evaluation(self):
         truths = {"s1": "prostate", "s2": "other"}
-        probe_verdicts = {"s1": (ProbeVerdict(1, True, ("prostate",)),),
-                          "s2": (ProbeVerdict(1, False, ()),)}
-        session_verdicts = {"s1": SessionVerdict(True, Counter(prostate=1)),
+        probe_verdicts = {"s1": (ProbeVerdict(True, ("prostate",)),),
+                          "s2": (ProbeVerdict(False, ()),)}
+        session_verdicts = {"s1": SessionVerdict(True, frozenset({"prostate"})),
                             "s2": SessionVerdict(False)}
         verdicts, topics = list(session_verdicts.values()), list(truths.values())
         return Evaluation(

@@ -19,7 +19,7 @@ from pri.runner import (
     score_probes,
     training_corpus,
 )
-from pri.scripts import ClickPolicy, QueryScript, ScriptEntry, parse_script
+from pri.scripts import QueryScript, ScriptEntry, parse_script
 from pri.simulator import build_ad_pools, load_engine_config, new_engine
 from test_scripts import EXAMPLE_SCRIPT, LOCATION
 
@@ -61,8 +61,7 @@ class TestRunSession:
     def test_example_script_trace_shape(self, default_keywords):
         script = example_script()
         engine = location_engine(default_keywords)
-        policy = ClickPolicy(LOCATION)
-        trace = run_session(engine, script, policy, "manual-location-00")
+        trace = run_session(engine, script, LOCATION, "manual-location-00")
         assert trace.session_id == "manual-location-00"
         assert trace.topic_label == "location"
         # Waits pace the script but leave no interactions behind.
@@ -76,7 +75,7 @@ class TestRunSession:
     def test_user_clicks_follow_the_policy(self, default_keywords):
         script = example_script()
         engine = location_engine(default_keywords)
-        trace = run_session(engine, script, ClickPolicy(LOCATION), "s")
+        trace = run_session(engine, script, LOCATION, "s")
         clicked_totals = sum(len(it.clicked) for it in trace.interactions)
         assert clicked_totals > 0
         for it in trace.interactions:
@@ -222,7 +221,5 @@ class TestCampaign:
     def test_score_probes_aligns_with_probe_steps(self, mini_campaign):
         trace = mini_campaign.test_traces[0]
         vectors = score_probes(mini_campaign.model, trace)
-        assert [v.step for v in vectors] == [p.step for p in trace.probes]
-        redone = score(mini_campaign.model, trace.probes[0].page.adverts,
-                       step=trace.probes[0].step)
-        assert redone.scores == vectors[0].scores
+        redone = [score(mini_campaign.model, p.page.adverts) for p in trace.probes]
+        assert vectors == tuple(redone)

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from pri.errors import ValidationError
 from pri.scripts import (
+    CLICK_SHARE,
     CONNECTIVES,
+    MIN_PROBES,
     CategoryKeywords,
-    ClickPolicy,
     QueryScript,
     ScriptEntry,
-    catchall_keywords,
     click_decision,
     generate_script,
     keyword_catalog,
@@ -128,7 +128,7 @@ class TestGeneration:
     def test_invariants_for_any_seed(self, seed):
         script = generate_script(LOCATION, "help and advice", random.Random(seed))
         assert 25 <= script.query_count <= 40
-        assert script.probe_count >= 5
+        assert script.probe_count >= MIN_PROBES
         for gap in script.probe_gaps:
             assert 1 <= gap <= 5
         waits = [e.seconds for e in script.entries if e.kind == "wait"]
@@ -137,6 +137,13 @@ class TestGeneration:
         # Wait directives sit between queries, never lead or trail.
         assert script.entries[0].kind != "wait"
         assert script.entries[-1].kind != "wait"
+
+    def test_min_probes_is_reached(self):
+        # MIN_PROBES is a bound derived from the size constants; seed 1362
+        # (the only one in 0-2999) draws a script that holds exactly that many.
+        assert MIN_PROBES == 5
+        script = generate_script(LOCATION, "help and advice", random.Random(1362))
+        assert script.probe_count == MIN_PROBES
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -160,7 +167,8 @@ class TestGeneration:
             for phrase in phrases
             for term in filter_terms(phrase)
         }
-        script = generate_script(catchall_keywords(), "symptoms and causes",
+        catchall = keyword_catalog(load_default_keywords(), "other")["other"]
+        script = generate_script(catchall, "symptoms and causes",
                                  random.Random(seed))
         for entry in script.query_entries:
             if entry.kind == "probe":
@@ -195,7 +203,7 @@ class TestBundledData:
             assert not set(filter_terms(query)) & sensitive_terms, query
 
     def test_connectives_disjoint_from_all_topic_vocabularies(self):
-        catalog = keyword_catalog()
+        catalog = keyword_catalog(load_default_keywords(), "other")
         connective_terms = {
             t for c in CONNECTIVES for t in filter_terms(c)
         }
@@ -203,42 +211,37 @@ class TestBundledData:
             assert not connective_terms & keywords.term_set, label
 
     def test_catalog_includes_catchall(self):
-        catalog = keyword_catalog()
+        catalog = keyword_catalog(load_default_keywords(), "other")
         assert "other" in catalog
         assert len(catalog) == 12
         assert len(catalog["other"].phrases) == 50
 
 
 class TestClickDecision:
-    POLICY = ClickPolicy(CategoryKeywords("payday", ("payday", "cheap",
-                                                     "unsecured debt")))
+    KEYWORDS = CategoryKeywords("payday", ("payday", "cheap", "unsecured debt"))
 
     def test_two_hits_in_ten_terms_clicks(self):
         # 10 content terms, 2 keyword hits: TF = 0.2 > 0.1.
         text = ("payday cheap holiday cinema guitar museum puppy laptop "
                 "garden festival")
         assert len(filter_terms(text)) == 10
-        assert click_decision(text, self.POLICY)
+        assert click_decision(text, self.KEYWORDS)
 
     def test_one_hit_in_ten_terms_does_not_click(self):
         text = ("payday trail holiday cinema guitar museum puppy laptop "
                 "garden festival")
-        assert not click_decision(text, self.POLICY)
+        assert not click_decision(text, self.KEYWORDS)
 
     def test_zero_hits_never_clicks(self):
-        assert not click_decision("holiday cinema museum", self.POLICY)
+        assert not click_decision("holiday cinema museum", self.KEYWORDS)
 
     def test_empty_text_never_clicked(self):
-        assert not click_decision("", self.POLICY)
-        assert not click_decision("the of and", self.POLICY)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValidationError):
-            ClickPolicy(CategoryKeywords("x", ("y",)), tf_threshold=0.0)
+        assert not click_decision("", self.KEYWORDS)
+        assert not click_decision("the of and", self.KEYWORDS)
 
     def test_matching_respects_stemming(self):
         # "debts" stems to the keyword stem of "unsecured debt".
-        assert click_decision("debts debts debts", self.POLICY)
+        assert click_decision("debts debts debts", self.KEYWORDS)
 
     @given(st.integers(0, 8), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
@@ -248,27 +251,27 @@ class TestClickDecision:
         def item(hits):
             words = ["payday"] * hits + filler[: 8 - hits]
             return " ".join(words)
-        a = click_decision(item(min(hits_a, hits_b)), self.POLICY)
-        b = click_decision(item(max(hits_a, hits_b)), self.POLICY)
+        a = click_decision(item(min(hits_a, hits_b)), self.KEYWORDS)
+        b = click_decision(item(max(hits_a, hits_b)), self.KEYWORDS)
         if a:
             assert b
 
     def test_matches_the_direct_rule_on_every_pool_advert(self):
-        # Every advert the engine can serve, against every topic's policy,
+        # Every advert the engine can serve, against every topic's keywords,
         # first with the memo cold and then with it warm.
-        def direct(text, policy):
+        def direct(text, keywords):
             terms = filter_terms(text)
             if not terms:
                 return False
-            hits = sum(1 for t in terms if t in policy.keywords.term_set)
-            return hits / len(terms) > policy.tf_threshold
+            hits = sum(1 for t in terms if t in keywords.term_set)
+            return hits / len(terms) > CLICK_SHARE
 
-        catalog = keyword_catalog()
+        catalog = keyword_catalog(load_default_keywords(), "other")
         pools = build_ad_pools(load_default_keywords(), "other")
-        pairs = [(text, ClickPolicy(keywords))
+        pairs = [(text, keywords)
                  for pool in pools.values() for text in pool
                  for keywords in catalog.values()]
-        expected = [direct(text, policy) for text, policy in pairs]
+        expected = [direct(text, keywords) for text, keywords in pairs]
         assert any(expected) and not all(expected)
         _keyword_share.cache_clear()
         for _ in range(2):
