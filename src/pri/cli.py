@@ -112,7 +112,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             vector = score(model, interaction.page.adverts)
             for category in model.categories.all_labels:
                 writer.writerow((trace.session_id, interaction.step, category,
-                                 repr(float(vector.scores[category]))))
+                                 repr(vector.value(category))))
     _emit(out.getvalue(), args.out)
     return 0
 
@@ -354,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clicks", type=_on_off, default=None,
                    help="on|off (default on)")
     p.add_argument("--probe", default=None,
-                   help=f"probe query (default {DEFAULT_PROBE!r})")
+                   help=f"probe query (default {DEFAULT_PROBE!r}); one that "
+                        "shares a keyword term with any topic is refused "
+                        "(exit 2), as the bundled 'help and advice' is")
     _add_detector_flags(p)
     p.set_defaults(func=cmd_campaign)
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -184,27 +185,37 @@ def build_dictionary(corpus: list[LabeledAdvert]) -> Dictionary:
 # ---------------------------------------------------------------------------
 
 
-def _record_for(trace: SessionTrace, interaction: Interaction) -> dict:
-    return {
-        "session_id": trace.session_id,
-        "topic": trace.topic_label,
-        "step": interaction.step,
-        "query": interaction.query,
-        "is_probe": interaction.is_probe,
-        "links": [[t, s] for t, s in interaction.page.links],
-        "adverts": [ad.text for ad in interaction.page.adverts],
-        "clicked": list(interaction.clicked),
-    }
+# A campaign writes a few dozen distinct advert texts thousands of times.
+@lru_cache(maxsize=4096)
+def _encoded_advert(text: str) -> str:
+    return encode_basestring_ascii(text)
 
 
 def write_capture(traces: Iterable[SessionTrace], out: IO[str]) -> None:
-    """Write the canonical byte form: header, then records sorted by id/step."""
+    """Write the canonical byte form: header, then records sorted by id/step.
+
+    Each record is the bytes of ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))``, assembled from per-string encodings with the
+    keys in sorted order.
+    """
     out.write(CAPTURE_HEADER + "\n")
+    encode = encode_basestring_ascii
     for trace in sorted(traces, key=lambda t: t.session_id):
+        session_id = encode(trace.session_id)
+        topic = encode(trace.topic_label)
         for interaction in trace.interactions:
-            record = _record_for(trace, interaction)
-            out.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            out.write("\n")
+            page = interaction.page
+            adverts = ",".join([_encoded_advert(ad.text) for ad in page.adverts])
+            links = ",".join([f"[{encode(title)},{encode(snippet)}]"
+                              for title, snippet in page.links])
+            clicked = ",".join(map(str, interaction.clicked))
+            is_probe = "true" if interaction.is_probe else "false"
+            out.write(
+                f'{{"adverts":[{adverts}],"clicked":[{clicked}],'
+                f'"is_probe":{is_probe},"links":[{links}],'
+                f'"query":{encode(interaction.query)},'
+                f'"session_id":{session_id},"step":{interaction.step},'
+                f'"topic":{topic}}}\n')
 
 
 def save_capture(traces: Iterable[SessionTrace], path: str | Path) -> None:

@@ -151,7 +151,7 @@ def calibrate(model: PriModel, training_traces: Iterable[SessionTrace]) -> Topic
             )
         for probe in trace.probes:
             vector = score(model, probe.page.adverts)
-            samples[trace.topic_label].append(float(vector.scores[trace.topic_label]))
+            samples[trace.topic_label].append(vector.value(trace.topic_label))
     return baselines_from_samples(samples, catchall=model.categories.catchall)
 
 
@@ -159,20 +159,20 @@ def classify_probe(
     scores: ScoreVector, baseline: TopicBaseline, config: DetectorConfig
 ) -> ProbeVerdict:
     m = config.sigma_multiplier
-    if baseline.catchall not in scores.scores:
+    if baseline.catchall not in scores.numerators:
         raise ValidationError(f"scores lack the catch-all {baseline.catchall!r}")
     if baseline.catchall not in baseline.per_topic:
         raise ValidationError(f"baseline lacks the catch-all {baseline.catchall!r}")
-    catchall_value = float(scores.scores[baseline.catchall])
-    flag = not baseline.contains(baseline.catchall, catchall_value, m)
+    flag = not baseline.contains(
+        baseline.catchall, scores.value(baseline.catchall), m)
     detected: tuple[str, ...] = ()
     if flag:
         detected = tuple(
             topic
-            for topic, value in scores.scores.items()
+            for topic in scores.numerators
             if topic != baseline.catchall
             and topic in baseline.per_topic
-            and baseline.contains(topic, float(value), m)
+            and baseline.contains(topic, scores.value(topic), m)
         )
     return ProbeVerdict(sensitive_flag=flag, detected_topics=detected)
 

@@ -9,14 +9,16 @@ page computes, per category, the sum over dictionary terms of
 where a term's frequency inside an advert is its count over the advert's full
 filtered length, and terms outside the dictionary contribute nothing.
 
-Every value is exact, but the loops run on Python ints and build one
-``Fraction`` per output cell.  Training sums each (term, category) cell as an
-integer over the lcm of the advert lengths.  A model stores each category's
-shares as integer numerators over one common denominator ``D_c``, the lcm of
-that category's share denominators, and scoring sums a page's adverts over
-``L``, the lcm of their filtered lengths, so a page's score for category
-``c`` is ``Fraction(m, D_c * L)`` for an integer ``m``.  ``Fraction``
-normalises to lowest terms, so the results equal the term-by-term sums.
+Every value is exact, but the loops run on Python ints.  Training sums each
+(term, category) cell as an integer over the lcm of the advert lengths and
+builds one ``Fraction`` per cell.  A model stores each category's shares as
+integer numerators over one common denominator ``D_c``, the lcm of that
+category's share denominators, and scoring sums a page's adverts over ``L``,
+the lcm of their filtered lengths, so a page's score for category ``c`` is
+``m / (D_c * L)`` for an integer ``m``.  Scoring keeps ``m`` unreduced and
+builds no ``Fraction``: CPython's int true division is correctly rounded, so
+``m / (D_c * L)`` is the float of the exact score, and the ``Fraction`` view
+equals the term-by-term sums.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 from .corpus import (
     Advert,
@@ -137,9 +140,36 @@ class PriModel:
         return entry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreVector:
-    scores: dict[str, Fraction]
+    """A page's score for each category ``c``, kept unreduced as
+    ``numerators[c] / (denominators[c] * common)``.
+
+    ``numerators`` holds every category in label order, ``common`` is the
+    page's ``L`` and ``denominators`` the model's shared
+    ``share_denominators``.  Vectors compare by their exact scores.
+    """
+
+    numerators: dict[str, int]
+    common: int
+    denominators: Mapping[str, int] = field(repr=False)
+
+    def value(self, category: str) -> float:
+        """The score of one category as a float, correctly rounded."""
+        return self.numerators[category] / (
+            self.denominators[category] * self.common)
+
+    @cached_property
+    def scores(self) -> dict[str, Fraction]:
+        """The exact scores, in lowest terms, built on first access."""
+        common = self.common
+        return {category: Fraction(n, self.denominators[category] * common)
+                for category, n in self.numerators.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScoreVector):
+            return NotImplemented
+        return self.scores == other.scores
 
 
 def train(
@@ -193,19 +223,14 @@ def score(model: PriModel, adverts: Sequence[str | Advert]) -> ScoreVector:
         length, mass = model.contribution(text)
         if mass:
             entries.append((length, mass))
-    scores = dict.fromkeys(model.categories.all_labels, _ZERO)
-    if entries:
-        # Each advert's mass is over D_c * n; bring them all over D_c * L.
-        common = math.lcm(*(length for length, _ in entries))
-        sums: dict[str, int] = {}
-        for length, mass in entries:
-            scale = common // length
-            for category, value in mass:
-                sums[category] = sums.get(category, 0) + value * scale
-        denominators = model.share_denominators
-        for category, value in sums.items():
-            scores[category] = Fraction(value, denominators[category] * common)
-    return ScoreVector(scores)
+    sums = dict.fromkeys(model.categories.all_labels, 0)
+    # Each advert's mass is over D_c * n; bring them all over D_c * L.
+    common = math.lcm(*(length for length, _ in entries))
+    for length, mass in entries:
+        scale = common // length
+        for category, value in mass:
+            sums[category] += value * scale
+    return ScoreVector(sums, common, model.share_denominators)
 
 
 # ---------------------------------------------------------------------------

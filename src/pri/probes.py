@@ -113,6 +113,19 @@ def ambiguity_ratio(n_topic: int, n_topic_probe: int) -> float:
     return n_topic_probe / n_topic
 
 
+def revealing_topics(
+    probe: str, keywords: Mapping[str, Sequence[str]], topics: Iterable[str]
+) -> list[str]:
+    """The topics, sorted, whose keyword phrases share a filtered term with
+    the probe: a probe that reveals a topic moves an engine toward it.
+
+    A topic missing from ``keywords`` has no phrases and is never revealed.
+    """
+    probe_terms = frozenset(filter_terms(probe))
+    return sorted(t for t in topics
+                  if probe_terms & term_set(tuple(keywords.get(t, ()))))
+
+
 def select_probe(
     probes: Sequence[str],
     report: AmbiguityReport,
@@ -131,13 +144,9 @@ def select_probe(
         raise ValidationError("no topics in the group")
     if not math.isfinite(min_ratio):
         raise ValidationError(f"min_ratio must be finite, not {min_ratio!r}")
-    keyword_stems = {
-        topic: term_set(tuple((keywords or {}).get(topic, ()))) for topic in topics
-    }
     failures: list[str] = []
     for probe in probes:
-        probe_terms = frozenset(filter_terms(probe))
-        revealing = sorted(t for t in topics if probe_terms & keyword_stems[t])
+        revealing = revealing_topics(probe, keywords or {}, topics)
         if revealing:
             failures.append(
                 f"{probe!r} shares keyword terms with {', '.join(revealing)}"

@@ -10,9 +10,9 @@ artifacts.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import astuple, fields
-from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -61,9 +61,10 @@ def topic_score_matrix(result: CampaignResult) -> dict[str, dict[str, float]]:
     """
     evaluation = result.evaluation
     topics = result.config.categories.sensitive
-    # Per cell, numerators summed as ints over each distinct denominator:
-    # the probe scores of a campaign share few denominators, so the exact
-    # mean needs one Fraction per denominator, not one addition per score.
+    # Per cell, unreduced numerators summed as ints over each page lcm L
+    # (a campaign's probe pages share few values of L), then over the lcm M
+    # of those: the exact mean is one integer over D_c * M * count, and int
+    # true division rounds it correctly.
     sums: dict[str, dict[str, Counter]] = {
         t: {c: Counter() for c in topics} for t in topics
     }
@@ -75,19 +76,20 @@ def topic_score_matrix(result: CampaignResult) -> dict[str, dict[str, float]]:
         row = sums[truth]
         for vector in vectors:
             counts[truth] += 1
+            numerators = vector.numerators
             for category in topics:
-                value = vector.scores[category]
-                row[category][value.denominator] += value.numerator
+                row[category][vector.common] += numerators[category]
+    denominators = result.model.share_denominators
     matrix: dict[str, dict[str, float]] = {}
     for topic in topics:
         if not counts[topic]:
             raise ValueError(f"no probe scores for topic {topic!r}")
-        matrix[topic] = {
-            category: float(sum(
-                (Fraction(n, d) for d, n in sums[topic][category].items()),
-                Fraction(0)) / counts[topic])
-            for category in topics
-        }
+        matrix[topic] = {}
+        for category, by_common in sums[topic].items():
+            common = math.lcm(*by_common)
+            total = sum(n * (common // page) for page, n in by_common.items())
+            matrix[topic][category] = total / (
+                denominators[category] * common * counts[topic])
     return matrix
 
 

@@ -41,6 +41,7 @@ from .detector import (
 )
 from .errors import ValidationError
 from .estimator import PriModel, ScoreVector, score, train
+from .probes import revealing_topics
 from .scripts import (
     KIND_PROBE,
     KIND_WAIT,
@@ -136,6 +137,11 @@ class CampaignConfig:
             raise ValidationError("test_sessions_per_topic must be at least 1")
         if not self.probe.strip():
             raise ValidationError("probe text must be nonempty")
+        revealing = revealing_topics(self.probe, self.keywords, self.keywords)
+        if revealing:
+            raise ValidationError(
+                f"probe {self.probe!r} shares keyword terms with "
+                f"{', '.join(revealing)}")
         if self.detector.session_probe_count > MIN_PROBES:
             raise ValidationError(
                 f"session_probe_count {self.detector.session_probe_count} "

@@ -78,6 +78,11 @@ class ScriptEntry:
             raise ValidationError("query entries need text")
 
 
+# Entries are frozen, so every generated script shares these.
+_WAITS = tuple(ScriptEntry(KIND_WAIT, seconds=seconds)
+               for seconds in range(MIN_WAIT, MAX_WAIT + 1))
+
+
 @dataclass(frozen=True)
 class QueryScript:
     topic: str
@@ -149,7 +154,8 @@ def generate_script(
     # Aim below the ceiling so a final full gap cannot overshoot it.
     target = rng.randint(MIN_QUERIES, MAX_QUERIES - MAX_PROBE_GAP - 1)
 
-    queries: list[ScriptEntry] = [ScriptEntry(KIND_PROBE, probe)]
+    probe_entry = ScriptEntry(KIND_PROBE, probe)
+    queries: list[ScriptEntry] = [probe_entry]
     while len(queries) < target:
         gap_room = target - len(queries) - 1
         gap = rng.randint(MIN_PROBE_GAP, MAX_PROBE_GAP)
@@ -165,26 +171,25 @@ def generate_script(
             connective = rng.choice(CONNECTIVES)
             text = " ".join((connective + " " + " ".join(phrases)).split())
             queries.append(ScriptEntry(KIND_QUERY, text))
-        queries.append(ScriptEntry(KIND_PROBE, probe))
+        queries.append(probe_entry)
 
     entries: list[ScriptEntry] = []
     for i, entry in enumerate(queries):
         entries.append(entry)
         if i < len(queries) - 1:
-            entries.append(ScriptEntry(KIND_WAIT, seconds=rng.randint(MIN_WAIT,
-                                                                      MAX_WAIT)))
+            entries.append(_WAITS[rng.randint(MIN_WAIT, MAX_WAIT) - MIN_WAIT])
     script = QueryScript(topic=keywords.label, probe=probe, entries=tuple(entries))
     _check_generated(script)
     return script
 
 
 def _check_generated(script: QueryScript) -> None:
-    count = script.query_count
-    if not MIN_QUERIES <= count <= MAX_QUERIES:
-        raise ValidationError(f"generated script has {count} queries")
-    if script.query_entries[0].kind != KIND_PROBE:
+    queries = script.query_entries
+    if not MIN_QUERIES <= len(queries) <= MAX_QUERIES:
+        raise ValidationError(f"generated script has {len(queries)} queries")
+    if queries[0].kind != KIND_PROBE:
         raise ValidationError("generated script must open with a probe")
-    if script.query_entries[-1].kind != KIND_PROBE:
+    if queries[-1].kind != KIND_PROBE:
         raise ValidationError("generated script must close with a probe")
     bad = [g for g in script.probe_gaps
            if not MIN_PROBE_GAP <= g <= MAX_PROBE_GAP]

@@ -137,6 +137,8 @@ def expected_distinct(pool_size: int, draws: int) -> float:
     return pool_size * (1.0 - (1.0 - 1.0 / pool_size) ** draws)
 
 
+# Pure; every engine of a campaign asks the same question per category.
+@lru_cache(maxsize=256)
 def diversity_slice(pool_size: int, draws: int, target: float) -> int:
     """Smallest slice whose expected distinct-advert count best matches target."""
     if pool_size < 1:
@@ -159,24 +161,37 @@ def apportion_slots(
     counts = [int(quota) for quota in quotas]
     leftover = slots - sum(counts)
     if leftover > 0:
+        remainders = [quota - count for quota, count in zip(quotas, counts)]
         # A stable sort keeps `order` among equal remainders, reversed or not.
         by_remainder = sorted(range(len(order)),
-                              key=lambda i: quotas[i] - counts[i], reverse=True)
+                              key=remainders.__getitem__, reverse=True)
         for i in by_remainder[:leftover]:
             counts[i] += 1
     return dict(zip(order, counts))
+
+
+# LINK_WORDS[byte % len(LINK_WORDS)] for every byte value.
+_BYTE_WORDS = LINK_WORDS * (256 // len(LINK_WORDS) + 1)
+_RANK_SUFFIXES = tuple(str(rank).encode("ascii") for rank in range(LINKS_PER_PAGE))
 
 
 # Sessions submit the same queries again and again; the links depend on
 # the query alone, so each distinct query is hashed once.
 @lru_cache(maxsize=4096)
 def links_for_query(query: str) -> tuple[tuple[str, str], ...]:
-    """Organic links for a query: stable, rank-ordered, content-free."""
+    """Organic links for a query: stable, rank-ordered, content-free.
+
+    The words of rank ``r`` come from the first 8 bytes of the sha256
+    digest of ``f"{query}\\x1f{r}"``; the shared prefix is hashed once.
+    """
+    prefix = hashlib.sha256(query.encode("utf-8") + b"\x1f")
     links = []
-    for rank in range(LINKS_PER_PAGE):
-        digest = hashlib.sha256(f"{query}\x1f{rank}".encode("utf-8")).digest()
-        words = [LINK_WORDS[byte % len(LINK_WORDS)] for byte in digest[:8]]
-        links.append((" ".join(words[:3]), " ".join(words[3:])))
+    for suffix in _RANK_SUFFIXES:
+        digest = prefix.copy()
+        digest.update(suffix)
+        words = [_BYTE_WORDS[byte] for byte in digest.digest()[:8]]
+        links.append((f"{words[0]} {words[1]} {words[2]}",
+                      f"{words[3]} {words[4]} {words[5]} {words[6]} {words[7]}"))
     return tuple(links)
 
 
@@ -278,6 +293,9 @@ class AdEngine:
             (label, term_set(ads)) for label, ads in self._slices.items()
         )
         self._weights = _initial_belief(config.prior_knowledge, categories)
+        # The category of each advert slot, apportioned from the weights;
+        # None until the next page after the weights change.
+        self._slot_labels: tuple[str, ...] | None = None
         # (due step, label, kind) in registration order; applying in that
         # order keeps float results fixed (boosts multiply, queries add).
         self._queue: list[tuple[int, str, str]] = []
@@ -313,20 +331,16 @@ class AdEngine:
     # -- internals --------------------------------------------------------
 
     def _compose_page(self, query: str) -> tuple[ResultPage, tuple[str, ...]]:
-        counts = apportion_slots(self._weights, self._categories.all_labels,
-                                 self._config.ads_per_page)
-        adverts: list[Advert] = []
-        slot_labels: list[str] = []
+        slot_labels = self._slot_labels
+        if slot_labels is None:
+            counts = apportion_slots(self._weights, self._categories.all_labels,
+                                     self._config.ads_per_page)
+            slot_labels = self._slot_labels = tuple(
+                label for label, count in counts.items() for _ in range(count))
         choice = self._rng.choice
-        for label, count in counts.items():
-            if not count:
-                continue
-            ads = self._slices[label]
-            for _ in range(count):
-                adverts.append(_advert(choice(ads)))
-                slot_labels.append(label)
-        page = ResultPage(links=links_for_query(query), adverts=tuple(adverts))
-        return page, tuple(slot_labels)
+        slices = self._slices
+        adverts = tuple([_advert(choice(slices[label])) for label in slot_labels])
+        return ResultPage(links=links_for_query(query), adverts=adverts), slot_labels
 
     def _register(self, label: str, kind: str) -> None:
         lag = self._config.adaptation_lag
@@ -340,6 +354,7 @@ class AdEngine:
             self._weights[label] += QUERY_INCREMENT
         else:
             self._weights[label] *= self._config.click_boost
+        self._slot_labels = None
 
     def _apply_due(self) -> None:
         if not self._queue:

@@ -2,17 +2,19 @@
 
 These are deliberately naive, literal translations of the scoring definition:
 a double loop over dictionary terms and adverts in exact rational arithmetic.
-The slot apportionment and the topic-score matrix are kept in their plain
-forms, one dict per intermediate and one Fraction addition per score, as the
-references for the package's faster versions.  They share no code with the
+The slot apportionment, the topic-score matrix and the capture writer are
+kept in their plain forms, one dict per intermediate, one Fraction addition
+per score and one ``json.dumps`` per record, as the references for the
+package's faster versions.  They share no code with the
 package under test.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 TermLists = Sequence[tuple[str, Sequence[str]]]  # (label, filtered terms)
 
@@ -96,3 +98,22 @@ def reference_topic_score_matrix(result) -> dict[str, dict[str, float]]:
         }
         for topic in topics
     }
+
+
+def reference_write_capture(traces: Iterable, out: IO[str]) -> None:
+    """The capture byte form: one sorted-key compact ``json.dumps`` per record."""
+    out.write("#pri-capture v1\n")
+    for trace in sorted(traces, key=lambda t: t.session_id):
+        for interaction in trace.interactions:
+            record = {
+                "session_id": trace.session_id,
+                "topic": trace.topic_label,
+                "step": interaction.step,
+                "query": interaction.query,
+                "is_probe": interaction.is_probe,
+                "links": [[t, s] for t, s in interaction.page.links],
+                "adverts": [ad.text for ad in interaction.page.adverts],
+                "clicked": list(interaction.clicked),
+            }
+            out.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+            out.write("\n")

@@ -281,6 +281,20 @@ class TestCampaign:
         assert "session_probe_count 6 exceeds 5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("probe, topics", [
+        ("payday loans", "bankrupt, payday"),
+        ("help and advice", "gambling, payday"),
+    ])
+    def test_revealing_probe_fails_before_simulating(
+            self, tmp_path, capsys, probe, topics):
+        out = tmp_path / "b"
+        code = main(["campaign", "--seed", "5", "--out", str(out),
+                     "--train", "2", "--test", "2", "--probe", probe])
+        assert code == 2
+        assert (f"probe {probe!r} shares keyword terms with {topics}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_flags_override_the_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "campaign.cfg"
         cfg.write_text("test_sessions_per_topic = 2\n"
@@ -318,6 +332,8 @@ _MALFORMED_CONFIGS = {
                   "sigma_multiplier must be positive and finite"),
     "probe-count-above-min-probes": ("session_probe_count = 6\n",
                                      "session_probe_count 6 exceeds 5"),
+    "revealing-probe": ("probe = payday loans\n",
+                        "shares keyword terms with bankrupt, payday"),
 }
 
 

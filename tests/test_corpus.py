@@ -23,6 +23,8 @@ from pri.corpus import (
 from pri.errors import ValidationError
 from pri.textproc import TermFilter
 
+from oracle import reference_write_capture
+
 
 class TestCategorySet:
     def test_labels_in_declared_order(self):
@@ -242,6 +244,58 @@ def test_capture_round_trip_random_traces(rows):
     write_capture(traces, out)
     reparsed = parse_capture(out.getvalue().splitlines())
     assert reparsed == traces
+
+
+# Any code point, surrogates included: quotes, backslashes, control and
+# non-BMP characters all have their own escapes.
+_ANY_TEXT = st.text(st.characters(), max_size=12)
+
+
+@st.composite
+def _interaction(draw, step: int) -> Interaction:
+    adverts = tuple(Advert(t) for t in draw(st.lists(_ANY_TEXT, max_size=5)))
+    links = tuple(draw(st.lists(st.tuples(_ANY_TEXT, _ANY_TEXT), max_size=5)))
+    is_probe = draw(st.booleans())
+    clicked = () if is_probe else tuple(draw(st.sampled_from(
+        [(), tuple(range(len(adverts))), tuple(range(0, len(adverts), 2))])))
+    return Interaction(step, draw(_ANY_TEXT), ResultPage(links, adverts),
+                       clicked, is_probe)
+
+
+@st.composite
+def _traces(draw) -> list[SessionTrace]:
+    ids = draw(st.lists(_ANY_TEXT, min_size=1, max_size=4, unique=True))
+    traces = []
+    for session_id in ids:
+        steps = sorted(draw(st.sets(st.integers(0, 10**12), max_size=4)))
+        traces.append(SessionTrace(
+            session_id, draw(_ANY_TEXT),
+            tuple(draw(_interaction(step)) for step in steps)))
+    return traces
+
+
+@given(_traces())
+@settings(max_examples=200, deadline=None)
+def test_capture_writer_matches_one_json_dumps_per_record(traces):
+    fast, reference = StringIO(), StringIO()
+    write_capture(traces, fast)
+    reference_write_capture(traces, reference)
+    assert fast.getvalue() == reference.getvalue()
+
+
+def test_capture_writer_full_and_empty_clicks_and_escapes():
+    page = _page('say "hi"\\ \x00\x1f\x7f caf\u00e9 \U0001f600', "plain",
+                 links=[("t\tab", "new\nline"), ("\ud800", "")])
+    trace = SessionTrace("s\u2028", "to\"pic", (
+        Interaction(1, "q\b\f\r", page, (0, 1), False),
+        Interaction(2, "", page, (), True),
+        Interaction(3, "x", _page(), (), False),
+    ))
+    fast, reference = StringIO(), StringIO()
+    write_capture([trace], fast)
+    reference_write_capture([trace], reference)
+    assert fast.getvalue() == reference.getvalue()
+    assert fast.getvalue().isascii()
 
 
 def test_filter_object_reusable_across_modules(golden_filter):

@@ -36,7 +36,9 @@ from pri.estimator import ScoreVector, train
 def _vector(catchall_value, **topic_values):
     scores = {"other": F(catchall_value)}
     scores.update({k: F(v) for k, v in topic_values.items()})
-    return ScoreVector(scores)
+    common = math.lcm(*(v.denominator for v in scores.values()))
+    return ScoreVector({k: int(v * common) for k, v in scores.items()}, common,
+                       dict.fromkeys(scores, 1))
 
 
 def _baseline(**stats):

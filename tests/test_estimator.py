@@ -10,11 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pri.corpus import CategorySet, LabeledAdvert, build_dictionary
+from pri.corpus import CategorySet, Dictionary, LabeledAdvert, build_dictionary
 from pri.errors import ValidationError
 from pri.config import read_lines
-from pri.estimator import parse_model, score, train, write_model
-from pri.textproc import TermFilter
+from pri.estimator import (
+    PriModel,
+    TermStats,
+    parse_model,
+    score,
+    train,
+    write_model,
+)
+from pri.textproc import TermFilter, filter_terms
 
 from conftest import GOLDEN_DICTIONARY, GOLDEN_PAGE_ADVERT
 from oracle import frequency, reference_score_texts
@@ -341,6 +348,59 @@ def test_adding_supporting_advert_never_lowers_score(corpus, page, data):
     before = score(model, page_texts).scores[label]
     after = score(model, page_texts + [" ".join(extra_terms)]).scores[label]
     assert after >= before
+
+
+@given(corpus=corpus_strategy, page=page_strategy)
+@settings(max_examples=60, deadline=None)
+def test_float_value_is_the_exact_score_rounded(corpus, page):
+    vector = score(_make_model(corpus), [" ".join(words) for words in page])
+    for category in _LABELS:
+        assert vector.value(category) == float(vector.scores[category])
+
+
+# Weights over denominators of 170-185 digits: the share denominators D_c of
+# a 2,400-advert corpus of distinct texts have about 180.
+_HUGE = st.integers(10**170, 10**185)
+
+
+@st.composite
+def _huge_model(draw) -> PriModel:
+    categories = CategorySet(sensitive=_LABELS[:-1], catchall="other")
+    terms = sorted({filter_terms(word)[0] for word in _WORDS[:8]})
+    per_category = {}
+    for term in terms:
+        denominators = draw(st.lists(_HUGE, min_size=len(_LABELS),
+                                     max_size=len(_LABELS), unique=True))
+        per_category[term] = {
+            label: F(draw(st.integers(1, 10**185)), denominator)
+            for label, denominator in zip(_LABELS, denominators)}
+    return PriModel(
+        categories=categories,
+        dictionary=Dictionary({term: i for i, term in enumerate(terms)}),
+        stats=TermStats(total={t: sum(row.values()) for t, row in
+                               per_category.items()},
+                        per_category=per_category),
+    )
+
+
+@given(model=_huge_model(), page=page_strategy)
+@settings(max_examples=60, deadline=None)
+def test_float_value_is_exact_with_huge_denominators(model, page):
+    assert max(model.share_denominators.values()) >= 10**170
+    vector = score(model, [" ".join(words) for words in page])
+    for category in _LABELS:
+        assert vector.value(category) == float(vector.scores[category])
+
+
+def test_equal_scores_compare_equal_over_different_lcms(golden_model):
+    # "here" over one term and "here here" over two: the same scores, kept
+    # unreduced over different page lcms.
+    one = score(golden_model, ["here"])
+    doubled = score(golden_model, ["here here"])
+    assert (one.common, doubled.common) == (1, 2)
+    assert one.numerators != doubled.numerators
+    assert one == doubled
+    assert one != score(golden_model, ["diabetes"])
 
 
 def test_scoring_is_deterministic(golden_model):

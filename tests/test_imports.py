@@ -1,10 +1,15 @@
-"""Every name a library module imports at top level is used in that module.
+"""Every name a library module imports at top level is used in that module,
+and every private helper is used somewhere in the package.
 
 A stdlib stand-in for an unused-import lint: each ``src/pri/*.py`` file
 except ``__init__.py`` is parsed with ``ast``, and every name its top-level
 imports bind must appear as a name somewhere in the module.  An import
 statement carrying ``# noqa: F401`` on any of its lines is exempt, as are
 ``__future__`` imports.
+
+A second check stands in for a dead-code lint: every module-level function
+or class of ``src/pri/*.py`` whose name starts with ``_`` must be referenced,
+as a name, an attribute or an imported name, somewhere in ``src/pri``.
 """
 
 from __future__ import annotations
@@ -39,6 +44,29 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
+    """``module:line name`` of each private top-level function or class that
+    no module of ``sources`` (module name -> source) refers to."""
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and node.name.startswith("_")):
+                defined[node.name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in referenced)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -58,3 +86,24 @@ def test_the_check_honours_noqa_and_future():
 
 def test_there_are_modules_to_check():
     assert len(MODULES) >= 10
+
+
+def test_no_unreferenced_private_helpers():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    assert unreferenced_private_helpers(sources) == []
+
+
+def test_the_check_finds_a_stray_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _stray():\n    pass\n\n"
+             "class _Gone:\n    pass\n",
+        "b": "from .a import _used\n\ndef public():\n    return _used()\n",
+    }
+    assert unreferenced_private_helpers(sources) == ["a:4 _stray", "a:7 _Gone"]
+
+
+def test_the_check_counts_attribute_references():
+    sources = {"a": "def _helper():\n    pass\n",
+               "b": "from . import a\n\nx = a._helper\n"}
+    assert unreferenced_private_helpers(sources) == []

@@ -19,6 +19,7 @@ from pri.probes import (
     default_ambiguity_report,
     extract_candidates,
     parse_ambiguity_csv,
+    revealing_topics,
     select_probe,
     write_candidates_csv,
 )
@@ -204,6 +205,15 @@ class TestSelection:
                 for t in filter_terms(phrase)
             }
             assert not chosen_terms & topic_terms
+
+    def test_revealing_topics_over_every_bundled_topic(self, default_keywords):
+        topics = sorted(default_keywords)
+        assert revealing_topics("symptoms and causes", default_keywords,
+                                topics) == []
+        assert revealing_topics("help and advice", default_keywords,
+                                topics) == ["gambling", "payday"]
+        # A topic without phrases has no terms to reveal.
+        assert revealing_topics("payday loans", {}, ["payday"]) == []
 
     def test_empty_probe_list_rejected(self):
         with pytest.raises(ValidationError):

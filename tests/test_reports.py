@@ -29,10 +29,12 @@ from pri.reports import (
 )
 from pri.runner import CampaignConfig, Evaluation, evaluate_capture, run_campaign
 
+from pri.corpus import _encoded_advert
 from pri.scripts import _keyword_share
 from pri.simulator import (
     _advert,
     _matched_labels,
+    diversity_slice,
     links_for_query,
     load_engine_config,
 )
@@ -158,7 +160,8 @@ class TestFastPaths:
             write_bundle(run_campaign(config, master_seed=seed), tmp_path / name)
             return read_bundle_bytes(tmp_path / name)
 
-        for cached in (_advert, _matched_labels, links_for_query, _keyword_share):
+        for cached in (_advert, _matched_labels, links_for_query, _keyword_share,
+                       _encoded_advert, diversity_slice):
             cached.cache_clear()
         cold = bundle("google_like", 11, "cold")
         bundle("bing_like", 29, "bing")

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,10 @@ from hypothesis import strategies as st
 
 from pri.corpus import CategorySet
 from pri.errors import UsageError, ValidationError
+from pri.scripts import KIND_QUERY, click_decision, generate_script, keyword_catalog
 from pri.simulator import (
     AD_TAIL,
+    ENGINE_PRESETS,
     LINK_WORDS,
     LINKS_PER_PAGE,
     SHARED_FINANCE_ADS,
@@ -457,3 +461,37 @@ class TestEngineServing:
         engine.submit_query("symptoms and causes")
         with pytest.raises(ValidationError, match="out of range"):
             engine.register_click(4)
+
+
+class TestSlotLabelMemo:
+    @pytest.mark.parametrize("preset", ENGINE_PRESETS)
+    def test_slot_labels_follow_the_belief_at_every_step(
+            self, preset, pools, categories, default_keywords):
+        # A page's slots are apportioned again only after the weights
+        # change; at every step they must equal a fresh apportionment of the
+        # belief the page is served from.
+        catalog = keyword_catalog(default_keywords, "other")
+        config = load_engine_config(preset)
+        order = categories.all_labels
+        steps = changes = 0
+        for seed, topic in enumerate(("gambling", "payday", "location", "other")):
+            engine = new_engine(replace(config, seed=seed), pools, categories)
+            script = generate_script(catalog[topic], "symptoms and causes",
+                                     random.Random(seed))
+            previous = None
+            for entry in script.query_entries:
+                counts = reference_apportion_slots(
+                    engine.belief(), order, config.ads_per_page)
+                expected = tuple(label for label in order
+                                 for _ in range(counts[label]))
+                page = engine.submit_query(entry.text)
+                assert engine._last_served == expected
+                steps += 1
+                changes += expected != previous
+                previous = expected
+                if entry.kind == KIND_QUERY:
+                    for slot, advert in enumerate(page.adverts):
+                        if click_decision(advert.text, catalog[topic]):
+                            engine.register_click(slot)
+        # The sessions exercise both a kept and a recomputed apportionment.
+        assert 4 < changes < steps
