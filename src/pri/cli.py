@@ -170,11 +170,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"script {args.script!r} names no topic; add a '! topic:' line")
     keywords = load_default_keywords()
     categories = CategorySet(tuple(sorted(keywords)), args.catchall)
-    engine = new_engine(
-        replace(load_engine_config(args.engine), seed=args.seed),
-        build_ad_pools(keywords, args.catchall),
-        categories,
-    )
+    engine = new_engine(load_engine_config(args.engine),
+                        build_ad_pools(keywords, args.catchall),
+                        categories, args.seed)
     clicks = None
     if args.clicks and script.keywords:
         clicks = CategoryKeywords(script.topic, script.keywords)

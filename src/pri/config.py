@@ -45,14 +45,13 @@ def bundled_lines(name: str) -> list[str]:
 
 
 def parse_config(
-    lines: Iterable[str],
-    *,
-    source: str = "<config>",
-    base_dir: str | Path | None = None,
+    lines: Iterable[str], *, source: str = "<config>"
 ) -> dict[str, str]:
-    """Parse configuration lines into an ordered key -> value mapping."""
-    return _parse(lines, source, None if base_dir is None else Path(base_dir),
-                  frozenset())
+    """Parse configuration lines into an ordered key -> value mapping.
+
+    The lines come from no file, so they cannot ``include`` one.
+    """
+    return _parse(lines, source, None, frozenset())
 
 
 def load_config(path: str | Path) -> dict[str, str]:

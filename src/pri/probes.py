@@ -60,13 +60,6 @@ class AmbiguityReport:
                 return entry
         raise ValidationError(f"no ambiguity counts for ({topic!r}, {probe!r})")
 
-    @property
-    def probes(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for entry in self.entries:
-            seen.setdefault(entry.probe, None)
-        return tuple(seen)
-
 
 def _page_texts(page: ResultPage) -> Iterable[str]:
     for title, snippet in page.links:

@@ -1,8 +1,7 @@
 """Session and campaign orchestration.
 
 A session walks one generated (or hand-written) query script against a fresh
-engine instance: every query entry becomes one interaction, wait entries only
-pace the script and leave no mark on the trace, and the session topic's
+engine instance: every entry becomes one interaction, and the session topic's
 keywords decide which advert slots of user-query pages get clicked.  Probe
 responses are never clicked.
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .corpus import CategorySet, Interaction, LabeledAdvert, SessionTrace
@@ -43,8 +42,6 @@ from .errors import ValidationError
 from .estimator import PriModel, ScoreVector, score, train
 from .probes import revealing_topics
 from .scripts import (
-    KIND_PROBE,
-    KIND_WAIT,
     MIN_PROBES,
     CategoryKeywords,
     QueryScript,
@@ -79,22 +76,17 @@ def run_session(
             f"session {session_id}: topic {script.topic!r} is not an engine category"
         )
     interactions: list[Interaction] = []
-    step = 0
-    for entry in script.entries:
-        if entry.kind == KIND_WAIT:
-            continue
-        step += 1
-        is_probe = entry.kind == KIND_PROBE
+    for step, entry in enumerate(script.entries, start=1):
         page = engine.submit_query(entry.text)
         clicked: list[int] = []
-        if not is_probe and keywords is not None:
+        if not entry.is_probe and keywords is not None:
             for slot, advert in enumerate(page.adverts):
                 if click_decision(advert.text, keywords):
                     engine.register_click(slot)
                     clicked.append(slot)
         interactions.append(
             Interaction(step=step, query=entry.text, page=page,
-                        clicked=tuple(clicked), is_probe=is_probe)
+                        clicked=tuple(clicked), is_probe=entry.is_probe)
         )
     return SessionTrace(session_id=session_id, topic_label=script.topic,
                         interactions=tuple(interactions))
@@ -255,10 +247,8 @@ def run_campaign(config: CampaignConfig, master_seed: int) -> CampaignResult:
                     random.Random(derive_seed(master_seed, f"{session_id}:script")),
                 )
                 engine = new_engine(
-                    replace(config.engine,
-                            seed=derive_seed(master_seed, f"{session_id}:engine")),
-                    pools,
-                    categories,
+                    config.engine, pools, categories,
+                    derive_seed(master_seed, f"{session_id}:engine"),
                 )
                 clicks = catalog[topic] if config.clicks_enabled else None
                 traces.append(run_session(engine, script, clicks, session_id))

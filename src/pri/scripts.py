@@ -1,9 +1,9 @@
 """Session script generation, the script file format, and click emulation.
 
-A script is the unit of a user session: an ordered list of query entries
-(user queries and injected probes) with wait directives between them.  User
-queries are keyword groups drawn with replacement from a category's phrase
-list and dressed with a connective so they read like search queries.
+A script is the unit of a user session: an ordered list of query entries,
+user queries and injected probes.  User queries are keyword groups drawn
+with replacement from a category's phrase list and dressed with a connective
+so they read like search queries.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ MIN_QUERIES = 25
 MAX_QUERIES = 40
 MIN_PROBE_GAP = 1
 MAX_PROBE_GAP = 5
-MIN_WAIT = 1
-MAX_WAIT = 10
 # A generated script of q queries holds p probes with at most MAX_PROBE_GAP
 # user queries between neighbours, so q <= p + (p - 1) * MAX_PROBE_GAP: even
 # the shortest script holds this many probes.
@@ -38,10 +36,6 @@ MIN_PROBES = math.ceil((MIN_QUERIES + MAX_PROBE_GAP) / (MAX_PROBE_GAP + 1))
 # An advert is clicked when more than this share of its filtered terms are
 # terms of the session topic's keyword phrases.
 CLICK_SHARE = 0.1
-
-KIND_QUERY = "query"
-KIND_PROBE = "probe"
-KIND_WAIT = "wait"
 
 
 @dataclass(frozen=True)
@@ -64,45 +58,21 @@ class CategoryKeywords:
 
 @dataclass(frozen=True)
 class ScriptEntry:
-    kind: str
-    text: str = ""
-    seconds: int = 0
+    text: str
+    is_probe: bool
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_QUERY, KIND_PROBE, KIND_WAIT):
-            raise ValidationError(f"unknown script entry kind {self.kind!r}")
-        if self.kind == KIND_WAIT:
-            if self.seconds <= 0:
-                raise ValidationError("wait entries need a positive duration")
-        elif not self.text.strip():
+        if not self.text.strip():
             raise ValidationError("query entries need text")
-
-
-# Entries are frozen, so every generated script shares these.
-_WAITS = tuple(ScriptEntry(KIND_WAIT, seconds=seconds)
-               for seconds in range(MIN_WAIT, MAX_WAIT + 1))
 
 
 @dataclass(frozen=True)
 class QueryScript:
     topic: str
-    probe: str
     entries: tuple[ScriptEntry, ...]
     # The words of a script file's "! keywords:" line; generated scripts
     # have none, as a campaign clicks by its topic's CategoryKeywords.
     keywords: tuple[str, ...] = ()
-
-    @property
-    def query_entries(self) -> tuple[ScriptEntry, ...]:
-        return tuple(e for e in self.entries if e.kind != KIND_WAIT)
-
-    @property
-    def query_count(self) -> int:
-        return len(self.query_entries)
-
-    @property
-    def probe_count(self) -> int:
-        return sum(1 for e in self.entries if e.kind == KIND_PROBE)
 
     @property
     def probe_gaps(self) -> tuple[int, ...]:
@@ -110,8 +80,8 @@ class QueryScript:
         gaps = []
         run = 0
         seen_probe = False
-        for entry in self.query_entries:
-            if entry.kind == KIND_PROBE:
+        for entry in self.entries:
+            if entry.is_probe:
                 if seen_probe:
                     gaps.append(run)
                 run = 0
@@ -154,7 +124,7 @@ def generate_script(
     # Aim below the ceiling so a final full gap cannot overshoot it.
     target = rng.randint(MIN_QUERIES, MAX_QUERIES - MAX_PROBE_GAP - 1)
 
-    probe_entry = ScriptEntry(KIND_PROBE, probe)
+    probe_entry = ScriptEntry(probe, True)
     queries: list[ScriptEntry] = [probe_entry]
     while len(queries) < target:
         gap_room = target - len(queries) - 1
@@ -170,26 +140,21 @@ def generate_script(
             phrases = [rng.choice(keywords.phrases) for _ in range(group_size)]
             connective = rng.choice(CONNECTIVES)
             text = " ".join((connective + " " + " ".join(phrases)).split())
-            queries.append(ScriptEntry(KIND_QUERY, text))
+            queries.append(ScriptEntry(text, False))
         queries.append(probe_entry)
 
-    entries: list[ScriptEntry] = []
-    for i, entry in enumerate(queries):
-        entries.append(entry)
-        if i < len(queries) - 1:
-            entries.append(_WAITS[rng.randint(MIN_WAIT, MAX_WAIT) - MIN_WAIT])
-    script = QueryScript(topic=keywords.label, probe=probe, entries=tuple(entries))
+    script = QueryScript(topic=keywords.label, entries=tuple(queries))
     _check_generated(script)
     return script
 
 
 def _check_generated(script: QueryScript) -> None:
-    queries = script.query_entries
+    queries = script.entries
     if not MIN_QUERIES <= len(queries) <= MAX_QUERIES:
         raise ValidationError(f"generated script has {len(queries)} queries")
-    if queries[0].kind != KIND_PROBE:
+    if not queries[0].is_probe:
         raise ValidationError("generated script must open with a probe")
-    if queries[-1].kind != KIND_PROBE:
+    if not queries[-1].is_probe:
         raise ValidationError("generated script must close with a probe")
     bad = [g for g in script.probe_gaps
            if not MIN_PROBE_GAP <= g <= MAX_PROBE_GAP]
@@ -216,7 +181,8 @@ def _keyword_share(text: str, keyword_terms: frozenset[str]) -> float:
 
 # ---------------------------------------------------------------------------
 # script files (directives "! keywords:", "! probe:", "! topic:", "! wait N";
-# every other nonempty line is a query, probes recognized by their text)
+# every other nonempty line is a query, probes recognized by their text).
+# The simulated engine has no clock, so a wait is checked and then dropped.
 # ---------------------------------------------------------------------------
 
 
@@ -242,23 +208,22 @@ def parse_script(lines: Iterable[str]) -> QueryScript:
                 try:
                     seconds = int(value)
                 except ValueError:
+                    seconds = 0
+                if seconds <= 0:
                     raise ValidationError(
                         f"script line {lineno}: bad wait duration {value!r}"
-                    ) from None
-                entries.append(ScriptEntry(KIND_WAIT, seconds=seconds))
+                    )
             else:
                 raise ValidationError(
                     f"script line {lineno}: unknown directive {line!r}"
                 )
             continue
-        kind = KIND_PROBE if probe and line == probe else KIND_QUERY
-        entries.append(ScriptEntry(kind, line))
+        entries.append(ScriptEntry(line, line == probe))
     if not probe:
         raise ValidationError("script file declares no probe")
     if not entries:
         raise ValidationError("script file has no query entries")
-    return QueryScript(topic=topic, probe=probe, entries=tuple(entries),
-                       keywords=keywords)
+    return QueryScript(topic=topic, entries=tuple(entries), keywords=keywords)
 
 
 def keyword_catalog(

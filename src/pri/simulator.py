@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -91,7 +92,6 @@ class EngineConfig:
     ads_per_page: int = 4
     pool_diversity: float = 3.3
     prior_knowledge: str = ""
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.adaptation_lag < 0:
@@ -195,13 +195,6 @@ def links_for_query(query: str) -> tuple[tuple[str, str], ...]:
     return tuple(links)
 
 
-# A campaign serves thousands of adverts but only a few dozen distinct
-# texts; adverts are frozen, so pages can share them.
-@lru_cache(maxsize=4096)
-def _advert(text: str) -> Advert:
-    return Advert(text)
-
-
 # Keyed by the query and the engine's (label, vocabulary) pairs: engines built
 # from the same slices share their answers, and queries repeat across sessions.
 @lru_cache(maxsize=4096)
@@ -237,8 +230,11 @@ def _topic_ads(label: str, phrases: Sequence[str]) -> list[str]:
 
 def build_ad_pools(
     keywords: Mapping[str, Sequence[str]], catchall: str
-) -> dict[str, list[str]]:
-    """Advert pools for every keyword category plus the catch-all bucket."""
+) -> dict[str, tuple[Advert, ...]]:
+    """Advert pools for every keyword category plus the catch-all bucket.
+
+    Adverts are frozen, so every page an engine serves shares these.
+    """
     if not keywords:
         raise ValidationError("keyword map is empty")
     if catchall in keywords:
@@ -246,15 +242,11 @@ def build_ad_pools(
             f"catch-all label {catchall!r} collides with a keyword category"
         )
     pools = {
-        label: _topic_ads(label, tuple(phrases))
+        label: tuple(map(Advert, _topic_ads(label, tuple(phrases))))
         for label, phrases in keywords.items()
     }
-    pools[catchall] = list(_CATCHALL_ADS)
+    pools[catchall] = tuple(map(Advert, _CATCHALL_ADS))
     return pools
-
-
-_KIND_QUERY = "query"
-_KIND_CLICK = "click"
 
 
 def _initial_belief(text: str, categories: CategorySet) -> dict[str, float]:
@@ -273,34 +265,41 @@ class AdEngine:
     def __init__(
         self,
         config: EngineConfig,
-        pools: Mapping[str, Sequence[str]],
+        pools: Mapping[str, Sequence[Advert]],
         categories: CategorySet,
+        seed: int,
     ) -> None:
         missing = [c for c in categories.all_labels if c not in pools]
         if missing:
             raise ValidationError(f"no advert pool for categories: {missing}")
         self._config = config
         self._categories = categories
-        self._slices: dict[str, tuple[str, ...]] = {}
+        self._slices: dict[str, tuple[Advert, ...]] = {}
         for label in categories.all_labels:
-            pool = list(pools[label])
+            pool = tuple(pools[label])
             if not pool:
                 raise ValidationError(f"advert pool for {label!r} is empty")
             size = diversity_slice(len(pool), config.ads_per_page,
                                    config.pool_diversity)
-            self._slices[label] = tuple(pool[:size])
+            self._slices[label] = pool[:size]
+        # tuple() of a list, not of a generator: a generator's tuple is
+        # shrunk after filling, and every shrunk tuple would stay in the
+        # interpreter's tuple free list (about 0.2 MB per campaign).
         self._vocab = tuple(
-            (label, term_set(ads)) for label, ads in self._slices.items()
+            (label, term_set(tuple([ad.text for ad in ads])))
+            for label, ads in self._slices.items()
         )
         self._weights = _initial_belief(config.prior_knowledge, categories)
         # The category of each advert slot, apportioned from the weights;
         # None until the next page after the weights change.
         self._slot_labels: tuple[str, ...] | None = None
-        # (due step, label, kind) in registration order; applying in that
-        # order keeps float results fixed (boosts multiply, queries add).
-        self._queue: list[tuple[int, str, str]] = []
+        # (due step, label, is_click) in registration order.  Due steps never
+        # decrease along the queue, so draining its front applies updates in
+        # registration order, which keeps float results fixed (boosts
+        # multiply, queries add).
+        self._queue: deque[tuple[int, str, bool]] = deque()
         self._step = 0
-        self._rng = random.Random(config.seed)
+        self._rng = random.Random(seed)
         self._last_served: tuple[str, ...] | None = None
 
     @property
@@ -316,7 +315,7 @@ class AdEngine:
         page, slot_labels = self._compose_page(query)
         self._apply_due()
         for label in _matched_labels(query, self._vocab):
-            self._register(label, _KIND_QUERY)
+            self._register(label, False)
         self._last_served = slot_labels
         return page
 
@@ -326,7 +325,7 @@ class AdEngine:
             raise ValidationError("cannot register a click before any page is served")
         if not 0 <= position < len(self._last_served):
             raise ValidationError(f"clicked position {position} is out of range")
-        self._register(self._last_served[position], _KIND_CLICK)
+        self._register(self._last_served[position], True)
 
     # -- internals --------------------------------------------------------
 
@@ -339,38 +338,32 @@ class AdEngine:
                 label for label, count in counts.items() for _ in range(count))
         choice = self._rng.choice
         slices = self._slices
-        adverts = tuple([_advert(choice(slices[label])) for label in slot_labels])
+        adverts = tuple([choice(slices[label]) for label in slot_labels])
         return ResultPage(links=links_for_query(query), adverts=adverts), slot_labels
 
-    def _register(self, label: str, kind: str) -> None:
-        lag = self._config.adaptation_lag
-        if lag <= 0:
-            self._apply(label, kind)
-        else:
-            self._queue.append((self._step + lag, label, kind))
-
-    def _apply(self, label: str, kind: str) -> None:
-        if kind == _KIND_QUERY:
-            self._weights[label] += QUERY_INCREMENT
-        else:
-            self._weights[label] *= self._config.click_boost
-        self._slot_labels = None
+    def _register(self, label: str, is_click: bool) -> None:
+        self._queue.append((self._step + self._config.adaptation_lag,
+                            label, is_click))
+        self._apply_due()
 
     def _apply_due(self) -> None:
-        if not self._queue:
-            return
-        due = [entry for entry in self._queue if entry[0] <= self._step]
-        self._queue = [entry for entry in self._queue if entry[0] > self._step]
-        for _, label, kind in due:
-            self._apply(label, kind)
+        queue = self._queue
+        while queue and queue[0][0] <= self._step:
+            _, label, is_click = queue.popleft()
+            if is_click:
+                self._weights[label] *= self._config.click_boost
+            else:
+                self._weights[label] += QUERY_INCREMENT
+            self._slot_labels = None
 
 
 def new_engine(
     config: EngineConfig,
-    pools: Mapping[str, Sequence[str]],
+    pools: Mapping[str, Sequence[Advert]],
     categories: CategorySet,
+    seed: int,
 ) -> AdEngine:
-    return AdEngine(config, pools, categories)
+    return AdEngine(config, pools, categories, seed)
 
 
 # ---------------------------------------------------------------------------

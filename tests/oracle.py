@@ -5,8 +5,9 @@ a double loop over dictionary terms and adverts in exact rational arithmetic.
 The slot apportionment, the topic-score matrix and the capture writer are
 kept in their plain forms, one dict per intermediate, one Fraction addition
 per score and one ``json.dumps`` per record, as the references for the
-package's faster versions.  They share no code with the
-package under test.
+package's faster versions.  The engine's belief is replayed from the whole
+log of registered updates at every step, with no pending queue.  They share
+no code with the package under test.
 """
 
 from __future__ import annotations
@@ -117,3 +118,38 @@ def reference_write_capture(traces: Iterable, out: IO[str]) -> None:
             }
             out.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
             out.write("\n")
+
+
+class ReferenceBelief:
+    """Engine weights replayed from the log of every registered update.
+
+    An update registered at interaction ``j`` (a query matching a category,
+    or a click on one of its slots) is in the belief from step ``j + lag``
+    on.  Updates apply in registration order: a query adds 1.0, a click
+    multiplies by the boost.
+    """
+
+    def __init__(self, initial: Mapping[str, float], lag: int,
+                 click_boost: float) -> None:
+        self.initial = dict(initial)
+        self.lag = lag
+        self.click_boost = click_boost
+        self.step = 0
+        self.log: list[tuple[int, str, bool]] = []
+
+    def query(self, labels: Iterable[str]) -> None:
+        self.step += 1
+        self.log.extend((self.step, label, False) for label in labels)
+
+    def click(self, label: str) -> None:
+        self.log.append((self.step, label, True))
+
+    def belief(self) -> dict[str, float]:
+        weights = dict(self.initial)
+        for registered, label, is_click in self.log:
+            if registered + self.lag <= self.step:
+                if is_click:
+                    weights[label] *= self.click_boost
+                else:
+                    weights[label] += 1.0
+        return weights

@@ -257,6 +257,35 @@ symptoms and causes
         assert code == 1
         assert "altavista" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "soon"])
+    def test_bad_wait_is_a_data_error(self, tmp_path, capsys, value):
+        script = tmp_path / "s.script"
+        script.write_text(self.SCRIPT.replace("! wait 5", f"! wait {value}"))
+        out = tmp_path / "x.capture"
+        code = main(["simulate", "--script", str(script), "--engine",
+                     "google_like", "--seed", "9", "--out", str(out)])
+        assert code == 2
+        assert f"line 6: bad wait duration {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "campaign"])
+def test_engine_file_cannot_set_a_seed(tmp_path, capsys, command):
+    # The seed is the run's --seed (for a campaign, each session's derived
+    # seed), never an engine setting.
+    engine = tmp_path / "seeded.cfg"
+    engine.write_text("adaptation_lag = 1\nseed = 3\n", encoding="utf-8")
+    script = tmp_path / "s.script"
+    script.write_text(TestSimulate.SCRIPT, encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--script", str(script), "--out", str(out)]
+    else:
+        argv = ["campaign", "--out", str(out), "--train", "1", "--test", "1"]
+    assert main(argv + ["--engine", str(engine), "--seed", "9"]) == 2
+    assert "unknown engine setting 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestCampaign:
     def test_bundle_has_every_artifact(self, cli_bundle):

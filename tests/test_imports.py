@@ -7,9 +7,10 @@ imports bind must appear as a name somewhere in the module.  An import
 statement carrying ``# noqa: F401`` on any of its lines is exempt, as are
 ``__future__`` imports.
 
-A second check stands in for a dead-code lint: every module-level function
-or class of ``src/pri/*.py`` whose name starts with ``_`` must be referenced,
-as a name, an attribute or an imported name, somewhere in ``src/pri``.
+A second check stands in for a dead-code lint: every module-level function,
+class or assigned name of ``src/pri/*.py`` that starts with ``_`` must be
+read, as a name, an attribute or an imported name, somewhere in
+``src/pri``.  Assigning to a name does not count as reading it.
 """
 
 from __future__ import annotations
@@ -44,20 +45,35 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each private top-level function, class or assigned
+    name of a module; dunder names such as ``__all__`` are not private."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(name.id, node.lineno) for target in targets
+                      for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)]
+    return [(name, line) for name, line in found
+            if name.startswith("_") and not name.endswith("__")]
+
+
 def unreferenced_private_helpers(sources: dict[str, str]) -> list[str]:
-    """``module:line name`` of each private top-level function or class that
-    no module of ``sources`` (module name -> source) refers to."""
+    """``module:line name`` of each private top-level function, class or
+    assigned name that no module of ``sources`` (module name -> source)
+    reads."""
     defined: dict[str, str] = {}
     referenced: set[str] = set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-                    and node.name.startswith("_")):
-                defined[node.name] = f"{module}:{node.lineno}"
+        for name, line in private_definitions(tree):
+            defined[name] = f"{module}:{line}"
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
@@ -101,6 +117,15 @@ def test_the_check_finds_a_stray_helper():
         "b": "from .a import _used\n\ndef public():\n    return _used()\n",
     }
     assert unreferenced_private_helpers(sources) == ["a:4 _stray", "a:7 _Gone"]
+
+
+def test_the_check_finds_a_stray_constant():
+    sources = {
+        "a": "_USED = 2\n_UNUSED = 1\n_PAIR: tuple = (1, 2)\n",
+        "b": "from .a import _USED\n\nx = _USED * 2\n",
+    }
+    assert unreferenced_private_helpers(sources) == ["a:2 _UNUSED",
+                                                     "a:3 _PAIR"]
 
 
 def test_the_check_counts_attribute_references():

@@ -32,7 +32,6 @@ from pri.runner import CampaignConfig, Evaluation, evaluate_capture, run_campaig
 from pri.corpus import _encoded_advert
 from pri.scripts import _keyword_share
 from pri.simulator import (
-    _advert,
     _matched_labels,
     diversity_slice,
     links_for_query,
@@ -160,7 +159,7 @@ class TestFastPaths:
             write_bundle(run_campaign(config, master_seed=seed), tmp_path / name)
             return read_bundle_bytes(tmp_path / name)
 
-        for cached in (_advert, _matched_labels, links_for_query, _keyword_share,
+        for cached in (_matched_labels, links_for_query, _keyword_share,
                        _encoded_advert, diversity_slice):
             cached.cache_clear()
         cold = bundle("google_like", 11, "cold")

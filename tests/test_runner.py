@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from io import StringIO
 
@@ -19,7 +20,7 @@ from pri.runner import (
     score_probes,
     training_corpus,
 )
-from pri.scripts import QueryScript, ScriptEntry, parse_script
+from pri.scripts import QueryScript, ScriptEntry, generate_script, parse_script
 from pri.simulator import build_ad_pools, load_engine_config, new_engine
 from test_scripts import EXAMPLE_SCRIPT, LOCATION
 
@@ -29,8 +30,7 @@ from conftest import MINI_KEYWORDS
 def location_engine(default_keywords, seed=3):
     pools = build_ad_pools(default_keywords, "other")
     categories = CategorySet(tuple(sorted(default_keywords)), "other")
-    config = replace(load_engine_config("google_like"), seed=seed)
-    return new_engine(config, pools, categories)
+    return new_engine(load_engine_config("google_like"), pools, categories, seed)
 
 
 def example_script():
@@ -64,13 +64,20 @@ class TestRunSession:
         trace = run_session(engine, script, LOCATION, "manual-location-00")
         assert trace.session_id == "manual-location-00"
         assert trace.topic_label == "location"
-        # Waits pace the script but leave no interactions behind.
+        # The file's waits leave no entries, so no interactions either.
         assert len(trace.interactions) == 14
         assert [it.step for it in trace.interactions] == list(range(1, 15))
         assert [it.step for it in trace.probes] == [1, 4, 8, 14]
         for probe in trace.probes:
             assert probe.clicked == ()
             assert probe.query == "help and advice"
+
+    def test_every_generated_entry_is_one_interaction(self, default_keywords):
+        script = generate_script(LOCATION, "help and advice", random.Random(4))
+        trace = run_session(location_engine(default_keywords), script,
+                            LOCATION, "s")
+        assert [(it.query, it.is_probe) for it in trace.interactions] == [
+            (entry.text, entry.is_probe) for entry in script.entries]
 
     def test_user_clicks_follow_the_policy(self, default_keywords):
         script = example_script()
@@ -91,11 +98,9 @@ class TestRunSession:
     def test_probe_free_script_is_fine(self, default_keywords):
         script = QueryScript(
             topic="location",
-            probe="help and advice",
             entries=(
-                ScriptEntry("query", "london hotels"),
-                ScriptEntry("wait", seconds=3),
-                ScriptEntry("query", "england trains"),
+                ScriptEntry("london hotels", False),
+                ScriptEntry("england trains", False),
             ),
         )
         trace = run_session(location_engine(default_keywords), script,
@@ -104,8 +109,8 @@ class TestRunSession:
         assert trace.probes == ()
 
     def test_unknown_topic_rejected(self, default_keywords):
-        script = QueryScript(topic="astrology", probe="p",
-                             entries=(ScriptEntry("query", "stars"),))
+        script = QueryScript(topic="astrology",
+                             entries=(ScriptEntry("stars", False),))
         with pytest.raises(ValidationError, match="astrology"):
             run_session(location_engine(default_keywords), script, None, "s")
 

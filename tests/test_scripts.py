@@ -29,6 +29,7 @@ from pri.textproc import filter_terms
 
 # A session script in the published example's shape: keyword and probe
 # directives, waits between queries, the probe text appearing as a bare line.
+# The waits are checked and dropped: the simulated engine has no clock.
 EXAMPLE_SCRIPT = """\
 ! keywords: london england uk
 ! probe: help and advice
@@ -67,23 +68,20 @@ LOCATION = CategoryKeywords("location", ("london", "england", "uk"))
 class TestParseExample:
     def test_entry_counts(self):
         script = parse_script(EXAMPLE_SCRIPT.splitlines())
-        assert script.probe == "help and advice"
         assert script.keywords == ("london", "england", "uk")
-        assert script.query_count == 14
-        assert script.probe_count == 4
+        assert len(script.entries) == 14
+        probes = [e.text for e in script.entries if e.is_probe]
+        assert probes == ["help and advice"] * 4
 
     def test_probe_positions_and_gaps(self):
         script = parse_script(EXAMPLE_SCRIPT.splitlines())
-        kinds = [e.kind for e in script.query_entries]
-        assert [i + 1 for i, k in enumerate(kinds) if k == "probe"] == [1, 4, 8, 14]
+        positions = [i + 1 for i, e in enumerate(script.entries) if e.is_probe]
+        assert positions == [1, 4, 8, 14]
         assert script.probe_gaps == (2, 3, 5)
 
-    def test_waits_preserved(self):
-        script = parse_script(EXAMPLE_SCRIPT.splitlines())
-        waits = [e.seconds for e in script.entries if e.kind == "wait"]
-        assert len(waits) == 13
-        assert waits[0] == 7
-        assert max(waits) <= 10 and min(waits) >= 1
+    def test_waits_add_no_entry(self):
+        script = parse_script(["! probe: x", "x", "! wait 5", "y", "! wait 1"])
+        assert script.entries == (ScriptEntry("x", True), ScriptEntry("y", False))
 
     def test_literal_file_parses_to_expected_script(self):
         text = ("! keywords: london uk\n! probe: help and advice\n"
@@ -91,11 +89,9 @@ class TestParseExample:
                 "cheap hotels in london\n\nhelp and advice\n")
         assert parse_script(text.splitlines()) == QueryScript(
             topic="location",
-            probe="help and advice",
-            entries=(ScriptEntry("probe", "help and advice"),
-                     ScriptEntry("wait", seconds=3),
-                     ScriptEntry("query", "cheap hotels in london"),
-                     ScriptEntry("probe", "help and advice")),
+            entries=(ScriptEntry("help and advice", True),
+                     ScriptEntry("cheap hotels in london", False),
+                     ScriptEntry("help and advice", True)),
             keywords=("london", "uk"),
         )
 
@@ -104,8 +100,10 @@ class TestParseExample:
             parse_script(["london hotels"])
 
     def test_bad_wait_rejected(self):
-        with pytest.raises(ValidationError, match="line 3"):
-            parse_script(["! probe: x", "x", "! wait soon"])
+        # A wait is checked although it is not stored: a positive whole number.
+        for value in ("soon", "0", "-3", "", "2.5"):
+            with pytest.raises(ValidationError, match="line 3: bad wait duration"):
+                parse_script(["! probe: x", "x", f"! wait {value}"])
 
     def test_unknown_directive_rejected(self):
         with pytest.raises(ValidationError, match="directive"):
@@ -120,30 +118,27 @@ class TestGeneration:
 
     def test_opens_and_closes_with_probe(self):
         script = generate_script(LOCATION, "help and advice", random.Random(1))
-        assert script.query_entries[0].kind == "probe"
-        assert script.query_entries[-1].kind == "probe"
+        assert script.entries[0].is_probe
+        assert script.entries[-1].is_probe
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_invariants_for_any_seed(self, seed):
         script = generate_script(LOCATION, "help and advice", random.Random(seed))
-        assert 25 <= script.query_count <= 40
-        assert script.probe_count >= MIN_PROBES
+        assert 25 <= len(script.entries) <= 40
+        assert sum(e.is_probe for e in script.entries) >= MIN_PROBES
         for gap in script.probe_gaps:
             assert 1 <= gap <= 5
-        waits = [e.seconds for e in script.entries if e.kind == "wait"]
-        assert len(waits) == script.query_count - 1
-        assert all(1 <= w <= 10 for w in waits)
-        # Wait directives sit between queries, never lead or trail.
-        assert script.entries[0].kind != "wait"
-        assert script.entries[-1].kind != "wait"
+        # The entries are exactly the queries: the probe and user queries.
+        for entry in script.entries:
+            assert entry.is_probe == (entry.text == "help and advice")
 
     def test_min_probes_is_reached(self):
         # MIN_PROBES is a bound derived from the size constants; seed 1362
         # (the only one in 0-2999) draws a script that holds exactly that many.
         assert MIN_PROBES == 5
         script = generate_script(LOCATION, "help and advice", random.Random(1362))
-        assert script.probe_count == MIN_PROBES
+        assert sum(e.is_probe for e in script.entries) == MIN_PROBES
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -151,8 +146,8 @@ class TestGeneration:
         script = generate_script(LOCATION, "help and advice", random.Random(seed))
         keyword_words = {w for p in LOCATION.phrases for w in p.split()}
         connective_words = {w for c in CONNECTIVES for w in c.split()}
-        for entry in script.query_entries:
-            if entry.kind == "probe":
+        for entry in script.entries:
+            if entry.is_probe:
                 continue
             words = set(entry.text.split())
             assert words <= keyword_words | connective_words
@@ -170,8 +165,8 @@ class TestGeneration:
         catchall = keyword_catalog(load_default_keywords(), "other")["other"]
         script = generate_script(catchall, "symptoms and causes",
                                  random.Random(seed))
-        for entry in script.query_entries:
-            if entry.kind == "probe":
+        for entry in script.entries:
+            if entry.is_probe:
                 continue
             assert not set(filter_terms(entry.text)) & sensitive_terms, entry.text
 
@@ -268,8 +263,8 @@ class TestClickDecision:
 
         catalog = keyword_catalog(load_default_keywords(), "other")
         pools = build_ad_pools(load_default_keywords(), "other")
-        pairs = [(text, keywords)
-                 for pool in pools.values() for text in pool
+        pairs = [(ad.text, keywords)
+                 for pool in pools.values() for ad in pool
                  for keywords in catalog.values()]
         expected = [direct(text, keywords) for text, keywords in pairs]
         assert any(expected) and not all(expected)

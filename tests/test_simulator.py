@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from pri.corpus import CategorySet
 from pri.errors import UsageError, ValidationError
-from pri.scripts import KIND_QUERY, click_decision, generate_script, keyword_catalog
+from pri.scripts import click_decision, generate_script, keyword_catalog
 from pri.simulator import (
     AD_TAIL,
     ENGINE_PRESETS,
@@ -34,12 +33,17 @@ from pri.simulator import (
 )
 from pri.textproc import filter_terms
 
-from oracle import reference_apportion_slots
+from oracle import ReferenceBelief, reference_apportion_slots
 
 
 @pytest.fixture(scope="module")
 def pools(default_keywords):
     return build_ad_pools(default_keywords, "other")
+
+
+@pytest.fixture(scope="module")
+def pool_texts(pools):
+    return {label: tuple(ad.text for ad in pool) for label, pool in pools.items()}
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +53,7 @@ def categories(default_keywords):
 
 def google_config(**overrides) -> EngineConfig:
     base = dict(adaptation_lag=0, click_boost=2.0, ads_per_page=4,
-                pool_diversity=3.3, prior_knowledge="other:100", seed=7)
+                pool_diversity=3.3, prior_knowledge="other:100")
     base.update(overrides)
     return EngineConfig(**base)
 
@@ -58,7 +62,7 @@ def composition(page, pools) -> Counter:
     """Count page adverts by the pool(s) their text belongs to."""
     out: Counter = Counter()
     for ad in page.adverts:
-        labels = sorted(l for l, pool in pools.items() if ad.text in pool)
+        labels = sorted(l for l, pool in pools.items() if ad in pool)
         out["+".join(labels)] += 1
     return out
 
@@ -91,7 +95,6 @@ class TestEngineConfig:
         config = engine_config_from_mapping({
             "adaptation_lag": "3", "click_boost": "2.0", "ads_per_page": "3",
             "pool_diversity": "1.7", "prior_knowledge": "other:100",
-            "seed": "0",
         })
         assert config.adaptation_lag == 3
         assert config.pool_diversity == 1.7
@@ -108,16 +111,19 @@ class TestEngineConfig:
 class TestEnginePresets:
     def test_google_like(self):
         config = load_engine_config("google_like")
-        assert config == EngineConfig(0, 2.0, 4, 3.3, "other:100", 0)
+        assert config == EngineConfig(0, 2.0, 4, 3.3, "other:100")
 
     def test_bing_like(self):
         config = load_engine_config("bing_like")
-        assert config == EngineConfig(3, 2.0, 3, 1.7, "other:100", 0)
+        assert config == EngineConfig(3, 2.0, 3, 1.7, "other:100")
 
-    def test_seed_override(self, tmp_path):
+    def test_seed_is_not_a_setting(self, tmp_path):
+        # Every engine takes its seed as an argument: a run's --seed, or
+        # the session's derived engine seed.
         custom = tmp_path / "seeded.cfg"
         custom.write_text("seed = 99\n", encoding="utf-8")
-        assert load_engine_config(custom) == EngineConfig(seed=99)
+        with pytest.raises(ValidationError, match="unknown engine setting 'seed'"):
+            load_engine_config(custom)
 
     def test_unknown_name_is_usage_error(self):
         with pytest.raises(UsageError, match="no-such-engine"):
@@ -223,27 +229,27 @@ class TestAdPools:
         for pool in pools.values():
             assert len(pool) == 8
 
-    def test_sensitive_adverts_carry_the_tail(self, pools):
-        for label, pool in pools.items():
+    def test_sensitive_adverts_carry_the_tail(self, pool_texts):
+        for label, pool in pool_texts.items():
             if label == "other":
                 continue
             for ad in pool:
                 if ad not in SHARED_FINANCE_ADS:
                     assert ad.endswith(AD_TAIL), (label, ad)
 
-    def test_related_finance_pools_share_generic_copy(self, pools):
-        assert tuple(pools["payday"][5:]) == SHARED_FINANCE_ADS
-        assert tuple(pools["bankrupt"][5:]) == SHARED_FINANCE_ADS
+    def test_related_finance_pools_share_generic_copy(self, pool_texts):
+        assert pool_texts["payday"][5:] == SHARED_FINANCE_ADS
+        assert pool_texts["bankrupt"][5:] == SHARED_FINANCE_ADS
 
-    def test_catchall_pool_is_one_term_multiset(self, pools):
-        reference = Counter(filter_terms(pools["other"][0]))
-        for ad in pools["other"]:
+    def test_catchall_pool_is_one_term_multiset(self, pool_texts):
+        reference = Counter(filter_terms(pool_texts["other"][0]))
+        for ad in pool_texts["other"]:
             assert Counter(filter_terms(ad)) == reference
         # Eight distinct surface strings nonetheless.
-        assert len(set(pools["other"])) == 8
+        assert len(set(pool_texts["other"])) == 8
 
-    def test_own_adverts_share_a_term_multiset_per_category(self, pools):
-        for label, pool in pools.items():
+    def test_own_adverts_share_a_term_multiset_per_category(self, pool_texts):
+        for label, pool in pool_texts.items():
             own = [ad for ad in pool if ad not in SHARED_FINANCE_ADS]
             reference = Counter(filter_terms(own[0]))
             for ad in own:
@@ -278,14 +284,15 @@ class TestLinks:
 
 class TestEngineServing:
     def test_uniform_belief_without_prior(self, pools, categories):
-        engine = new_engine(google_config(prior_knowledge=""), pools, categories)
+        engine = new_engine(google_config(prior_knowledge=""), pools,
+                            categories, 7)
         belief = engine.belief()
         assert abs(sum(belief.values()) - 1.0) < 1e-12
         for weight in belief.values():
             assert abs(weight - 1 / 12) < 1e-12
 
     def test_prior_concentrates_belief(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories)
+        engine = new_engine(google_config(), pools, categories, 7)
         belief = engine.belief()
         assert abs(belief["other"] - 100 / 111) < 1e-12
         assert abs(belief["prostate"] - 1 / 111) < 1e-12
@@ -294,62 +301,62 @@ class TestEngineServing:
     def test_prior_naming_unknown_category_rejected(self, pools, categories):
         config = google_config(prior_knowledge="shoes:5")
         with pytest.raises(ValidationError, match="shoes"):
-            new_engine(config, pools, categories)
+            new_engine(config, pools, categories, 7)
 
     def test_missing_pool_rejected(self, pools, categories):
         partial = {k: v for k, v in pools.items() if k != "divorce"}
         with pytest.raises(ValidationError, match="divorce"):
-            new_engine(google_config(), partial, categories)
+            new_engine(google_config(), partial, categories, 7)
 
     def test_cold_page_is_pure_catchall(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories)
+        engine = new_engine(google_config(), pools, categories, 7)
         page = engine.submit_query("symptoms and causes")
         assert composition(page, pools) == {"other": 4}
 
     def test_one_query_yields_two_topic_slots(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories)
+        engine = new_engine(google_config(), pools, categories, 7)
         engine.submit_query("prostate cancer")
         page = engine.submit_query("symptoms and causes")
         assert composition(page, pools) == {"prostate": 2, "other": 2}
 
     def test_query_increment_is_exactly_one(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories)
+        engine = new_engine(google_config(), pools, categories, 7)
         engine.submit_query("prostate cancer")
         engine.submit_query("prostate cancer")
         assert abs(engine.belief()["prostate"] - (1 / 111 + 2.0)) < 1e-12
 
     def test_click_doubles_weight(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories)
+        engine = new_engine(google_config(), pools, categories, 7)
         engine.submit_query("prostate cancer")
         page = engine.submit_query("symptoms and causes")
         before = engine.belief()["prostate"]
         clicked = [
             slot for slot, ad in enumerate(page.adverts)
-            if ad.text in pools["prostate"]
+            if ad in pools["prostate"]
         ]
         engine.register_click(clicked[0])
         assert abs(engine.belief()["prostate"] - 2 * before) < 1e-12
 
     def test_clicks_saturate_the_page(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories)
+        engine = new_engine(google_config(), pools, categories, 7)
         engine.submit_query("prostate cancer")
         page = engine.submit_query("symptoms and causes")
         for step in ({"prostate": 3, "other": 1}, {"prostate": 4}):
             for slot, ad in enumerate(page.adverts):
-                if ad.text in pools["prostate"]:
+                if ad in pools["prostate"]:
                     engine.register_click(slot)
             page = engine.submit_query("symptoms and causes")
             assert composition(page, pools) == step
 
     def test_probe_text_never_updates_belief(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories)
+        engine = new_engine(google_config(), pools, categories, 7)
         before = engine.belief()
         for _ in range(6):
             engine.submit_query("symptoms and causes")
         assert engine.belief() == before
 
     def test_empty_query_is_inert(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories)
+        engine = new_engine(google_config(), pools, categories, 7)
         before = engine.belief()
         engine.submit_query("the of and")
         assert engine.belief() == before
@@ -357,7 +364,7 @@ class TestEngineServing:
     def test_shared_wording_updates_both_finance_categories(
         self, pools, categories
     ):
-        engine = new_engine(google_config(), pools, categories)
+        engine = new_engine(google_config(), pools, categories, 7)
         engine.submit_query("payday advice")
         belief = engine.belief()
         assert belief["payday"] > 1.0
@@ -369,7 +376,8 @@ class TestEngineServing:
     def test_adaptation_lag_delays_first_topic_advert(
         self, pools, categories, lag
     ):
-        engine = new_engine(google_config(adaptation_lag=lag), pools, categories)
+        engine = new_engine(google_config(adaptation_lag=lag), pools,
+                            categories, 7)
         first_mixed = None
         for page_number in range(1, 10):
             page = engine.submit_query("divorce separation")
@@ -379,12 +387,13 @@ class TestEngineServing:
         assert first_mixed == lag + 2
 
     def test_click_update_obeys_the_same_lag(self, pools, categories):
-        engine = new_engine(google_config(adaptation_lag=1), pools, categories)
+        engine = new_engine(google_config(adaptation_lag=1), pools,
+                            categories, 7)
         compositions = []
         page = engine.submit_query("divorce separation")
         for _ in range(6):
             for slot, ad in enumerate(page.adverts):
-                if ad.text in pools["divorce"]:
+                if ad in pools["divorce"]:
                     engine.register_click(slot)
             page = engine.submit_query("divorce separation")
             compositions.append(composition(page, pools)["divorce"])
@@ -395,13 +404,13 @@ class TestEngineServing:
 
     def test_same_seed_reproduces_the_session(self, pools, categories):
         def run():
-            engine = new_engine(google_config(seed=42), pools, categories)
+            engine = new_engine(google_config(), pools, categories, 42)
             pages = []
             for query in ("symptoms and causes", "payday cheap",
                           "payday advice", "symptoms and causes"):
                 page = engine.submit_query(query)
                 for slot, ad in enumerate(page.adverts):
-                    if ad.text in pools["payday"]:
+                    if ad in pools["payday"]:
                         engine.register_click(slot)
                 pages.append((tuple(ad.text for ad in page.adverts), page.links))
             return pages
@@ -409,7 +418,7 @@ class TestEngineServing:
         assert run() == run()
 
     def test_links_stay_fixed_while_adverts_adapt(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories)
+        engine = new_engine(google_config(), pools, categories, 7)
         cold = engine.submit_query("bankrupt insolvency")
         for _ in range(5):
             engine.submit_query("bankrupt insolvency")
@@ -420,34 +429,34 @@ class TestEngineServing:
     @staticmethod
     def payday_adverts(config, pools) -> list[str]:
         """Texts served in payday slots while payday queries raise its weight."""
-        engine = new_engine(config, pools, CategorySet(("payday",), "other"))
+        engine = new_engine(config, pools, CategorySet(("payday",), "other"), 7)
         served = []
         for _ in range(40):
             page = engine.submit_query("cheap payday advice")
             served += [ad.text for ad in page.adverts
-                       if ad.text not in pools["other"]]
+                       if ad not in pools["other"]]
         return served
 
-    def test_narrow_slice_excludes_shared_copy(self, pools):
-        config = EngineConfig(3, 2.0, 3, 1.7, "other:100", 7)
+    def test_narrow_slice_excludes_shared_copy(self, pools, pool_texts):
+        config = EngineConfig(3, 2.0, 3, 1.7, "other:100")
         served = self.payday_adverts(config, pools)
         assert served
-        assert set(served) <= set(pools["payday"][:2])
+        assert set(served) <= set(pool_texts["payday"][:2])
         assert not set(served) & set(SHARED_FINANCE_ADS)
 
-    def test_broad_slice_keeps_whole_pool(self, pools):
+    def test_broad_slice_keeps_whole_pool(self, pools, pool_texts):
         served = self.payday_adverts(google_config(), pools)
-        assert set(served) == set(pools["payday"])
+        assert set(served) == set(pool_texts["payday"])
 
     def test_query_matches_follow_each_engines_slices(self, pools, categories):
         # Only the shared loan copy carries these terms: broad slices hold
         # it, narrow ones do not.  The broad engine answers first, so a match
         # remembered without the engine's vocabulary would leak into the
         # narrow one.
-        narrow = EngineConfig(0, 2.0, 3, 1.7, "other:100", 7)
+        narrow = EngineConfig(0, 2.0, 3, 1.7, "other:100")
         raised = {}
         for name, config in (("broad", google_config()), ("narrow", narrow)):
-            engine = new_engine(config, pools, categories)
+            engine = new_engine(config, pools, categories, 7)
             before = engine.belief()
             engine.submit_query("lenders approved in minutes")
             after = engine.belief()
@@ -455,7 +464,7 @@ class TestEngineServing:
         assert raised == {"broad": {"payday", "bankrupt"}, "narrow": set()}
 
     def test_clicks_need_a_served_page(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories)
+        engine = new_engine(google_config(), pools, categories, 7)
         with pytest.raises(ValidationError, match="before any page"):
             engine.register_click(0)
         engine.submit_query("symptoms and causes")
@@ -475,11 +484,11 @@ class TestSlotLabelMemo:
         order = categories.all_labels
         steps = changes = 0
         for seed, topic in enumerate(("gambling", "payday", "location", "other")):
-            engine = new_engine(replace(config, seed=seed), pools, categories)
+            engine = new_engine(config, pools, categories, seed)
             script = generate_script(catalog[topic], "symptoms and causes",
                                      random.Random(seed))
             previous = None
-            for entry in script.query_entries:
+            for entry in script.entries:
                 counts = reference_apportion_slots(
                     engine.belief(), order, config.ads_per_page)
                 expected = tuple(label for label in order
@@ -489,9 +498,61 @@ class TestSlotLabelMemo:
                 steps += 1
                 changes += expected != previous
                 previous = expected
-                if entry.kind == KIND_QUERY:
+                if not entry.is_probe:
                     for slot, advert in enumerate(page.adverts):
                         if click_decision(advert.text, catalog[topic]):
                             engine.register_click(slot)
         # The sessions exercise both a kept and a recomputed apportionment.
         assert 4 < changes < steps
+
+
+class TestOneUpdatePath:
+    """Queries and clicks, at every lag, go through one pending queue."""
+
+    # Index 0-10 a topic's first phrase, then the probe, then a query that
+    # matches payday and gambling at once.
+    @staticmethod
+    def queries(default_keywords) -> list[str]:
+        return ([default_keywords[topic][0] for topic in sorted(default_keywords)]
+                + ["symptoms and causes", "payday advice"])
+
+    @given(
+        lag=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        actions=st.lists(st.one_of(
+            st.tuples(st.just("query"), st.integers(0, 12)),
+            st.tuples(st.just("click"), st.integers(0, 3)),
+        ), max_size=30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_belief_matches_the_replayed_log(
+            self, pools, categories, default_keywords, lag, seed, actions):
+        config = google_config(adaptation_lag=lag)
+        assert diversity_slice(8, config.ads_per_page,
+                               config.pool_diversity) == 8
+        queries = self.queries(default_keywords)
+        order = categories.all_labels
+        engine = new_engine(config, pools, categories, seed)
+        reference = ReferenceBelief(engine.belief(), lag, config.click_boost)
+        slots = None
+        for action, value in actions:
+            if action == "query":
+                counts = reference_apportion_slots(
+                    reference.belief(), order, config.ads_per_page)
+                slots = [label for label in order
+                         for _ in range(counts[label])]
+                page = engine.submit_query(queries[value])
+                for label, advert in zip(slots, page.adverts, strict=True):
+                    assert advert in pools[label]
+                # Broad slices: a query matches every pool sharing a term.
+                terms = set(filter_terms(queries[value]))
+                reference.query(
+                    label for label in order
+                    if any(terms & set(filter_terms(ad.text))
+                           for ad in pools[label]))
+            elif slots is None:
+                continue
+            else:
+                engine.register_click(value)
+                reference.click(slots[value])
+            assert engine.belief() == reference.belief()

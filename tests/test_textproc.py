@@ -78,7 +78,7 @@ def _domain_words() -> list[str]:
     texts += list(CONNECTIVES)
     texts += list(LINK_WORDS)
     for pool in build_ad_pools(keywords, "other").values():
-        texts += pool
+        texts += [ad.text for ad in pool]
     words = sorted({w for text in texts for w in tokenize(text)})
     assert len(words) > 200
     return words
