@@ -37,7 +37,7 @@ from .runner import (
     run_session,
 )
 from .scripts import MIN_PROBES, CategoryKeywords, load_default_keywords, parse_script
-from .simulator import build_ad_pools, load_engine_config, new_engine
+from .simulator import EngineTables, build_ad_pools, load_engine_config, new_engine
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +170,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"script {args.script!r} names no topic; add a '! topic:' line")
     keywords = load_default_keywords()
     categories = CategorySet(tuple(sorted(keywords)), args.catchall)
-    engine = new_engine(load_engine_config(args.engine),
-                        build_ad_pools(keywords, args.catchall),
-                        categories, args.seed)
+    tables = EngineTables(load_engine_config(args.engine),
+                          build_ad_pools(keywords, args.catchall), categories)
+    engine = new_engine(tables, args.seed)
     clicks = None
     if args.clicks and script.keywords:
         clicks = CategoryKeywords(script.topic, script.keywords)

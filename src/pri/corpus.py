@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -185,12 +185,6 @@ def build_dictionary(corpus: list[LabeledAdvert]) -> Dictionary:
 # ---------------------------------------------------------------------------
 
 
-# A campaign writes a few dozen distinct advert texts thousands of times.
-@lru_cache(maxsize=4096)
-def _encoded_advert(text: str) -> str:
-    return encode_basestring_ascii(text)
-
-
 def write_capture(traces: Iterable[SessionTrace], out: IO[str]) -> None:
     """Write the canonical byte form: header, then records sorted by id/step.
 
@@ -200,12 +194,17 @@ def write_capture(traces: Iterable[SessionTrace], out: IO[str]) -> None:
     """
     out.write(CAPTURE_HEADER + "\n")
     encode = encode_basestring_ascii
+    # A campaign writes a few dozen distinct advert texts thousands of times.
+    encoded: dict[str, str] = {}
     for trace in sorted(traces, key=lambda t: t.session_id):
         session_id = encode(trace.session_id)
         topic = encode(trace.topic_label)
         for interaction in trace.interactions:
             page = interaction.page
-            adverts = ",".join([_encoded_advert(ad.text) for ad in page.adverts])
+            for ad in page.adverts:
+                if ad.text not in encoded:
+                    encoded[ad.text] = encode(ad.text)
+            adverts = ",".join([encoded[ad.text] for ad in page.adverts])
             links = ",".join([f"[{encode(title)},{encode(snippet)}]"
                               for title, snippet in page.links])
             clicked = ",".join(map(str, interaction.clicked))
@@ -266,7 +265,7 @@ def parse_capture(lines: Iterable[str]) -> list[SessionTrace]:
     for lineno, line in headed_lines(lines, CAPTURE_HEADER, "capture"):
         try:
             rec = json.loads(line.strip())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int too long
             raise ValidationError(f"capture line {lineno}: bad record: {exc}") from exc
         except RecursionError:
             raise ValidationError(

@@ -280,9 +280,12 @@ def save_model(model: PriModel, path: str | Path) -> None:
 
 
 def _parse_id(text: str, lineno: int) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise ValidationError(f"model line {lineno}: bad term id {text!r}")
-    return int(text)
+    try:
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ValidationError(f"model line {lineno}: bad term id {text!r}")
 
 
 def parse_model(lines: Iterable[str]) -> PriModel:

@@ -116,7 +116,7 @@ def revealing_topics(
     """
     probe_terms = frozenset(filter_terms(probe))
     return sorted(t for t in topics
-                  if probe_terms & term_set(tuple(keywords.get(t, ()))))
+                  if probe_terms & term_set(keywords.get(t, ())))
 
 
 def select_probe(

@@ -50,7 +50,7 @@ from .scripts import (
     keyword_catalog,
     load_default_keywords,
 )
-from .simulator import AdEngine, EngineConfig, build_ad_pools, load_engine_config, new_engine
+from .simulator import AdEngine, EngineConfig, EngineTables, build_ad_pools, load_engine_config, new_engine
 
 DEFAULT_PROBE = "symptoms and causes"
 
@@ -235,6 +235,7 @@ def run_campaign(config: CampaignConfig, master_seed: int) -> CampaignResult:
     categories = config.categories
     catalog = keyword_catalog(config.keywords, config.catchall)
     pools = build_ad_pools(config.keywords, config.catchall)
+    tables = EngineTables(config.engine, pools, categories)
 
     def run_block(role: str, count: int) -> tuple[SessionTrace, ...]:
         traces = []
@@ -247,9 +248,7 @@ def run_campaign(config: CampaignConfig, master_seed: int) -> CampaignResult:
                     random.Random(derive_seed(master_seed, f"{session_id}:script")),
                 )
                 engine = new_engine(
-                    config.engine, pools, categories,
-                    derive_seed(master_seed, f"{session_id}:engine"),
-                )
+                    tables, derive_seed(master_seed, f"{session_id}:engine"))
                 clicks = catalog[topic] if config.clicks_enabled else None
                 traces.append(run_session(engine, script, clicks, session_id))
         return tuple(traces)

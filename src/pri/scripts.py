@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .config import bundled_lines
@@ -42,6 +42,10 @@ CLICK_SHARE = 0.1
 class CategoryKeywords:
     label: str
     phrases: tuple[str, ...]
+    # Advert text -> click_decision's answer: sessions meet a few hundred
+    # distinct adverts thousands of times, so each is decided once.
+    _clicks: dict[str, bool] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.label:
@@ -163,20 +167,17 @@ def _check_generated(script: QueryScript) -> None:
 
 
 def click_decision(item_text: str, keywords: CategoryKeywords) -> bool:
-    """Click iff keyword terms make up more than CLICK_SHARE of the item text."""
-    return _keyword_share(item_text, keywords.term_set) > CLICK_SHARE
+    """Click iff keyword terms make up more than CLICK_SHARE of the item text.
 
-
-# Sessions meet a few hundred distinct (advert, topic) pairs thousands of
-# times, so each pair's share is computed once.  A text with no terms has
-# share 0, which never exceeds CLICK_SHARE.
-@lru_cache(maxsize=4096)
-def _keyword_share(text: str, keyword_terms: frozenset[str]) -> float:
-    terms = filter_terms(text)
-    if not terms:
-        return 0.0
-    hits = sum(1 for t in terms if t in keyword_terms)
-    return hits / len(terms)
+    A text with no terms is never clicked.
+    """
+    clicked = keywords._clicks.get(item_text)
+    if clicked is None:
+        terms = filter_terms(item_text)
+        hits = sum(1 for t in terms if t in keywords.term_set)
+        clicked = keywords._clicks[item_text] = (
+            bool(terms) and hits / len(terms) > CLICK_SHARE)
+    return clicked
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -137,8 +136,6 @@ def expected_distinct(pool_size: int, draws: int) -> float:
     return pool_size * (1.0 - (1.0 - 1.0 / pool_size) ** draws)
 
 
-# Pure; every engine of a campaign asks the same question per category.
-@lru_cache(maxsize=256)
 def diversity_slice(pool_size: int, draws: int, target: float) -> int:
     """Smallest slice whose expected distinct-advert count best matches target."""
     if pool_size < 1:
@@ -173,12 +170,11 @@ def apportion_slots(
 # LINK_WORDS[byte % len(LINK_WORDS)] for every byte value.
 _BYTE_WORDS = LINK_WORDS * (256 // len(LINK_WORDS) + 1)
 _RANK_SUFFIXES = tuple(str(rank).encode("ascii") for rank in range(LINKS_PER_PAGE))
+# A page's organic results: (title, snippet) by rank.
+Links = tuple[tuple[str, str], ...]
 
 
-# Sessions submit the same queries again and again; the links depend on
-# the query alone, so each distinct query is hashed once.
-@lru_cache(maxsize=4096)
-def links_for_query(query: str) -> tuple[tuple[str, str], ...]:
+def links_for_query(query: str) -> Links:
     """Organic links for a query: stable, rank-ordered, content-free.
 
     The words of rank ``r`` come from the first 8 bytes of the sha256
@@ -193,18 +189,6 @@ def links_for_query(query: str) -> tuple[tuple[str, str], ...]:
         links.append((f"{words[0]} {words[1]} {words[2]}",
                       f"{words[3]} {words[4]} {words[5]} {words[6]} {words[7]}"))
     return tuple(links)
-
-
-# Keyed by the query and the engine's (label, vocabulary) pairs: engines built
-# from the same slices share their answers, and queries repeat across sessions.
-@lru_cache(maxsize=4096)
-def _matched_labels(
-    query: str, vocab: tuple[tuple[str, frozenset[str]], ...]
-) -> tuple[str, ...]:
-    terms = set(filter_terms(query))
-    if not terms:
-        return ()
-    return tuple(label for label, words in vocab if terms & words)
 
 
 def _topic_ads(label: str, phrases: Sequence[str]) -> list[str]:
@@ -249,47 +233,59 @@ def build_ad_pools(
     return pools
 
 
-def _initial_belief(text: str, categories: CategorySet) -> dict[str, float]:
-    prior = parse_prior_knowledge(text)
-    unknown = sorted(set(prior) - set(categories.all_labels))
-    if unknown:
-        raise ValidationError(f"prior knowledge names unknown categories: {unknown}")
-    raw = {label: prior.get(label, 1.0) for label in categories.all_labels}
-    total = sum(raw.values())
-    return {label: value / total for label, value in raw.items()}
-
-
-class AdEngine:
-    """Advert server whose belief trails interactions by ``adaptation_lag``."""
+class EngineTables:
+    """What every engine of a campaign reads and none changes, derived once:
+    each category's slice and vocabulary, the prior belief, and each distinct
+    query's organic links and the labels whose vocabulary it hits."""
 
     def __init__(
         self,
         config: EngineConfig,
         pools: Mapping[str, Sequence[Advert]],
         categories: CategorySet,
-        seed: int,
     ) -> None:
         missing = [c for c in categories.all_labels if c not in pools]
         if missing:
             raise ValidationError(f"no advert pool for categories: {missing}")
-        self._config = config
-        self._categories = categories
-        self._slices: dict[str, tuple[Advert, ...]] = {}
+        self.config = config
+        self.categories = categories
+        self.slices: dict[str, tuple[Advert, ...]] = {}
         for label in categories.all_labels:
             pool = tuple(pools[label])
             if not pool:
                 raise ValidationError(f"advert pool for {label!r} is empty")
             size = diversity_slice(len(pool), config.ads_per_page,
                                    config.pool_diversity)
-            self._slices[label] = pool[:size]
-        # tuple() of a list, not of a generator: a generator's tuple is
-        # shrunk after filling, and every shrunk tuple would stay in the
-        # interpreter's tuple free list (about 0.2 MB per campaign).
-        self._vocab = tuple(
-            (label, term_set(tuple([ad.text for ad in ads])))
-            for label, ads in self._slices.items()
-        )
-        self._weights = _initial_belief(config.prior_knowledge, categories)
+            self.slices[label] = pool[:size]
+        self._vocab = tuple((label, term_set(ad.text for ad in ads))
+                            for label, ads in self.slices.items())
+        prior = parse_prior_knowledge(config.prior_knowledge)
+        unknown = sorted(set(prior) - set(categories.all_labels))
+        if unknown:
+            raise ValidationError(f"prior knowledge names unknown categories: {unknown}")
+        raw = {label: prior.get(label, 1.0) for label in categories.all_labels}
+        total = sum(raw.values())
+        self.prior = {label: value / total for label, value in raw.items()}
+        self._answers: dict[str, tuple[Links, tuple[str, ...]]] = {}
+
+    def answer(self, query: str) -> tuple[Links, tuple[str, ...]]:
+        """The query's organic links and the labels its terms match."""
+        entry = self._answers.get(query)
+        if entry is None:
+            terms = set(filter_terms(query))
+            labels = tuple(label for label, words in self._vocab
+                           if terms & words)
+            entry = self._answers[query] = (links_for_query(query), labels)
+        return entry
+
+
+class AdEngine:
+    """Advert server whose belief trails interactions by ``adaptation_lag``;
+    it holds one session's state and reads everything else from its tables."""
+
+    def __init__(self, tables: EngineTables, seed: int) -> None:
+        self._tables = tables
+        self._weights = dict(tables.prior)
         # The category of each advert slot, apportioned from the weights;
         # None until the next page after the weights change.
         self._slot_labels: tuple[str, ...] | None = None
@@ -304,7 +300,7 @@ class AdEngine:
 
     @property
     def categories(self) -> CategorySet:
-        return self._categories
+        return self._tables.categories
 
     def belief(self) -> dict[str, float]:
         """Current applied weights (pending updates excluded)."""
@@ -312,9 +308,10 @@ class AdEngine:
 
     def submit_query(self, query: str) -> ResultPage:
         self._step += 1
-        page, slot_labels = self._compose_page(query)
+        links, labels = self._tables.answer(query)
+        page, slot_labels = self._compose_page(links)
         self._apply_due()
-        for label in _matched_labels(query, self._vocab):
+        for label in labels:
             self._register(label, False)
         self._last_served = slot_labels
         return page
@@ -329,20 +326,21 @@ class AdEngine:
 
     # -- internals --------------------------------------------------------
 
-    def _compose_page(self, query: str) -> tuple[ResultPage, tuple[str, ...]]:
+    def _compose_page(self, links: Links) -> tuple[ResultPage, tuple[str, ...]]:
+        tables = self._tables
         slot_labels = self._slot_labels
         if slot_labels is None:
-            counts = apportion_slots(self._weights, self._categories.all_labels,
-                                     self._config.ads_per_page)
+            counts = apportion_slots(self._weights, tables.categories.all_labels,
+                                     tables.config.ads_per_page)
             slot_labels = self._slot_labels = tuple(
                 label for label, count in counts.items() for _ in range(count))
         choice = self._rng.choice
-        slices = self._slices
+        slices = tables.slices
         adverts = tuple([choice(slices[label]) for label in slot_labels])
-        return ResultPage(links=links_for_query(query), adverts=adverts), slot_labels
+        return ResultPage(links=links, adverts=adverts), slot_labels
 
     def _register(self, label: str, is_click: bool) -> None:
-        self._queue.append((self._step + self._config.adaptation_lag,
+        self._queue.append((self._step + self._tables.config.adaptation_lag,
                             label, is_click))
         self._apply_due()
 
@@ -351,19 +349,14 @@ class AdEngine:
         while queue and queue[0][0] <= self._step:
             _, label, is_click = queue.popleft()
             if is_click:
-                self._weights[label] *= self._config.click_boost
+                self._weights[label] *= self._tables.config.click_boost
             else:
                 self._weights[label] += QUERY_INCREMENT
             self._slot_labels = None
 
 
-def new_engine(
-    config: EngineConfig,
-    pools: Mapping[str, Sequence[Advert]],
-    categories: CategorySet,
-    seed: int,
-) -> AdEngine:
-    return AdEngine(config, pools, categories, seed)
+def new_engine(tables: EngineTables, seed: int) -> AdEngine:
+    return AdEngine(tables, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from typing import Iterable
 
 from .config import bundled_lines
 from .porter import stem
@@ -73,8 +74,7 @@ def filter_terms(text: str) -> list[str]:
     return default_filter().terms(text)
 
 
-@lru_cache(maxsize=None)
-def term_set(texts: tuple[str, ...]) -> frozenset[str]:
-    """Every filtered term of a list of phrases or adverts, computed once."""
+def term_set(texts: Iterable[str]) -> frozenset[str]:
+    """Every filtered term of a list of phrases or adverts."""
     flt = default_filter()
     return frozenset(t for text in texts for t in flt.terms(text))

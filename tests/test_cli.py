@@ -35,6 +35,9 @@ from pri.simulator import parse_prior_knowledge
 # 100,000 nested arrays: past the JSON decoder's recursion limit.
 _DEEP_RECORD = "[" * 100_000
 
+# More digits than int() converts (4,300 from Python 3.10.7 on).
+_LONG_INT = "9" * 5000
+
 TOY_CORPUS = str(resources.files("pri") / "data" / "examples" / "toy_corpus.txt")
 
 # The seed-11 mini campaign's report tables, as tests/test_reports.py pins them.
@@ -107,6 +110,29 @@ class TestScore:
                      "--capture", str(capture)])
         assert code == 2
         assert "capture line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["model-id", "capture-step",
+                                       "capture-clicked"])
+    def test_overlong_integer_is_a_data_error(self, toy_model, tmp_path,
+                                              capsys, where):
+        model = tmp_path / "model.txt"
+        model.write_text(_MODEL_HEAD + f"dict\t{_LONG_INT}\tfoo\n")
+        step, clicked = ((_LONG_INT, "") if where == "capture-step"
+                         else ("1", _LONG_INT))
+        capture = tmp_path / "long.capture"
+        capture.write_text(
+            '#pri-capture v1\n{"adverts":["a b"],"clicked":[' + clicked
+            + '],"is_probe":false,"links":[],"query":"q","session_id":"s",'
+            '"step":' + step + ',"topic":"prostate"}\n')
+        if where == "model-id":
+            save_capture([], capture)
+        else:
+            model = toy_model
+        code = main(["score", "--model", str(model),
+                     "--capture", str(capture)])
+        assert code == 2
+        expected = "model line 4" if where == "model-id" else "capture line 2"
+        assert expected in capsys.readouterr().err
 
 
 class TestDetect:

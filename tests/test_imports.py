@@ -11,6 +11,10 @@ A second check stands in for a dead-code lint: every module-level function,
 class or assigned name of ``src/pri/*.py`` that starts with ``_`` must be
 read, as a name, an attribute or an imported name, somewhere in
 ``src/pri``.  Assigning to a name does not count as reading it.
+
+A third check keeps memos per value rather than per process: every
+``functools.lru_cache`` or ``functools.cache`` decorator in ``src/pri`` must
+be ``lru_cache(maxsize=1)``, a singleton.
 """
 
 from __future__ import annotations
@@ -132,3 +136,48 @@ def test_the_check_counts_attribute_references():
     sources = {"a": "def _helper():\n    pass\n",
                "b": "from . import a\n\nx = a._helper\n"}
     assert unreferenced_private_helpers(sources) == []
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """``line name`` of each functools cache decorator of a module that is
+    not ``lru_cache(maxsize=1)``."""
+    tree = ast.parse(source)
+    names = {"functools.lru_cache": "lru_cache", "functools.cache": "cache"}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update({alias.asname or alias.name: alias.name
+                          for alias in node.names
+                          if alias.name in ("lru_cache", "cache")})
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            name = names.get(ast.unparse(call.func if call else decorator))
+            if name is None:
+                continue
+            sizes = [] if call is None else call.args + [
+                keyword.value for keyword in call.keywords
+                if keyword.arg == "maxsize"]
+            if name != "lru_cache" or list(map(ast.unparse, sizes)) != ["1"]:
+                found.append(f"line {decorator.lineno} {node.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_caches_are_singletons(path):
+    assert unbounded_caches(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_unbounded_caches():
+    source = ("import functools\nfrom functools import cache, lru_cache as lc\n"
+              "@lc(maxsize=1)\ndef a(): pass\n"
+              "@functools.lru_cache(1)\ndef b(): pass\n"
+              "@lc(maxsize=4096)\ndef c(x): pass\n"
+              "@lc\ndef d(x): pass\n"
+              "@cache\ndef e(x): pass\n"
+              "@functools.lru_cache(maxsize=None)\ndef f(x): pass\n"
+              "@functools.cache\ndef g(x): pass\n")
+    assert unbounded_caches(source) == [
+        "line 7 c", "line 9 d", "line 11 e", "line 13 f", "line 15 g"]

@@ -29,14 +29,7 @@ from pri.reports import (
 )
 from pri.runner import CampaignConfig, Evaluation, evaluate_capture, run_campaign
 
-from pri.corpus import _encoded_advert
-from pri.scripts import _keyword_share
-from pri.simulator import (
-    _matched_labels,
-    diversity_slice,
-    links_for_query,
-    load_engine_config,
-)
+from pri.simulator import load_engine_config
 
 from conftest import MINI_KEYWORDS
 from oracle import reference_topic_score_matrix
@@ -136,7 +129,7 @@ class TestEvaluation:
 
 
 class TestFastPaths:
-    """The heatmap's integer sums and the process-wide caches change no byte."""
+    """The heatmap's integer sums and the per-campaign memos change no byte."""
 
     def test_topic_matrix_matches_reference(self, mini_campaign):
         assert (topic_score_matrix(mini_campaign)
@@ -159,9 +152,6 @@ class TestFastPaths:
             write_bundle(run_campaign(config, master_seed=seed), tmp_path / name)
             return read_bundle_bytes(tmp_path / name)
 
-        for cached in (_matched_labels, links_for_query, _keyword_share,
-                       _encoded_advert, diversity_slice):
-            cached.cache_clear()
         cold = bundle("google_like", 11, "cold")
         bundle("bing_like", 29, "bing")
         warm = bundle("google_like", 11, "warm")

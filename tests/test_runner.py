@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from dataclasses import replace
 from io import StringIO
 
@@ -12,6 +14,7 @@ from pri.corpus import CategorySet, parse_capture, write_capture
 from pri.detector import calibrate, classify_probe
 from pri.errors import ValidationError
 from pri.estimator import score, train
+from pri import runner
 from pri.runner import (
     CampaignConfig,
     derive_seed,
@@ -21,7 +24,14 @@ from pri.runner import (
     training_corpus,
 )
 from pri.scripts import QueryScript, ScriptEntry, generate_script, parse_script
-from pri.simulator import build_ad_pools, load_engine_config, new_engine
+from pri.simulator import (
+    EngineTables,
+    build_ad_pools,
+    links_for_query,
+    load_engine_config,
+    new_engine,
+)
+from pri.textproc import filter_terms
 from test_scripts import EXAMPLE_SCRIPT, LOCATION
 
 from conftest import MINI_KEYWORDS
@@ -30,7 +40,8 @@ from conftest import MINI_KEYWORDS
 def location_engine(default_keywords, seed=3):
     pools = build_ad_pools(default_keywords, "other")
     categories = CategorySet(tuple(sorted(default_keywords)), "other")
-    return new_engine(load_engine_config("google_like"), pools, categories, seed)
+    return new_engine(
+        EngineTables(load_engine_config("google_like"), pools, categories), seed)
 
 
 def example_script():
@@ -141,6 +152,45 @@ class TestCampaignConfig:
     def test_bad_configs_rejected(self, overrides):
         with pytest.raises(ValidationError):
             CampaignConfig(**overrides)
+
+
+class TestCampaignTables:
+    """A campaign builds one EngineTables, and nothing keeps it after."""
+
+    @staticmethod
+    def mini_campaign_recording(monkeypatch, keep):
+        """Run the seed-11 mini campaign; keep(tables) for every engine."""
+        kept = []
+
+        def recording(tables, seed):
+            kept.append(keep(tables))
+            return new_engine(tables, seed)
+
+        monkeypatch.setattr(runner, "new_engine", recording)
+        config = CampaignConfig(keywords=MINI_KEYWORDS,
+                                train_sessions_per_topic=2,
+                                test_sessions_per_topic=2)
+        return run_campaign(config, master_seed=11), kept
+
+    def test_stored_answers_match_a_direct_recomputation(self, monkeypatch):
+        result, kept = self.mini_campaign_recording(monkeypatch, lambda t: t)
+        traces = result.training_traces + result.test_traces
+        tables = kept[0]
+        assert len(kept) == len(traces) and all(t is tables for t in kept)
+        queries = {interaction.query
+                   for trace in traces for interaction in trace.interactions}
+        assert set(tables._answers) == queries
+        for query in sorted(queries):
+            terms = set(filter_terms(query))
+            expected = tuple(
+                label for label, ads in tables.slices.items()
+                if terms & {t for ad in ads for t in filter_terms(ad.text)})
+            assert tables.answer(query) == (links_for_query(query), expected)
+
+    def test_no_tables_outlive_the_campaign(self, monkeypatch):
+        _, refs = self.mini_campaign_recording(monkeypatch, weakref.ref)
+        gc.collect()
+        assert refs and [ref for ref in refs if ref() is not None] == []
 
 
 class TestCampaign:

@@ -22,7 +22,6 @@ from pri.scripts import (
     load_default_keywords,
     load_trending_queries,
     parse_script,
-    _keyword_share,
 )
 from pri.simulator import build_ad_pools
 from pri.textproc import filter_terms
@@ -252,8 +251,9 @@ class TestClickDecision:
             assert b
 
     def test_matches_the_direct_rule_on_every_pool_advert(self):
-        # Every advert the engine can serve, against every topic's keywords,
-        # first with the memo cold and then with it warm.
+        # Every advert the engine can serve, against every topic's keywords:
+        # first on fresh CategoryKeywords, whose memos start empty, then
+        # again on the same objects, their memos warm.
         def direct(text, keywords):
             terms = filter_terms(text)
             if not terms:
@@ -268,6 +268,5 @@ class TestClickDecision:
                  for keywords in catalog.values()]
         expected = [direct(text, keywords) for text, keywords in pairs]
         assert any(expected) and not all(expected)
-        _keyword_share.cache_clear()
         for _ in range(2):
             assert [click_decision(t, p) for t, p in pairs] == expected

@@ -21,6 +21,7 @@ from pri.simulator import (
     LINKS_PER_PAGE,
     SHARED_FINANCE_ADS,
     EngineConfig,
+    EngineTables,
     apportion_slots,
     build_ad_pools,
     diversity_slice,
@@ -49,6 +50,10 @@ def pool_texts(pools):
 @pytest.fixture(scope="module")
 def categories(default_keywords):
     return CategorySet(tuple(sorted(default_keywords)), "other")
+
+
+def engine_for(config, pools, categories, seed):
+    return new_engine(EngineTables(config, pools, categories), seed)
 
 
 def google_config(**overrides) -> EngineConfig:
@@ -284,7 +289,7 @@ class TestLinks:
 
 class TestEngineServing:
     def test_uniform_belief_without_prior(self, pools, categories):
-        engine = new_engine(google_config(prior_knowledge=""), pools,
+        engine = engine_for(google_config(prior_knowledge=""), pools,
                             categories, 7)
         belief = engine.belief()
         assert abs(sum(belief.values()) - 1.0) < 1e-12
@@ -292,7 +297,7 @@ class TestEngineServing:
             assert abs(weight - 1 / 12) < 1e-12
 
     def test_prior_concentrates_belief(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories, 7)
+        engine = engine_for(google_config(), pools, categories, 7)
         belief = engine.belief()
         assert abs(belief["other"] - 100 / 111) < 1e-12
         assert abs(belief["prostate"] - 1 / 111) < 1e-12
@@ -301,32 +306,32 @@ class TestEngineServing:
     def test_prior_naming_unknown_category_rejected(self, pools, categories):
         config = google_config(prior_knowledge="shoes:5")
         with pytest.raises(ValidationError, match="shoes"):
-            new_engine(config, pools, categories, 7)
+            EngineTables(config, pools, categories)
 
     def test_missing_pool_rejected(self, pools, categories):
         partial = {k: v for k, v in pools.items() if k != "divorce"}
         with pytest.raises(ValidationError, match="divorce"):
-            new_engine(google_config(), partial, categories, 7)
+            EngineTables(google_config(), partial, categories)
 
     def test_cold_page_is_pure_catchall(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories, 7)
+        engine = engine_for(google_config(), pools, categories, 7)
         page = engine.submit_query("symptoms and causes")
         assert composition(page, pools) == {"other": 4}
 
     def test_one_query_yields_two_topic_slots(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories, 7)
+        engine = engine_for(google_config(), pools, categories, 7)
         engine.submit_query("prostate cancer")
         page = engine.submit_query("symptoms and causes")
         assert composition(page, pools) == {"prostate": 2, "other": 2}
 
     def test_query_increment_is_exactly_one(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories, 7)
+        engine = engine_for(google_config(), pools, categories, 7)
         engine.submit_query("prostate cancer")
         engine.submit_query("prostate cancer")
         assert abs(engine.belief()["prostate"] - (1 / 111 + 2.0)) < 1e-12
 
     def test_click_doubles_weight(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories, 7)
+        engine = engine_for(google_config(), pools, categories, 7)
         engine.submit_query("prostate cancer")
         page = engine.submit_query("symptoms and causes")
         before = engine.belief()["prostate"]
@@ -338,7 +343,7 @@ class TestEngineServing:
         assert abs(engine.belief()["prostate"] - 2 * before) < 1e-12
 
     def test_clicks_saturate_the_page(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories, 7)
+        engine = engine_for(google_config(), pools, categories, 7)
         engine.submit_query("prostate cancer")
         page = engine.submit_query("symptoms and causes")
         for step in ({"prostate": 3, "other": 1}, {"prostate": 4}):
@@ -349,14 +354,14 @@ class TestEngineServing:
             assert composition(page, pools) == step
 
     def test_probe_text_never_updates_belief(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories, 7)
+        engine = engine_for(google_config(), pools, categories, 7)
         before = engine.belief()
         for _ in range(6):
             engine.submit_query("symptoms and causes")
         assert engine.belief() == before
 
     def test_empty_query_is_inert(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories, 7)
+        engine = engine_for(google_config(), pools, categories, 7)
         before = engine.belief()
         engine.submit_query("the of and")
         assert engine.belief() == before
@@ -364,7 +369,7 @@ class TestEngineServing:
     def test_shared_wording_updates_both_finance_categories(
         self, pools, categories
     ):
-        engine = new_engine(google_config(), pools, categories, 7)
+        engine = engine_for(google_config(), pools, categories, 7)
         engine.submit_query("payday advice")
         belief = engine.belief()
         assert belief["payday"] > 1.0
@@ -376,7 +381,7 @@ class TestEngineServing:
     def test_adaptation_lag_delays_first_topic_advert(
         self, pools, categories, lag
     ):
-        engine = new_engine(google_config(adaptation_lag=lag), pools,
+        engine = engine_for(google_config(adaptation_lag=lag), pools,
                             categories, 7)
         first_mixed = None
         for page_number in range(1, 10):
@@ -387,7 +392,7 @@ class TestEngineServing:
         assert first_mixed == lag + 2
 
     def test_click_update_obeys_the_same_lag(self, pools, categories):
-        engine = new_engine(google_config(adaptation_lag=1), pools,
+        engine = engine_for(google_config(adaptation_lag=1), pools,
                             categories, 7)
         compositions = []
         page = engine.submit_query("divorce separation")
@@ -404,7 +409,7 @@ class TestEngineServing:
 
     def test_same_seed_reproduces_the_session(self, pools, categories):
         def run():
-            engine = new_engine(google_config(), pools, categories, 42)
+            engine = engine_for(google_config(), pools, categories, 42)
             pages = []
             for query in ("symptoms and causes", "payday cheap",
                           "payday advice", "symptoms and causes"):
@@ -418,7 +423,7 @@ class TestEngineServing:
         assert run() == run()
 
     def test_links_stay_fixed_while_adverts_adapt(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories, 7)
+        engine = engine_for(google_config(), pools, categories, 7)
         cold = engine.submit_query("bankrupt insolvency")
         for _ in range(5):
             engine.submit_query("bankrupt insolvency")
@@ -429,7 +434,7 @@ class TestEngineServing:
     @staticmethod
     def payday_adverts(config, pools) -> list[str]:
         """Texts served in payday slots while payday queries raise its weight."""
-        engine = new_engine(config, pools, CategorySet(("payday",), "other"), 7)
+        engine = engine_for(config, pools, CategorySet(("payday",), "other"), 7)
         served = []
         for _ in range(40):
             page = engine.submit_query("cheap payday advice")
@@ -456,7 +461,7 @@ class TestEngineServing:
         narrow = EngineConfig(0, 2.0, 3, 1.7, "other:100")
         raised = {}
         for name, config in (("broad", google_config()), ("narrow", narrow)):
-            engine = new_engine(config, pools, categories, 7)
+            engine = engine_for(config, pools, categories, 7)
             before = engine.belief()
             engine.submit_query("lenders approved in minutes")
             after = engine.belief()
@@ -464,12 +469,33 @@ class TestEngineServing:
         assert raised == {"broad": {"payday", "bankrupt"}, "narrow": set()}
 
     def test_clicks_need_a_served_page(self, pools, categories):
-        engine = new_engine(google_config(), pools, categories, 7)
+        engine = engine_for(google_config(), pools, categories, 7)
         with pytest.raises(ValidationError, match="before any page"):
             engine.register_click(0)
         engine.submit_query("symptoms and causes")
         with pytest.raises(ValidationError, match="out of range"):
             engine.register_click(4)
+
+
+class TestEngineTables:
+    def test_engines_share_the_tables_slices_and_answers(self, pools, categories):
+        # Narrow slices: two of each pool's eight adverts.
+        tables = EngineTables(EngineConfig(0, 2.0, 3, 1.7, ""), pools,
+                              categories)
+        first, second = new_engine(tables, 1), new_engine(tables, 2)
+        for query in ("payday advice", "symptoms and causes", "payday advice"):
+            pages = [engine.submit_query(query) for engine in (first, second)]
+            links, labels = tables.answer(query)
+            assert pages[0].links is pages[1].links is links
+            for engine, page in zip((first, second), pages):
+                for label, advert in zip(engine._last_served, page.adverts,
+                                         strict=True):
+                    assert any(advert is ad for ad in tables.slices[label])
+        # Each engine changes its own copy of the prior, never the tables'.
+        assert "payday" in labels
+        assert first.belief() == second.belief() != tables.prior
+        assert new_engine(tables, 3).belief() == tables.prior == {
+            label: 1 / 12 for label in categories.all_labels}
 
 
 class TestSlotLabelMemo:
@@ -484,7 +510,7 @@ class TestSlotLabelMemo:
         order = categories.all_labels
         steps = changes = 0
         for seed, topic in enumerate(("gambling", "payday", "location", "other")):
-            engine = new_engine(config, pools, categories, seed)
+            engine = engine_for(config, pools, categories, seed)
             script = generate_script(catalog[topic], "symptoms and causes",
                                      random.Random(seed))
             previous = None
@@ -532,7 +558,7 @@ class TestOneUpdatePath:
                                config.pool_diversity) == 8
         queries = self.queries(default_keywords)
         order = categories.all_labels
-        engine = new_engine(config, pools, categories, seed)
+        engine = engine_for(config, pools, categories, seed)
         reference = ReferenceBelief(engine.belief(), lag, config.click_boost)
         slots = None
         for action, value in actions:
