@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from .errors import ValidationError
-from .textproc import filter_terms
 
 CAPTURE_HEADER = "#pri-capture v1"
 
@@ -35,8 +34,13 @@ class CategorySet:
         labels = list(self.sensitive) + [self.catchall]
         if len(set(labels)) != len(labels):
             raise ValidationError("category labels must be unique")
-        if not self.catchall:
-            raise ValidationError("catchall label must be nonempty")
+        for label in labels:
+            # The model and baselines files join labels with ',' and '=' in
+            # tab-separated lines, which readers split with str.splitlines.
+            if label.splitlines() != [label] or any(c in label for c in ",=\t"):
+                raise ValidationError(
+                    f"category label {label!r} must be nonempty and hold no "
+                    "',', '=', tab or line break")
 
     @property
     def all_labels(self) -> tuple[str, ...]:
@@ -164,20 +168,6 @@ def headed_lines(
         line = raw.rstrip("\n")
         if line.strip():
             yield lineno, line
-
-
-def build_dictionary(corpus: list[LabeledAdvert]) -> Dictionary:
-    """Collect every filtered term of the corpus, ids by first occurrence."""
-    if not corpus:
-        raise ValidationError("cannot build a dictionary from an empty corpus")
-    mapping: dict[str, int] = {}
-    for advert in corpus:
-        for term in filter_terms(advert.text):
-            if term not in mapping:
-                mapping[term] = len(mapping)
-    if not mapping:
-        raise ValidationError("corpus contains no content terms after filtering")
-    return Dictionary(mapping)
 
 
 # ---------------------------------------------------------------------------

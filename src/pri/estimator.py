@@ -36,7 +36,6 @@ from .corpus import (
     CategorySet,
     Dictionary,
     LabeledAdvert,
-    build_dictionary,
     headed_lines,
 )
 from .errors import ValidationError
@@ -182,19 +181,22 @@ def train(
         if advert.label not in categories:
             raise ValidationError(f"corpus label {advert.label!r} not in categories")
 
-    dictionary = build_dictionary(corpus)
     labels = categories.all_labels
     # Each copy of an identical (label, text) pair adds the same frequencies.
     pairs = [(advert.label, filter_terms(advert.text), copies)
              for advert, copies in Counter(corpus).items()]
     # Every cell is summed as an integer over the lcm of the advert lengths.
     common = math.lcm(*(len(terms) for _, terms, _ in pairs if terms))
-    cells: dict[str, dict[str, int]] = {t: {} for t in dictionary}
+    # Cells open in first-occurrence order, which gives the dictionary ids.
+    cells: dict[str, dict[str, int]] = {}
     for label, terms, copies in pairs:
         scale = copies * (common // len(terms)) if terms else 0
         for term, count in Counter(terms).items():
-            cell = cells[term]
+            cell = cells.setdefault(term, {})
             cell[label] = cell.get(label, 0) + count * scale
+    if not cells:
+        raise ValidationError("corpus contains no content terms after filtering")
+    dictionary = Dictionary({term: i for i, term in enumerate(cells)})
 
     total: dict[str, Fraction] = {}
     per_category: dict[str, dict[str, Fraction]] = {}

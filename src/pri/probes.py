@@ -79,22 +79,21 @@ def extract_candidates(
     if top_k <= 0:
         raise ValidationError("top_k must be positive")
     flt = default_filter()
-    stem_counts: Counter = Counter()
-    surface_counts: dict[str, Counter] = {}
+    # Each term's raw-token spellings, so candidates render as surface words;
+    # a term's frequency is the total of its spellings.
+    spellings: dict[str, Counter] = {}
     for page in pages:
         for text in _page_texts(page):
-            stem_counts.update(flt.terms(text))
-            # Track raw-token spellings so candidates render as surface words.
             for token in tokenize(text):
-                stemmed = flt.terms(token)
-                if len(stemmed) == 1:
-                    surface_counts.setdefault(stemmed[0], Counter())[token] += 1
-    ranked = sorted(stem_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+                term = flt.term(token)
+                if term is not None:
+                    spellings.setdefault(term, Counter())[token] += 1
+    ranked = sorted(spellings.items(), key=lambda kv: (-kv[1].total(), kv[0]))
     candidates = []
-    for term, count in ranked[:top_k]:
-        surfaces = surface_counts.get(term, Counter({term: 1}))
+    for term, surfaces in ranked[:top_k]:
         surface = min(surfaces, key=lambda s: (-surfaces[s], s))
-        candidates.append(ProbeCandidate(term=term, surface=surface, tf=count))
+        candidates.append(
+            ProbeCandidate(term=term, surface=surface, tf=surfaces.total()))
     return candidates
 
 

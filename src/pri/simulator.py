@@ -349,7 +349,14 @@ class AdEngine:
         while queue and queue[0][0] <= self._step:
             _, label, is_click = queue.popleft()
             if is_click:
-                self._weights[label] *= self._tables.config.click_boost
+                config = self._tables.config
+                self._weights[label] *= config.click_boost
+                # apportion_slots needs ads_per_page * weight / total finite.
+                if not math.isfinite(
+                        sum(self._weights.values()) * config.ads_per_page):
+                    raise ValidationError(
+                        f"click_boost = {config.click_boost!r} makes the "
+                        f"{label!r} weight overflow")
             else:
                 self._weights[label] += QUERY_INCREMENT
             self._slot_labels = None

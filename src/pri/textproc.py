@@ -30,38 +30,34 @@ def default_stopwords() -> frozenset[str]:
 
 
 class TermFilter:
-    """Maps free text to its sequence of stemmed content terms."""
+    """Maps free text to its sequence of stemmed content terms.
+
+    Each distinct token is stemmed once; a filter's state grows with the
+    distinct tokens it has seen, never with the texts.
+    """
 
     def __init__(self) -> None:
         self.stopwords = default_stopwords()
-        self._memo: dict[str, tuple[str, ...]] = {}
         # token -> its stemmed term, or None when either stopword pass drops it.
         self._tokens: dict[str, str | None] = {}
 
     def terms(self, text: str) -> list[str]:
-        # Sessions re-filter the same advert strings thousands of times;
-        # memoizing per instance keeps stemming off the hot path.  Distinct
-        # texts still share most of their words, so tokens are memoized too.
-        cached = self._memo.get(text)
-        if cached is None:
-            tokens = self._tokens
-            out = []
-            for token in tokenize(text):
-                if token in tokens:
-                    term = tokens[token]
-                else:
-                    term = tokens[token] = self._term(token)
-                if term is not None:
-                    out.append(term)
-            cached = tuple(out)
-            self._memo[text] = cached
-        return list(cached)
+        tokens = self._tokens
+        out = []
+        for token in tokenize(text):
+            # term()'s table lookup, inlined: this runs for every token.
+            term = tokens[token] if token in tokens else self.term(token)
+            if term is not None:
+                out.append(term)
+        return out
 
-    def _term(self, token: str) -> str | None:
-        if token in self.stopwords:
-            return None
-        stemmed = stem(token)
-        return None if stemmed in self.stopwords else stemmed
+    def term(self, token: str) -> str | None:
+        """The stemmed term of one token, or None when it is filtered out."""
+        tokens = self._tokens
+        if token not in tokens:
+            stemmed = None if token in self.stopwords else stem(token)
+            tokens[token] = None if stemmed in self.stopwords else stemmed
+        return tokens[token]
 
 
 @lru_cache(maxsize=1)

@@ -81,6 +81,25 @@ class TestTrain:
         assert code == 2
         assert "empty corpus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label, flags", [
+        ("pay,day", []),
+        ("pay=day", []),
+        ("x,y", ["--catchall", "x,y"]),
+    ])
+    def test_label_the_model_file_cannot_hold_is_a_data_error(
+            self, tmp_path, capsys, label, flags):
+        # The model file joins labels with ',' and '='; such a label would
+        # train a model that `pri score` then rejects.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(f"{label}\tCheap payday loans fast\n"
+                          "payday\tHoliday packages cinema\n", encoding="utf-8")
+        out = tmp_path / "m.txt"
+        code = main(["train", "--corpus", str(corpus), "--out", str(out),
+                     *flags])
+        assert code == 2
+        assert f"category label {label!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScore:
     def test_golden_advert_scores_as_csv(self, toy_model, tmp_path):
@@ -310,6 +329,25 @@ def test_engine_file_cannot_set_a_seed(tmp_path, capsys, command):
         argv = ["campaign", "--out", str(out), "--train", "1", "--test", "1"]
     assert main(argv + ["--engine", str(engine), "--seed", "9"]) == 2
     assert "unknown engine setting 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "campaign"])
+def test_overflowing_click_boost_is_a_data_error(tmp_path, capsys, command):
+    # Enough clicks at this boost overflow a category weight to inf.
+    engine = tmp_path / "boost.cfg"
+    engine.write_text("click_boost = 1e10\n", encoding="utf-8")
+    script = tmp_path / "s.script"
+    script.write_text(TestSimulate.SCRIPT.replace(
+        "male prostate screening\n", "prostate cancer signs\n" * 60),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--script", str(script), "--out", str(out)]
+    else:
+        argv = ["campaign", "--out", str(out), "--train", "1", "--test", "1"]
+    assert main(argv + ["--engine", str(engine), "--seed", "1"]) == 2
+    assert "click_boost" in capsys.readouterr().err
     assert not out.exists()
 
 

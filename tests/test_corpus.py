@@ -1,4 +1,4 @@
-"""Corpus parsing, capture round trips, and dictionary construction."""
+"""Corpus parsing, capture round trips, and the trained dictionary."""
 
 from __future__ import annotations
 
@@ -15,12 +15,12 @@ from pri.corpus import (
     LabeledAdvert,
     ResultPage,
     SessionTrace,
-    build_dictionary,
     parse_capture,
     parse_corpus,
     write_capture,
 )
 from pri.errors import ValidationError
+from pri.estimator import train
 from pri.textproc import TermFilter
 
 from oracle import reference_write_capture
@@ -39,6 +39,14 @@ class TestCategorySet:
     def test_catchall_collision_rejected(self):
         with pytest.raises(ValidationError):
             CategorySet(sensitive=("other",), catchall="other")
+
+    @pytest.mark.parametrize(
+        "label", ["", "a,b", "a=b", "a\tb", "a\nb", "a\rb", "a\u2028b"])
+    def test_label_the_file_formats_cannot_hold_rejected(self, label):
+        with pytest.raises(ValidationError, match="category label"):
+            CategorySet(sensitive=(label,))
+        with pytest.raises(ValidationError, match="category label"):
+            CategorySet(sensitive=("payday",), catchall=label)
 
 
 class TestCorpusParsing:
@@ -65,21 +73,18 @@ class TestCorpusParsing:
 
 
 class TestDictionary:
-    def test_build_requires_adverts(self):
-        with pytest.raises(ValidationError):
-            build_dictionary([])
-
-    def test_all_stopword_corpus_rejected(self):
-        with pytest.raises(ValidationError):
-            build_dictionary([LabeledAdvert("other", "the and of")])
+    """The dictionary ``train`` builds; its errors are in test_estimator."""
 
     def test_repeated_term_counted_once(self):
-        d = build_dictionary([LabeledAdvert("other", "help help")])
+        d = train([LabeledAdvert("other", "help help")],
+                  CategorySet(sensitive=())).dictionary
         assert len(d) == 1 and "help" in d
 
-    def test_term_set_is_order_independent(self, golden_corpus):
-        forward = build_dictionary(golden_corpus)
-        backward = build_dictionary(list(reversed(golden_corpus)))
+    def test_term_set_is_order_independent(self, golden_corpus,
+                                           golden_categories):
+        forward = train(golden_corpus, golden_categories).dictionary
+        backward = train(list(reversed(golden_corpus)),
+                         golden_categories).dictionary
         assert set(forward) == set(backward)
 
 

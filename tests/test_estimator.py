@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pri.corpus import CategorySet, Dictionary, LabeledAdvert, build_dictionary
+from pri.corpus import CategorySet, Dictionary, LabeledAdvert
 from pri.errors import ValidationError
 from pri.config import read_lines
 from pri.estimator import (
@@ -116,11 +116,11 @@ class TestTrainingEdges:
         assert model.stats.per_category["help"]["other"] == F(1, 2)
 
     def test_empty_corpus_rejected(self, golden_categories):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="empty corpus"):
             train([], golden_categories)
 
     def test_all_stopword_corpus_rejected(self, golden_categories):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="no content terms"):
             train([LabeledAdvert("other", "the of and")], golden_categories)
 
     def test_category_without_adverts_is_flagged(self, golden_categories):
@@ -443,8 +443,15 @@ def test_model_rejects_bad_header():
         parse_model(["#pri-model v9", "dict\t0\thelp"])
 
 
-def test_dictionary_ids_follow_first_occurrence(golden_corpus):
-    dictionary = build_dictionary(golden_corpus)
+def test_dictionary_ids_follow_first_occurrence(golden_corpus,
+                                                golden_categories):
+    dictionary = train(golden_corpus, golden_categories).dictionary
     assert dictionary.terms[:3] == ("prostat", "cancer", "possibl")
     assert dictionary.terms.index("prostat") == 0
     assert dictionary.terms[2] == "possibl"
+    # Repeated adverts are trained once per distinct pair; ids still follow
+    # each term's first advert in corpus order.
+    corpus = [golden_corpus[3], golden_corpus[1], golden_corpus[3],
+              *golden_corpus]
+    expected = dict.fromkeys(t for ad in corpus for t in filter_terms(ad.text))
+    assert train(corpus, golden_categories).dictionary.terms == tuple(expected)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import islice, permutations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +62,23 @@ class TestFilter:
                             if t not in stopwords and stem(t) not in stopwords]
                 assert warm.terms(text) == expected == TermFilter().terms(text)
         assert warm.terms("ies ponies thes") == ["poni"]
+
+    def test_state_grows_with_tokens_not_texts(self):
+        # 2,000 distinct texts over 20 words: a filter remembers each word's
+        # term, never a text.
+        words = ("alpha bravo charlie delta echo foxtrot golf hotel india "
+                 "juliet kilo lima mike november oscar papa quebec romeo "
+                 "sierra tango").split()
+        texts = [" ".join(triple)
+                 for triple in islice(permutations(words, 3), 2000)]
+        assert len(set(texts)) == 2000
+        flt = TermFilter()
+        for text in texts:
+            flt.terms(text)
+        shared = default_stopwords()
+        sizes = {name: len(value) for name, value in vars(flt).items()
+                 if value is not shared}
+        assert sizes and all(size <= len(words) for size in sizes.values()), sizes
 
 
 def _domain_words() -> list[str]:
