@@ -126,10 +126,13 @@ class PriModel:
         if entry is not None:
             return entry
         terms = filter_terms(text)
+        shares = self.shares
         mass: dict[str, int] = {}
-        for term, count in Counter(terms).items():
-            for category, share in self.shares.get(term, ()):
-                mass[category] = mass.get(category, 0) + count * share
+        # Each occurrence adds its shares, so a category's sum is
+        # count * share and categories open in first-occurrence order.
+        for term in terms:
+            for category, share in shares.get(term, ()):
+                mass[category] = mass.get(category, 0) + share
         entry = (len(terms), tuple(mass.items()))
         if text in self._seen:
             self._seen.discard(text)
@@ -191,9 +194,12 @@ def train(
     cells: dict[str, dict[str, int]] = {}
     for label, terms, copies in pairs:
         scale = copies * (common // len(terms)) if terms else 0
-        for term, count in Counter(terms).items():
-            cell = cells.setdefault(term, {})
-            cell[label] = cell.get(label, 0) + count * scale
+        # Each occurrence adds its scale: a term's cell gets count * scale.
+        for term in terms:
+            cell = cells.get(term)
+            if cell is None:
+                cell = cells[term] = {}
+            cell[label] = cell.get(label, 0) + scale
     if not cells:
         raise ValidationError("corpus contains no content terms after filtering")
     dictionary = Dictionary({term: i for i, term in enumerate(cells)})

@@ -6,64 +6,44 @@ deliberately more aggressive than the original: "-ment" is stripped from
 any stem of measure >= 1 rather than > 1, so that "treatment" and "treats"
 collapse to the same stem ("treat").  Words ending in "-ement" are still
 handled by the untouched "ement" rule and are unaffected by the relaxation.
+
+``stem`` is meant for the lowercase ``[a-z0-9]`` tokens that
+``pri.textproc.tokenize`` yields.  Every letter other than a, e, i, o and u
+is a consonant, except that a "y" after a consonant is a vowel.
+
+Each word state carries its consonant/vowel form, a string of "c" and "v"
+as long as the word, computed once: one ``str.translate`` of the token,
+then, only when the token holds a "y", a pass that settles each y from the
+letter before it.  A letter's
+class depends only on the letters before it, so the form of a stem is a
+prefix of the word's form, and a rule that swaps a suffix extends that
+prefix with its replacement's fixed form (no replacement holds a "y").
+The measure m of a stem, its number of vowel-consonant transitions in the
+[C](VC)^m[V] reading, is then ``form.count("vc", 0, n)``, and the stem has
+a vowel when ``"v" in form[:n]``.
 """
 
 from __future__ import annotations
 
-_VOWELS = "aeiou"
+# a..z: vowels to "v", y to "y" for the pass that resolves it, and every
+# other letter to "c".
+_FORM = str.maketrans("abcdefghijklmnopqrstuvwxyz",
+                      "vcccvcccvcccccvcccccvcccyc")
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return True if i == 0 else not _is_consonant(word, i - 1)
-    return True
+def _ends_cvc(word: str, form: str, n: int) -> bool:
+    """Whether word[:n] ends consonant-vowel-consonant, the last letter not
+    w, x or y."""
+    return form.endswith("cvc", 0, n) and word[n - 1] not in "wxy"
 
 
-def _measure(stem: str) -> int:
-    """Number of vowel->consonant transitions ([C](VC)^m[V] form)."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        if _is_consonant(stem, i):
-            if prev_vowel:
-                m += 1
-            prev_vowel = False
-        else:
-            prev_vowel = True
-    return m
+# (suffix, replacement, replacement's form, minimum measure of the stem)
+_Rule = tuple[str, str, str, int]
 
 
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(stem: str) -> bool:
-    """consonant-vowel-consonant ending where the final letter is not w, x or y."""
-    if len(stem) < 3:
-        return False
-    return (
-        _is_consonant(stem, len(stem) - 3)
-        and not _is_consonant(stem, len(stem) - 2)
-        and _is_consonant(stem, len(stem) - 1)
-        and stem[-1] not in "wxy"
-    )
-
-
-_Rule = tuple[str, str, int]
-
-
-def _by_final_letter(rules: tuple[_Rule, ...]) -> dict[str, tuple[_Rule, ...]]:
+def _by_final_letter(
+    rules: tuple[tuple[str, str, int], ...]
+) -> dict[str, tuple[_Rule, ...]]:
     """Index a rule table by the last letter of its suffixes, longest first.
 
     Only rules ending in a word's last letter can match it, and sorting is
@@ -71,63 +51,10 @@ def _by_final_letter(rules: tuple[_Rule, ...]) -> dict[str, tuple[_Rule, ...]]:
     table longest first.
     """
     index: dict[str, list[_Rule]] = {}
-    for rule in sorted(rules, key=lambda r: -len(r[0])):
-        index.setdefault(rule[0][-1], []).append(rule)
+    for suffix, replacement, min_m in sorted(rules, key=lambda r: -len(r[0])):
+        index.setdefault(suffix[-1], []).append(
+            (suffix, replacement, replacement.translate(_FORM), min_m))
     return {letter: tuple(bucket) for letter, bucket in index.items()}
-
-
-def _apply_rules(word: str, rules: dict[str, tuple[_Rule, ...]]) -> str:
-    """Replace the longest matching suffix if its stem clears the measure bar.
-
-    Rules are (suffix, replacement, minimum measure) triples, indexed by
-    ``_by_final_letter``.  Once a suffix matches, shorter rules are not
-    considered even when the measure condition fails -- longest-match decides
-    which rule owns the word.
-    """
-    for suffix, replacement, min_m in rules.get(word[-1:], ()):
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if _measure(stem) >= min_m:
-                return stem + replacement
-            return word
-    return word
-
-
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
-
-
-def _step1b(word: str) -> str:
-    if word.endswith("eed"):
-        return word[:-1] if _measure(word[:-3]) > 0 else word
-    if word.endswith("ed") and _has_vowel(word[:-2]):
-        word = word[:-2]
-    elif word.endswith("ing") and _has_vowel(word[:-3]):
-        word = word[:-3]
-    else:
-        return word
-    # Tidy up after removing -ed / -ing.
-    if word.endswith(("at", "bl", "iz")):
-        return word + "e"
-    if _ends_double_consonant(word) and word[-1] not in "lsz":
-        return word[:-1]
-    if _measure(word) == 1 and _ends_cvc(word):
-        return word + "e"
-    return word
-
-
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
 
 
 _STEP2_RULES = _by_final_letter((
@@ -186,45 +113,91 @@ _STEP4_RULES = _by_final_letter((
 ))
 
 
-def _step4(word: str) -> str:
-    # "ion" only counts as a suffix after s or t, so it sits outside the
-    # generic rule table (no table suffix can match an "ion" word anyway).
-    if word.endswith("ion"):
-        if word[-4:-3] in ("s", "t") and _measure(word[:-3]) > 1:
-            return word[:-3]
-        return word
-    return _apply_rules(word, _STEP4_RULES)
-
-
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
-        stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
-    if word.endswith("ll") and _measure(word) > 1:
-        return word[:-1]
-    return word
-
-
 def stem(word: str) -> str:
     """Stem a single lowercase token.
 
     Tokens of length one or two are returned unchanged, as are tokens that
     contain digits (model numbers, amounts and the like are left alone).
     """
-    if len(word) <= 2 or any(ch.isdigit() for ch in word):
+    if len(word) <= 2 or (not word.isalpha()
+                          and any(ch.isdigit() for ch in word)):
         return word
-    word = _step1a(word)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _apply_rules(word, _STEP2_RULES)
-    word = _apply_rules(word, _STEP3_RULES)
-    word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
+    # The steps run inline on (word, form): this is the text path's
+    # per-token kernel, and each rule keeps the two the same length.
+    form = word.translate(_FORM)
+    if "y" in form:
+        # A leading y is a consonant and any later y the opposite of the
+        # letter before it; each round settles the first y of every run.
+        if form[0] == "y":
+            form = "c" + form[1:]
+        while "y" in form:
+            form = form.replace("vy", "vc").replace("cy", "cv")
+
+    # Step 1a: plurals.
+    if word[-1] == "s":
+        if word.endswith(("sses", "ies")):
+            word, form = word[:-2], form[:-2]
+        elif not word.endswith("ss"):
+            word, form = word[:-1], form[:-1]
+
+    # Step 1b: -eed, or -ed / -ing left of which a vowel stands, then a
+    # tidy-up of what -ed / -ing leave.
+    if word.endswith("eed"):
+        if form.count("vc", 0, len(word) - 3):
+            word, form = word[:-1], form[:-1]
+    else:
+        if word.endswith("ed") and "v" in form[:-2]:
+            cut = 2
+        elif word.endswith("ing") and "v" in form[:-3]:
+            cut = 3
+        else:
+            cut = 0
+        if cut:
+            word, form = word[:-cut], form[:-cut]
+            if word.endswith(("at", "bl", "iz")):
+                word, form = word + "e", form + "v"
+            elif (word[-1] == word[-2:-1] and form[-1] == "c"
+                    and word[-1] not in "lsz"):
+                word, form = word[:-1], form[:-1]
+            elif form.count("vc") == 1 and _ends_cvc(word, form, len(word)):
+                word, form = word + "e", form + "v"
+
+    # Step 1c: a final y -> i when a vowel stands before it.
+    if word[-1] == "y" and "v" in form[:-1]:
+        word, form = word[:-1] + "i", form[:-1] + "v"
+
+    # Steps 2 and 3: the longest matching suffix owns the word, and is
+    # replaced only when its stem clears the measure bar.
+    for rules in (_STEP2_RULES, _STEP3_RULES):
+        for suffix, replacement, replacement_form, min_m in rules.get(
+                word[-1], ()):
+            if word.endswith(suffix):
+                n = len(word) - len(suffix)
+                if form.count("vc", 0, n) >= min_m:
+                    word = word[:n] + replacement
+                    form = form[:n] + replacement_form
+                break
+
+    # Step 4: "ion" only counts as a suffix after s or t, so it sits outside
+    # the table (no table suffix can match an "ion" word anyway).  Every
+    # table rule here deletes its suffix.
+    if word.endswith("ion"):
+        if word[-4:-3] in ("s", "t") and form.count("vc", 0, len(word) - 3) > 1:
+            word, form = word[:-3], form[:-3]
+    else:
+        for suffix, _, _, min_m in _STEP4_RULES.get(word[-1], ()):
+            if word.endswith(suffix):
+                n = len(word) - len(suffix)
+                if form.count("vc", 0, n) >= min_m:
+                    word, form = word[:n], form[:n]
+                break
+
+    # Step 5: drop a final e, then undouble a final ll, on long enough stems.
+    if word[-1] == "e":
+        n = len(word) - 1
+        m = form.count("vc", 0, n)
+        if m > 1 or (m == 1 and not _ends_cvc(word, form, n)):
+            word, form = word[:n], form[:n]
+    if word.endswith("ll") and form.count("vc") > 1:
+        return word[:-1]
     return word

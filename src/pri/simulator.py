@@ -265,6 +265,11 @@ class EngineTables:
             raise ValidationError(f"prior knowledge names unknown categories: {unknown}")
         raw = {label: prior.get(label, 1.0) for label in categories.all_labels}
         total = sum(raw.values())
+        # An infinite sum would normalise every weight to 0.
+        if not math.isfinite(total):
+            raise ValidationError(
+                f"prior_knowledge = {config.prior_knowledge!r} makes the "
+                f"weights' sum overflow")
         self.prior = {label: value / total for label, value in raw.items()}
         self._answers: dict[str, tuple[Links, tuple[str, ...]]] = {}
 

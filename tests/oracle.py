@@ -6,8 +6,11 @@ The slot apportionment, the topic-score matrix and the capture writer are
 kept in their plain forms, one dict per intermediate, one Fraction addition
 per score and one ``json.dumps`` per record, as the references for the
 package's faster versions.  The engine's belief is replayed from the whole
-log of registered updates at every step, with no pending queue.  They share
-no code with the package under test.
+log of registered updates at every step, with no pending queue.  The Porter
+stemmer, ``reference_stem``, re-derives each character's consonant or vowel
+class on demand, recursing back through runs of y, and keeps its own rule
+tables.  They share no code with the package under test, and import nothing
+from it (``tests/test_imports.py`` checks this).
 """
 
 from __future__ import annotations
@@ -153,3 +156,227 @@ class ReferenceBelief:
                 else:
                     weights[label] += 1.0
         return weights
+
+
+# ---------------------------------------------------------------------------
+# Porter stemmer: every character's class re-derived on demand
+# ---------------------------------------------------------------------------
+
+_VOWELS = "aeiou"
+
+
+def _is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in _VOWELS:
+        return False
+    if ch == "y":
+        return True if i == 0 else not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem: str) -> int:
+    """Number of vowel->consonant transitions ([C](VC)^m[V] form)."""
+    m = 0
+    prev_vowel = False
+    for i in range(len(stem)):
+        if _is_consonant(stem, i):
+            if prev_vowel:
+                m += 1
+            prev_vowel = False
+        else:
+            prev_vowel = True
+    return m
+
+
+def _has_vowel(stem: str) -> bool:
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(word: str) -> bool:
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _is_consonant(word, len(word) - 1)
+    )
+
+
+def _ends_cvc(stem: str) -> bool:
+    """consonant-vowel-consonant ending where the final letter is not w, x or y."""
+    if len(stem) < 3:
+        return False
+    return (
+        _is_consonant(stem, len(stem) - 3)
+        and not _is_consonant(stem, len(stem) - 2)
+        and _is_consonant(stem, len(stem) - 1)
+        and stem[-1] not in "wxy"
+    )
+
+
+_Rule = tuple[str, str, int]
+
+
+def _by_final_letter(rules: tuple[_Rule, ...]) -> dict[str, tuple[_Rule, ...]]:
+    """Index a rule table by the last letter of its suffixes, longest first.
+
+    Only rules ending in a word's last letter can match it, and sorting is
+    stable, so scanning one bucket finds the same rule as scanning the whole
+    table longest first.
+    """
+    index: dict[str, list[_Rule]] = {}
+    for rule in sorted(rules, key=lambda r: -len(r[0])):
+        index.setdefault(rule[0][-1], []).append(rule)
+    return {letter: tuple(bucket) for letter, bucket in index.items()}
+
+
+def _apply_rules(word: str, rules: dict[str, tuple[_Rule, ...]]) -> str:
+    """Replace the longest matching suffix if its stem clears the measure bar.
+
+    Rules are (suffix, replacement, minimum measure) triples, indexed by
+    ``_by_final_letter``.  Once a suffix matches, shorter rules are not
+    considered even when the measure condition fails -- longest-match decides
+    which rule owns the word.
+    """
+    for suffix, replacement, min_m in rules.get(word[-1:], ()):
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if _measure(stem) >= min_m:
+                return stem + replacement
+            return word
+    return word
+
+
+def _step1a(word: str) -> str:
+    if word.endswith("sses"):
+        return word[:-2]
+    if word.endswith("ies"):
+        return word[:-2]
+    if word.endswith("ss"):
+        return word
+    if word.endswith("s"):
+        return word[:-1]
+    return word
+
+
+def _step1b(word: str) -> str:
+    if word.endswith("eed"):
+        return word[:-1] if _measure(word[:-3]) > 0 else word
+    if word.endswith("ed") and _has_vowel(word[:-2]):
+        word = word[:-2]
+    elif word.endswith("ing") and _has_vowel(word[:-3]):
+        word = word[:-3]
+    else:
+        return word
+    # Tidy up after removing -ed / -ing.
+    if word.endswith(("at", "bl", "iz")):
+        return word + "e"
+    if _ends_double_consonant(word) and word[-1] not in "lsz":
+        return word[:-1]
+    if _measure(word) == 1 and _ends_cvc(word):
+        return word + "e"
+    return word
+
+
+def _step1c(word: str) -> str:
+    if word.endswith("y") and _has_vowel(word[:-1]):
+        return word[:-1] + "i"
+    return word
+
+
+_STEP2_RULES = _by_final_letter((
+    ("ational", "ate", 1),
+    ("tional", "tion", 1),
+    ("enci", "ence", 1),
+    ("anci", "ance", 1),
+    ("izer", "ize", 1),
+    ("bli", "ble", 1),
+    ("alli", "al", 1),
+    ("entli", "ent", 1),
+    ("eli", "e", 1),
+    ("ousli", "ous", 1),
+    ("ization", "ize", 1),
+    ("ation", "ate", 1),
+    ("ator", "ate", 1),
+    ("alism", "al", 1),
+    ("iveness", "ive", 1),
+    ("fulness", "ful", 1),
+    ("ousness", "ous", 1),
+    ("aliti", "al", 1),
+    ("iviti", "ive", 1),
+    ("biliti", "ble", 1),
+    ("logi", "log", 1),
+))
+
+_STEP3_RULES = _by_final_letter((
+    ("icate", "ic", 1),
+    ("ative", "", 1),
+    ("alize", "al", 1),
+    ("iciti", "ic", 1),
+    ("ical", "ic", 1),
+    ("ful", "", 1),
+    ("ness", "", 1),
+))
+
+_STEP4_RULES = _by_final_letter((
+    ("al", "", 2),
+    ("ance", "", 2),
+    ("ence", "", 2),
+    ("er", "", 2),
+    ("ic", "", 2),
+    ("able", "", 2),
+    ("ible", "", 2),
+    ("ant", "", 2),
+    ("ement", "", 2),
+    ("ment", "", 1),  # relaxed: see module docstring
+    ("ent", "", 2),
+    ("ou", "", 2),
+    ("ism", "", 2),
+    ("ate", "", 2),
+    ("iti", "", 2),
+    ("ous", "", 2),
+    ("ive", "", 2),
+    ("ize", "", 2),
+))
+
+
+def _step4(word: str) -> str:
+    # "ion" only counts as a suffix after s or t, so it sits outside the
+    # generic rule table (no table suffix can match an "ion" word anyway).
+    if word.endswith("ion"):
+        if word[-4:-3] in ("s", "t") and _measure(word[:-3]) > 1:
+            return word[:-3]
+        return word
+    return _apply_rules(word, _STEP4_RULES)
+
+
+def _step5a(word: str) -> str:
+    if word.endswith("e"):
+        stem = word[:-1]
+        m = _measure(stem)
+        if m > 1 or (m == 1 and not _ends_cvc(stem)):
+            return stem
+    return word
+
+
+def _step5b(word: str) -> str:
+    if word.endswith("ll") and _measure(word) > 1:
+        return word[:-1]
+    return word
+
+
+def reference_stem(word: str) -> str:
+    """Stem a single lowercase token, one character class at a time.
+
+    Tokens of length one or two are returned unchanged, as are tokens that
+    contain digits (model numbers, amounts and the like are left alone).
+    """
+    if len(word) <= 2 or any(ch.isdigit() for ch in word):
+        return word
+    word = _step1a(word)
+    word = _step1b(word)
+    word = _step1c(word)
+    word = _apply_rules(word, _STEP2_RULES)
+    word = _apply_rules(word, _STEP3_RULES)
+    word = _step4(word)
+    word = _step5a(word)
+    word = _step5b(word)
+    return word

@@ -351,6 +351,24 @@ def test_overflowing_click_boost_is_a_data_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "campaign"])
+def test_overflowing_prior_knowledge_is_a_data_error(tmp_path, capsys, command):
+    # Each weight is finite, but their sum overflows to inf.
+    engine = tmp_path / "prior.cfg"
+    engine.write_text("prior_knowledge = payday:1e308,other:1e308\n",
+                      encoding="utf-8")
+    script = tmp_path / "s.script"
+    script.write_text(TestSimulate.SCRIPT, encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--script", str(script), "--out", str(out)]
+    else:
+        argv = ["campaign", "--out", str(out), "--train", "1", "--test", "1"]
+    assert main(argv + ["--engine", str(engine), "--seed", "1"]) == 2
+    assert "prior_knowledge" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestCampaign:
     def test_bundle_has_every_artifact(self, cli_bundle):
         names = sorted(p.name for p in cli_bundle.iterdir())

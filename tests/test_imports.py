@@ -15,6 +15,10 @@ read, as a name, an attribute or an imported name, somewhere in
 A third check keeps memos per value rather than per process: every
 ``functools.lru_cache`` or ``functools.cache`` decorator in ``src/pri`` must
 be ``lru_cache(maxsize=1)``, a singleton.
+
+A fourth check keeps the test oracle independent: ``tests/oracle.py`` may
+import nothing from ``pri``, at top level or inside a function, so that a
+reference never shares a rule table or a helper with the code it checks.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pri"
+ORACLE = Path(__file__).resolve().parent / "oracle.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -181,3 +186,32 @@ def test_the_check_finds_unbounded_caches():
               "@functools.cache\ndef g(x): pass\n")
     assert unbounded_caches(source) == [
         "line 7 c", "line 9 d", "line 11 e", "line 13 f", "line 15 g"]
+
+
+def package_imports(source: str, package: str = "pri") -> list[str]:
+    """``line module`` of each import, anywhere in a module, of ``package``
+    or one of its submodules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [f"line {node.lineno} {module}" for module in modules
+                  if module == package or module.startswith(package + ".")]
+    return found
+
+
+def test_oracle_imports_nothing_from_pri():
+    assert package_imports(ORACLE.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_package_import():
+    source = ("import json\nimport pricing\nfrom . import helpers\n"
+              "import os, pri.textproc\n"
+              "def f():\n    from pri.porter import _STEP2_RULES\n"
+              "    import pri\n    return _STEP2_RULES\n")
+    assert package_imports(source) == [
+        "line 4 pri.textproc", "line 6 pri.porter", "line 7 pri"]

@@ -308,6 +308,15 @@ class TestEngineServing:
         with pytest.raises(ValidationError, match="shoes"):
             EngineTables(config, pools, categories)
 
+    def test_prior_whose_sum_overflows_rejected(self, pools, categories):
+        config = google_config(prior_knowledge="payday:1e308,other:1e308")
+        with pytest.raises(ValidationError, match="prior_knowledge"):
+            EngineTables(config, pools, categories)
+        # Weights near the limit whose sum stays finite still normalise.
+        tables = EngineTables(google_config(prior_knowledge="other:1e308"),
+                              pools, categories)
+        assert tables.prior["other"] == 1.0
+
     def test_missing_pool_rejected(self, pools, categories):
         partial = {k: v for k, v in pools.items() if k != "divorce"}
         with pytest.raises(ValidationError, match="divorce"):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
 from itertools import islice, permutations
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+from oracle import reference_stem
 from pri.porter import stem
 from pri.textproc import TermFilter, default_stopwords, filter_terms, tokenize
 
@@ -225,3 +229,82 @@ def test_stem_total_and_shrinking(word):
     assert result == stem(word)
     assert 0 < len(result) <= len(word)
     assert result.isalpha()
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the per-character reference stemmer
+# ---------------------------------------------------------------------------
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "pri" / "data"
+
+# Every suffix of the reference's step-2, -3 and -4 rule tables.
+RULE_SUFFIXES = sorted({
+    suffix
+    for table in (oracle._STEP2_RULES, oracle._STEP3_RULES, oracle._STEP4_RULES)
+    for bucket in table.values()
+    for suffix, _, _ in bucket
+})
+# Endings the other steps test for, and y runs.
+OTHER_ENDINGS = ("sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl",
+                 "iz", "y", "e", "ll", "ion", "sion", "tion", "yy", "yyy",
+                 "ey", "eyed", "")
+INFLECTIONS = ("", "s", "ed", "ing")
+ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+
+def stem_mismatches(words) -> list[tuple[str, str, str]]:
+    """(word, stem, reference stem) of each word the two stemmers split on."""
+    return [(word, stem(word), reference_stem(word)) for word in words
+            if stem(word) != reference_stem(word)]
+
+
+def generated_words(count: int, seed: int) -> list[str]:
+    """``count`` root + ending (+ inflection) words, then the short, y-run,
+    -ed / -ing and digit tokens every run must include."""
+    rng = random.Random(seed)
+    # Vowels and y weighted up, so that stems of every measure come out.
+    letters = ALPHABET + "aeiouy" * 3
+    endings = RULE_SUFFIXES + list(OTHER_ENDINGS)
+    words = []
+    for _ in range(count):
+        root = "".join(rng.choice(letters) for _ in range(rng.randint(0, 8)))
+        words.append(root + rng.choice(endings) + rng.choice(INFLECTIONS))
+    words += ["syyy", "eyed", "yyy", "ayy", "sky", "y", "ye", "yes"]
+    # Step 1b's tidy-up on every final letter: doubled, after CVC, after VC.
+    words += [f"{root}{letter}{inflection}" for letter in ALPHABET
+              for root in (f"bu{letter}", "ha", "a", "bea")
+              for inflection in ("ed", "ing")]
+    words += [a + b for a in ALPHABET for b in ["", *ALPHABET]]
+    words += ["100", "24hr"] + [f"re{digit}{suffix}" for digit in "0123456789"
+                                for suffix in RULE_SUFFIXES]
+    return words
+
+
+def test_stem_matches_reference_on_every_bundled_token():
+    paths = [path for path in sorted(DATA.rglob("*")) if path.is_file()]
+    words = sorted({word for path in paths
+                    for word in tokenize(path.read_text(encoding="utf-8"))})
+    assert len(paths) >= 6 and len(words) > 400
+    assert stem_mismatches(words) == []
+
+
+def test_stem_matches_reference_on_generated_words():
+    words = generated_words(100_000, seed=2026)
+    for suffix in RULE_SUFFIXES:
+        assert any(word.endswith(suffix) for word in words), suffix
+    assert {"syyy", "eyed", "a", "ab", "re0ational"} <= set(words)
+    assert stem_mismatches(words) == []
+
+
+@given(st.one_of(
+    st.text(alphabet=ALPHABET + "0123456789", max_size=20),
+    st.builds(
+        lambda root, ending, inflection: root + ending + inflection,
+        st.text(alphabet=ALPHABET + "y" * 5, max_size=8),
+        st.sampled_from(RULE_SUFFIXES + list(OTHER_ENDINGS)),
+        st.sampled_from(INFLECTIONS),
+    ),
+))
+@settings(max_examples=400, deadline=None)
+def test_stem_matches_reference_on_any_token(word):
+    assert stem(word) == reference_stem(word)
