@@ -10,13 +10,18 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
 from .config import load_config, read_lines
 from .corpus import CategorySet, parse_capture, parse_corpus, save_capture
-from .detector import DetectorConfig, calibrate, parse_baselines
+from .detector import (
+    DEFAULT_PROBE_COUNT,
+    DEFAULT_SIGMA_MULTIPLIER,
+    DetectorConfig,
+    calibrate,
+    parse_baselines,
+)
 from .errors import PriError, UsageError, ValidationError
 from .estimator import parse_model, save_model, score, train
 from .probes import (
@@ -30,7 +35,10 @@ from .probes import (
 )
 from .reports import render_csv, render_detections, render_text, write_bundle
 from .runner import (
+    DEFAULT_ENGINE,
     DEFAULT_PROBE,
+    DEFAULT_TEST_SESSIONS,
+    DEFAULT_TRAIN_SESSIONS,
     CampaignConfig,
     evaluate_capture,
     run_campaign,
@@ -76,7 +84,7 @@ def _on_off(value: str) -> bool:
 
 
 def _given(**values) -> dict:
-    """The settings that were set; the config dataclasses hold the defaults."""
+    """The settings that were set; the config classes hold the defaults."""
     return {key: value for key, value in values.items() if value is not None}
 
 
@@ -89,11 +97,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.categories:
         sensitive = _comma_list(args.categories, "--categories")
     else:
-        labels = {
-            line.partition("\t")[0].strip()
-            for line in lines
-            if line.strip() and not line.lstrip().startswith("#")
-        }
+        # Only a line with a tab and a label names one; parse_corpus
+        # reports the others by line number.
+        parts = [line.partition("\t") for line in lines]
+        labels = {label.strip() for label, tab, _ in parts
+                  if tab and label.strip() and not label.lstrip().startswith("#")}
         sensitive = tuple(sorted(labels - {args.catchall}))
     categories = CategorySet(sensitive, args.catchall)
     model = train(parse_corpus(lines, categories), categories)
@@ -213,18 +221,18 @@ def _apply_config_file(args: argparse.Namespace) -> None:
 def cmd_campaign(args: argparse.Namespace) -> int:
     if args.config:
         _apply_config_file(args)
-    engine = None if args.engine is None else load_engine_config(args.engine)
+    engine = load_engine_config(DEFAULT_ENGINE if args.engine is None
+                                else args.engine)
+    if args.adaptation_lag is not None:
+        engine = engine.replace(adaptation_lag=args.adaptation_lag)
     config = CampaignConfig(
+        engine=engine,
         detector=_detector_config(args),
-        **_given(engine=engine,
-                 train_sessions_per_topic=args.train,
+        **_given(train_sessions_per_topic=args.train,
                  test_sessions_per_topic=args.test,
                  probe=args.probe,
                  clicks_enabled=args.clicks),
     )
-    if args.adaptation_lag is not None:
-        config = replace(config, engine=replace(
-            config.engine, adaptation_lag=args.adaptation_lag))
     result = run_campaign(config, master_seed=args.seed)
     paths = write_bundle(result, args.out)
     evaluation = result.evaluation
@@ -256,10 +264,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma-multiplier", type=float, default=None,
                         help="interval half-width in sigmas (default "
-                             f"{DetectorConfig.sigma_multiplier:g})")
+                             f"{DEFAULT_SIGMA_MULTIPLIER:g})")
     parser.add_argument("--probe-count", type=int, default=None,
                         help="probes per detection session (default "
-                             f"{DetectorConfig.session_probe_count}; at most "
+                             f"{DEFAULT_PROBE_COUNT}; at most "
                              f"{MIN_PROBES} for a campaign)")
 
 
@@ -340,15 +348,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="key = value settings file (flags override it)")
     p.add_argument("--engine", default=None,
                    help="engine preset name or settings file "
-                        "(default google_like)")
+                        f"(default {DEFAULT_ENGINE})")
     p.add_argument("--adaptation-lag", type=int, default=None,
                    help="override the engine's update delay")
     p.add_argument("--train", type=int, default=None,
                    help="training sessions per topic (default "
-                        f"{CampaignConfig.train_sessions_per_topic})")
+                        f"{DEFAULT_TRAIN_SESSIONS})")
     p.add_argument("--test", type=int, default=None,
                    help="test sessions per topic (default "
-                        f"{CampaignConfig.test_sessions_per_topic})")
+                        f"{DEFAULT_TEST_SESSIONS})")
     p.add_argument("--clicks", type=_on_off, default=None,
                    help="on|off (default on)")
     p.add_argument("--probe", default=None,

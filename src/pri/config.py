@@ -12,10 +12,11 @@ include a base profile and then adjust individual keys.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from importlib import resources
 from pathlib import Path
 
 from .errors import UsageError, ValidationError
+
+_DATA = Path(__file__).parent / "data"
 
 
 def read_lines(path: str | Path) -> list[str]:
@@ -39,9 +40,12 @@ def read_lines(path: str | Path) -> list[str]:
 
 
 def bundled_lines(name: str) -> list[str]:
-    """The lines of one of the package's own data files."""
-    data = resources.files("pri").joinpath(f"data/{name}")
-    return data.read_text("utf-8").splitlines()
+    """The lines of one of the package's own data files.
+
+    They sit in the package directory, so a path finds them with no
+    ``importlib.resources`` import.
+    """
+    return (_DATA / name).read_text("utf-8").splitlines()
 
 
 def parse_config(

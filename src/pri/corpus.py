@@ -12,29 +12,26 @@ Two on-disk formats live here:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ValidationError
 
 CAPTURE_HEADER = "#pri-capture v1"
 
 
-@dataclass(frozen=True)
 class CategorySet:
     """The sensitive categories plus the catch-all bucket for everything else."""
 
-    sensitive: tuple[str, ...]
-    catchall: str = "other"
-
-    def __post_init__(self) -> None:
-        labels = list(self.sensitive) + [self.catchall]
-        if len(set(labels)) != len(labels):
+    def __init__(self, sensitive: tuple[str, ...], catchall: str = "other") -> None:
+        self.sensitive = sensitive
+        self.catchall = catchall
+        self.all_labels = sensitive + (catchall,)
+        if len(set(self.all_labels)) != len(self.all_labels):
             raise ValidationError("category labels must be unique")
-        for label in labels:
+        for label in self.all_labels:
             # The model and baselines files join labels with ',' and '=' in
             # tab-separated lines, which readers split with str.splitlines.
             if label.splitlines() != [label] or any(c in label for c in ",=\t"):
@@ -42,9 +39,8 @@ class CategorySet:
                     f"category label {label!r} must be nonempty and hold no "
                     "',', '=', tab or line break")
 
-    @property
-    def all_labels(self) -> tuple[str, ...]:
-        return self.sensitive + (self.catchall,)
+    def __eq__(self, other: object) -> bool:
+        return type(other) is CategorySet and vars(other) == vars(self)
 
     def __contains__(self, label: object) -> bool:
         return label in self.all_labels
@@ -53,19 +49,16 @@ class CategorySet:
         return iter(self.all_labels)
 
 
-@dataclass(frozen=True)
-class LabeledAdvert:
+class LabeledAdvert(NamedTuple):
     label: str
     text: str
 
 
-@dataclass(frozen=True)
-class Advert:
+class Advert(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class ResultPage:
+class ResultPage(NamedTuple):
     """One response page: ordered (title, snippet) links plus advert slots.
 
     An advert's slot is its index in ``adverts``.
@@ -75,45 +68,49 @@ class ResultPage:
     adverts: tuple[Advert, ...]
 
 
-@dataclass(frozen=True)
 class Interaction:
-    step: int
-    query: str
-    page: ResultPage
-    clicked: tuple[int, ...]
-    is_probe: bool
-
-    def __post_init__(self) -> None:
-        if self.is_probe and self.clicked:
+    def __init__(self, step: int, query: str, page: ResultPage,
+                 clicked: tuple[int, ...], is_probe: bool) -> None:
+        if is_probe and clicked:
             raise ValidationError("probe responses are never clicked")
-        for idx in self.clicked:
-            if not 0 <= idx < len(self.page.adverts):
+        for idx in clicked:
+            if not 0 <= idx < len(page.adverts):
                 raise ValidationError(f"clicked index {idx} out of range")
+        self.step = step
+        self.query = query
+        self.page = page
+        self.clicked = clicked
+        self.is_probe = is_probe
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Interaction and vars(other) == vars(self)
 
 
-@dataclass(frozen=True)
 class SessionTrace:
-    session_id: str
-    topic_label: str
-    interactions: tuple[Interaction, ...]
-
-    def __post_init__(self) -> None:
-        steps = [it.step for it in self.interactions]
+    def __init__(self, session_id: str, topic_label: str,
+                 interactions: tuple[Interaction, ...]) -> None:
+        steps = [it.step for it in interactions]
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ValidationError(
-                f"session {self.session_id}: steps must be strictly increasing"
+                f"session {session_id}: steps must be strictly increasing"
             )
+        self.session_id = session_id
+        self.topic_label = topic_label
+        self.interactions = interactions
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is SessionTrace and vars(other) == vars(self)
 
     @property
     def probes(self) -> tuple[Interaction, ...]:
         return tuple(it for it in self.interactions if it.is_probe)
 
 
-@dataclass
 class Dictionary:
     """Dense term<->id bijection over the filtered training vocabulary."""
 
-    _term_to_id: dict[str, int] = field(default_factory=dict)
+    def __init__(self, term_to_id: dict[str, int]) -> None:
+        self._term_to_id = term_to_id
 
     @cached_property
     def terms(self) -> tuple[str, ...]:

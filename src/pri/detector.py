@@ -11,12 +11,10 @@ inside its own interval.  A session is sensitive when any of its first
 from __future__ import annotations
 
 import math
-import statistics
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import SessionTrace, headed_lines
 from .errors import ValidationError
@@ -25,27 +23,28 @@ from .estimator import PriModel, ScoreVector, score
 BASELINES_HEADER = "#pri-baselines v1"
 
 
-@dataclass(frozen=True)
+DEFAULT_SIGMA_MULTIPLIER = 3.0
+DEFAULT_PROBE_COUNT = 5
+
+
 class DetectorConfig:
-    sigma_multiplier: float = 3.0
-    session_probe_count: int = 5
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma_multiplier) and self.sigma_multiplier > 0):
+    def __init__(self, sigma_multiplier: float = DEFAULT_SIGMA_MULTIPLIER,
+                 session_probe_count: int = DEFAULT_PROBE_COUNT) -> None:
+        if not (math.isfinite(sigma_multiplier) and sigma_multiplier > 0):
             raise ValidationError("sigma_multiplier must be positive and finite")
-        if self.session_probe_count <= 0:
+        if session_probe_count <= 0:
             raise ValidationError("session_probe_count must be positive")
+        self.sigma_multiplier = sigma_multiplier
+        self.session_probe_count = session_probe_count
 
 
-@dataclass(frozen=True)
-class IntervalStats:
+class IntervalStats(NamedTuple):
     mean: float
     sigma: float
     count: int
 
 
-@dataclass(frozen=True)
-class TopicBaseline:
+class TopicBaseline(NamedTuple):
     per_topic: dict[str, IntervalStats]
     catchall: str
 
@@ -59,33 +58,28 @@ class TopicBaseline:
         return lo <= value <= hi
 
 
-@dataclass(frozen=True)
-class ProbeVerdict:
+class ProbeVerdict(NamedTuple):
     sensitive_flag: bool
     detected_topics: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SessionVerdict:
+class SessionVerdict(NamedTuple):
     sensitive: bool
     topics: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class ConfusionRow:
+class ConfusionRow(NamedTuple):
     true_detect: float
     false_other: float
     true_other: float
     false_detect: float
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple):
     rows: dict[str, ConfusionRow]
 
 
-@dataclass(frozen=True)
-class LagStatistics:
+class LagStatistics(NamedTuple):
     run_length_dist: dict[int, float]
     first_error_dist: dict[int, float]
     expected_run: float | None
@@ -120,9 +114,10 @@ def baselines_from_samples(
 ) -> TopicBaseline:
     """Summarize per-topic score samples; every topic needs >= 2 of them.
 
-    A topic whose samples are all equal takes that value as its mean, which
-    ``statistics.fmean`` can miss by one ulp; its sigma is 0, so its interval
-    is exactly that point.
+    The mean is ``math.fsum(values) / len(values)``, which is what
+    ``statistics.fmean`` computes on Python 3.10-3.13.  A topic whose samples
+    are all equal takes that value as its mean, which that quotient can miss
+    by one ulp; its sigma is 0, so its interval is exactly that point.
     """
     short = sorted(t for t, values in samples.items() if len(values) < 2)
     if short:
@@ -132,7 +127,7 @@ def baselines_from_samples(
     per_topic = {
         topic: IntervalStats(
             mean=(values[0] if len(set(values)) == 1
-                  else statistics.fmean(values)),
+                  else math.fsum(values) / len(values)),
             sigma=sample_sigma(values),
             count=len(values),
         )
@@ -268,7 +263,7 @@ def lag_statistics(
     return LagStatistics(
         run_length_dist=distribution(runs),
         first_error_dist=distribution(first_errors),
-        expected_run=statistics.fmean(runs) if runs else None,
+        expected_run=math.fsum(runs) / len(runs) if runs else None,
     )
 
 

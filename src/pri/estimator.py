@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     Advert,
@@ -51,15 +50,13 @@ _ZERO = Fraction(0)
 CategoryMass = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class TermStats:
+class TermStats(NamedTuple):
     """Aggregated training frequencies: totals and their per-category split."""
 
     total: dict[str, Fraction]
     per_category: dict[str, dict[str, Fraction]]
 
 
-@dataclass(frozen=True)
 class PriModel:
     """Trained statistics plus the values scoring derives from them once.
 
@@ -73,33 +70,32 @@ class PriModel:
     only once leaves a single entry in a set of seen texts.
     """
 
-    categories: CategorySet
-    dictionary: Dictionary
-    stats: TermStats
-    empty_categories: tuple[str, ...] = ()
-    share_denominators: dict[str, int] = field(
-        init=False, repr=False, compare=False)
-    shares: dict[str, CategoryMass] = field(init=False, repr=False, compare=False)
-    _seen: set[str] = field(
-        default_factory=set, init=False, repr=False, compare=False)
-    _contributions: dict[str, tuple[int, CategoryMass]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        categories: CategorySet,
+        dictionary: Dictionary,
+        stats: TermStats,
+        empty_categories: tuple[str, ...] = (),
+    ) -> None:
+        self.categories = categories
+        self.dictionary = dictionary
+        self.stats = stats
+        self.empty_categories = empty_categories
         ratios = {
             term: [
                 (category, weight / total)
-                for category, weight in self.stats.per_category[term].items()
+                for category, weight in stats.per_category[term].items()
                 if weight
             ]
-            for term, total in self.stats.total.items()
+            for term, total in stats.total.items()
         }
-        denominators = dict.fromkeys(self.categories.all_labels, 1)
+        denominators = dict.fromkeys(categories.all_labels, 1)
         for pairs in ratios.values():
             for category, share in pairs:
                 denominators[category] = math.lcm(
                     denominators[category], share.denominator)
-        shares = {
+        self.share_denominators = denominators
+        self.shares: dict[str, CategoryMass] = {
             term: tuple(
                 (category,
                  share.numerator * (denominators[category] // share.denominator))
@@ -107,8 +103,8 @@ class PriModel:
             )
             for term, pairs in ratios.items()
         }
-        object.__setattr__(self, "share_denominators", denominators)
-        object.__setattr__(self, "shares", shares)
+        self._seen: set[str] = set()
+        self._contributions: dict[str, tuple[int, CategoryMass]] = {}
 
     @property
     def term_filter(self) -> TermFilter:
@@ -142,7 +138,6 @@ class PriModel:
         return entry
 
 
-@dataclass(frozen=True, eq=False)
 class ScoreVector:
     """A page's score for each category ``c``, kept unreduced as
     ``numerators[c] / (denominators[c] * common)``.
@@ -152,9 +147,11 @@ class ScoreVector:
     ``share_denominators``.  Vectors compare by their exact scores.
     """
 
-    numerators: dict[str, int]
-    common: int
-    denominators: Mapping[str, int] = field(repr=False)
+    def __init__(self, numerators: dict[str, int], common: int,
+                 denominators: Mapping[str, int]) -> None:
+        self.numerators = numerators
+        self.common = common
+        self.denominators = denominators
 
     def value(self, category: str) -> float:
         """The score of one category as a float, correctly rounded."""

@@ -13,8 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .config import bundled_lines
 from .corpus import ResultPage
@@ -25,21 +24,21 @@ DEFAULT_PROBES = ("symptoms and causes", "help and advice")
 DEFAULT_MIN_RATIO = 0.01
 
 
-@dataclass(frozen=True)
 class ProbeCandidate:
-    term: str
-    surface: str
-    tf: int
-
-    def __post_init__(self) -> None:
-        if not self.term or not self.surface:
+    def __init__(self, term: str, surface: str, tf: int) -> None:
+        if not term or not surface:
             raise ValidationError("probe candidate needs a term and a surface form")
-        if self.tf <= 0:
+        if tf <= 0:
             raise ValidationError("probe candidate frequency must be positive")
+        self.term = term
+        self.surface = surface
+        self.tf = tf
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ProbeCandidate and vars(other) == vars(self)
 
 
-@dataclass(frozen=True)
-class AmbiguityEntry:
+class AmbiguityEntry(NamedTuple):
     topic: str
     probe: str
     n_topic: int
@@ -50,8 +49,7 @@ class AmbiguityEntry:
         return ambiguity_ratio(self.n_topic, self.n_topic_probe)
 
 
-@dataclass(frozen=True)
-class AmbiguityReport:
+class AmbiguityReport(NamedTuple):
     entries: tuple[AmbiguityEntry, ...]
 
     def lookup(self, topic: str, probe: str) -> AmbiguityEntry:

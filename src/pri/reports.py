@@ -12,12 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import astuple, fields
 from io import StringIO
 from pathlib import Path
 
 from .corpus import save_capture
-from .detector import ConfusionMatrix, ConfusionRow, LagStatistics, save_baselines
+from .detector import ConfusionRow, LagStatistics, save_baselines
 from .estimator import save_model
 from .runner import CampaignResult, Evaluation
 
@@ -44,7 +43,7 @@ BUNDLE_FILES = (
     "summary.md",
 )
 
-CONFUSION_COLUMNS = tuple(f.name for f in fields(ConfusionRow))
+CONFUSION_COLUMNS = ConfusionRow._fields
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +100,6 @@ def _percent(value: float) -> str:
     return f"{100.0 * value:.1f}%"
 
 
-def _confusion_rows(
-    confusion: ConfusionMatrix,
-) -> list[tuple[str, tuple[float, ...]]]:
-    """Each topic with its session rates, in CONFUSION_COLUMNS order."""
-    return [(topic, astuple(row)) for topic, row in confusion.rows.items()]
-
-
 def _lag_rows(lag: LagStatistics) -> list[tuple[str, object, str]]:
     """(statistic, key, value): both distributions, then the E[X] mean."""
     rows: list[tuple[str, object, str]] = [
@@ -162,12 +154,12 @@ def render_text(evaluation: Evaluation) -> str:
         "Per-topic session rates",
         "-----------------------",
     ]
-    rows = _confusion_rows(evaluation.confusion)
-    width = max((len(topic) for topic, _ in rows), default=5)
+    rows = evaluation.confusion.rows
+    width = max(map(len, rows), default=5)
     lines.append(f"{'topic':<{width}}" + "".join(
         f"  {column.replace('_', ' '):>{w}}"
         for column, w in zip(CONFUSION_COLUMNS, _TEXT_WIDTHS)))
-    for topic, values in rows:
+    for topic, values in rows.items():
         lines.append(f"{topic:<{width}}" + "".join(
             f"  {_percent(v):>{w}}" for v, w in zip(values, _TEXT_WIDTHS)))
     lines += ["", "Misclassification lag", "---------------------"]
@@ -189,7 +181,7 @@ def render_csv(evaluation: Evaluation) -> str:
                      repr(evaluation.sensitive_rate)))
     writer.writerow(("summary", "rate", "false_positive",
                      repr(evaluation.false_positive_rate)))
-    for topic, values in _confusion_rows(evaluation.confusion):
+    for topic, values in evaluation.confusion.rows.items():
         for column, value in zip(CONFUSION_COLUMNS, values):
             writer.writerow(("confusion", topic, column, repr(value)))
     for row in _lag_rows(evaluation.lag):
@@ -247,7 +239,7 @@ def _summary_markdown(result: CampaignResult) -> str:
         + " |",
         "|" + " --- |" * (1 + len(CONFUSION_COLUMNS)),
     ]
-    for topic, values in _confusion_rows(evaluation.confusion):
+    for topic, values in evaluation.confusion.rows.items():
         lines.append("| " + " | ".join([topic, *map(_percent, values)]) + " |")
     lines += ["", "## Misclassification lag", ""]
     lines += ([f"- {label}: {value}"
@@ -294,7 +286,7 @@ def write_bundle(result: CampaignResult, out_dir: str | Path) -> tuple[Path, ...
         "confusion.csv": _csv(
             ("topic",) + CONFUSION_COLUMNS,
             [(topic, *map(repr, values))
-             for topic, values in _confusion_rows(evaluation.confusion)]),
+             for topic, values in evaluation.confusion.rows.items()]),
         "heatmap.csv": _heatmap_csv(result),
         "lag.csv": _csv(("statistic", "key", "value"),
                         _lag_rows(evaluation.lag)),

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import CategorySet, Interaction, LabeledAdvert, SessionTrace
 from .detector import (
@@ -53,6 +52,9 @@ from .scripts import (
 from .simulator import AdEngine, EngineConfig, EngineTables, build_ad_pools, load_engine_config, new_engine
 
 DEFAULT_PROBE = "symptoms and causes"
+DEFAULT_ENGINE = "google_like"
+DEFAULT_TRAIN_SESSIONS = 3
+DEFAULT_TEST_SESSIONS = 10
 
 
 def derive_seed(master_seed: int, channel: str) -> int:
@@ -107,32 +109,42 @@ def score_probes(model: PriModel, trace: SessionTrace) -> tuple[ScoreVector, ...
     return tuple(score(model, probe.page.adverts) for probe in trace.probes)
 
 
-@dataclass(frozen=True)
 class CampaignConfig:
-    keywords: dict[str, list[str]] = field(default_factory=load_default_keywords)
-    catchall: str = "other"
-    train_sessions_per_topic: int = 3
-    test_sessions_per_topic: int = 10
-    engine: EngineConfig = field(
-        default_factory=lambda: load_engine_config("google_like")
-    )
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
-    probe: str = DEFAULT_PROBE
-    clicks_enabled: bool = True
+    """A campaign's settings; a default keyword map, engine or detector is
+    the bundled one."""
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        keywords: dict[str, list[str]] | None = None,
+        catchall: str = "other",
+        train_sessions_per_topic: int = DEFAULT_TRAIN_SESSIONS,
+        test_sessions_per_topic: int = DEFAULT_TEST_SESSIONS,
+        engine: EngineConfig | None = None,
+        detector: DetectorConfig | None = None,
+        probe: str = DEFAULT_PROBE,
+        clicks_enabled: bool = True,
+    ) -> None:
+        self.keywords = load_default_keywords() if keywords is None else keywords
+        self.catchall = catchall
+        self.train_sessions_per_topic = train_sessions_per_topic
+        self.test_sessions_per_topic = test_sessions_per_topic
+        self.engine = (load_engine_config(DEFAULT_ENGINE) if engine is None
+                       else engine)
+        self.detector = DetectorConfig() if detector is None else detector
+        self.probe = probe
+        self.clicks_enabled = clicks_enabled
         if not self.keywords:
             raise ValidationError("campaign needs at least one sensitive topic")
-        if self.train_sessions_per_topic < 1:
+        if train_sessions_per_topic < 1:
             raise ValidationError("train_sessions_per_topic must be at least 1")
-        if self.test_sessions_per_topic < 1:
+        if test_sessions_per_topic < 1:
             raise ValidationError("test_sessions_per_topic must be at least 1")
-        if not self.probe.strip():
+        if not probe.strip():
             raise ValidationError("probe text must be nonempty")
-        revealing = revealing_topics(self.probe, self.keywords, self.keywords)
+        revealing = revealing_topics(probe, self.keywords, self.keywords)
         if revealing:
             raise ValidationError(
-                f"probe {self.probe!r} shares keyword terms with "
+                f"probe {probe!r} shares keyword terms with "
                 f"{', '.join(revealing)}")
         if self.detector.session_probe_count > MIN_PROBES:
             raise ValidationError(
@@ -145,8 +157,7 @@ class CampaignConfig:
         return CategorySet(tuple(sorted(self.keywords)), self.catchall)
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """Verdicts for a set of sessions and every aggregate derived from them.
 
     Every field is computed once, by ``evaluate_capture``; the renderers in
@@ -220,8 +231,7 @@ def evaluate_capture(
     )
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(NamedTuple):
     config: CampaignConfig
     master_seed: int
     model: PriModel

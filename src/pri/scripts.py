@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import bundled_lines
 from .errors import ValidationError
@@ -38,40 +37,37 @@ MIN_PROBES = math.ceil((MIN_QUERIES + MAX_PROBE_GAP) / (MAX_PROBE_GAP + 1))
 CLICK_SHARE = 0.1
 
 
-@dataclass(frozen=True)
 class CategoryKeywords:
-    label: str
-    phrases: tuple[str, ...]
-    # Advert text -> click_decision's answer: sessions meet a few hundred
-    # distinct adverts thousands of times, so each is decided once.
-    _clicks: dict[str, bool] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __init__(self, label: str, phrases: tuple[str, ...]) -> None:
+        if not label:
             raise ValidationError("category keywords need a label")
-        if not self.phrases or any(not p.strip() for p in self.phrases):
+        if not phrases or any(not p.strip() for p in phrases):
             raise ValidationError(
-                f"category {self.label!r} needs nonempty keyword phrases"
+                f"category {label!r} needs nonempty keyword phrases"
             )
+        self.label = label
+        self.phrases = phrases
+        # Advert text -> click_decision's answer: sessions meet a few hundred
+        # distinct adverts thousands of times, so each is decided once.
+        self._clicks: dict[str, bool] = {}
 
     @cached_property
     def term_set(self) -> frozenset[str]:
         return term_set(self.phrases)
 
 
-@dataclass(frozen=True)
 class ScriptEntry:
-    text: str
-    is_probe: bool
-
-    def __post_init__(self) -> None:
-        if not self.text.strip():
+    def __init__(self, text: str, is_probe: bool) -> None:
+        if not text.strip():
             raise ValidationError("query entries need text")
+        self.text = text
+        self.is_probe = is_probe
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is ScriptEntry and vars(other) == vars(self)
 
 
-@dataclass(frozen=True)
-class QueryScript:
+class QueryScript(NamedTuple):
     topic: str
     entries: tuple[ScriptEntry, ...]
     # The words of a script file's "! keywords:" line; generated scripts

@@ -19,7 +19,6 @@ import hashlib
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -84,24 +83,36 @@ _CATCHALL_ADS = (
 _AD_GLUE = ("for", "with", "and", "from", "to", "on", "at", "as")
 
 
-@dataclass(frozen=True)
 class EngineConfig:
-    adaptation_lag: int = 0
-    click_boost: float = 2.0
-    ads_per_page: int = 4
-    pool_diversity: float = 3.3
-    prior_knowledge: str = ""
-
-    def __post_init__(self) -> None:
-        if self.adaptation_lag < 0:
+    def __init__(
+        self,
+        adaptation_lag: int = 0,
+        click_boost: float = 2.0,
+        ads_per_page: int = 4,
+        pool_diversity: float = 3.3,
+        prior_knowledge: str = "",
+    ) -> None:
+        if adaptation_lag < 0:
             raise ValidationError("adaptation_lag must be >= 0")
-        if self.click_boost <= 0 or not math.isfinite(self.click_boost):
+        if click_boost <= 0 or not math.isfinite(click_boost):
             raise ValidationError("click_boost must be positive")
-        if self.ads_per_page < 1:
+        if ads_per_page < 1:
             raise ValidationError("ads_per_page must be at least 1")
-        if self.pool_diversity <= 0 or not math.isfinite(self.pool_diversity):
+        if pool_diversity <= 0 or not math.isfinite(pool_diversity):
             raise ValidationError("pool_diversity must be positive")
-        parse_prior_knowledge(self.prior_knowledge)
+        parse_prior_knowledge(prior_knowledge)
+        self.adaptation_lag = adaptation_lag
+        self.click_boost = click_boost
+        self.ads_per_page = ads_per_page
+        self.pool_diversity = pool_diversity
+        self.prior_knowledge = prior_knowledge
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is EngineConfig and vars(other) == vars(self)
+
+    def replace(self, **changes) -> EngineConfig:
+        """A copy with some settings changed, validated like any other."""
+        return EngineConfig(**{**vars(self), **changes})
 
 
 def parse_prior_knowledge(text: str) -> dict[str, float]:
@@ -376,7 +387,7 @@ def new_engine(tables: EngineTables, seed: int) -> AdEngine:
 # ---------------------------------------------------------------------------
 
 # setting -> the type of its default, which converts the file's text
-_CONFIG_KEYS = {f.name: type(f.default) for f in fields(EngineConfig)}
+_CONFIG_KEYS = {key: type(value) for key, value in vars(EngineConfig()).items()}
 
 
 def engine_config_from_mapping(mapping: Mapping[str, str]) -> EngineConfig:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 from statistics import fmean
 
@@ -282,7 +281,7 @@ def test_criterion_6_learning_lag_statistics(google):
     base = load_engine_config("google_like")
     ladder = [expected_run]
     for lag in range(1, 5):
-        config = CampaignConfig(engine=replace(base, adaptation_lag=lag))
+        config = CampaignConfig(engine=base.replace(adaptation_lag=lag))
         ladder.append(
             run_campaign(config, MASTER_SEED).evaluation.lag.expected_run)
     for lower, upper in zip(ladder, ladder[1:]):

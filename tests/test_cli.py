@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -24,11 +23,17 @@ from pri.corpus import (
     parse_corpus,
     save_capture,
 )
-from pri.detector import TopicBaseline, parse_baselines, save_baselines
+from pri.detector import (
+    DetectorConfig,
+    TopicBaseline,
+    parse_baselines,
+    save_baselines,
+)
 from pri.errors import PriError, ValidationError
 from pri.estimator import PriModel, TermStats, parse_model, save_model
 from pri.probes import parse_ambiguity_csv
 from pri.reports import write_bundle
+from pri.runner import CampaignConfig
 from pri.scripts import parse_script
 from pri.simulator import parse_prior_knowledge
 
@@ -98,6 +103,24 @@ class TestTrain:
                      *flags])
         assert code == 2
         assert f"category label {label!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("payday quick loans, no checks", "missing tab separator"),
+        ("\tquick loans, no checks", "unknown label ''"),
+    ])
+    def test_line_naming_no_label_is_reported_by_line(
+            self, tmp_path, capsys, line, message):
+        # Labels inferred from the corpus skip such a line, so it is a
+        # line error rather than a bad label.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("payday\tCheap payday loans fast\n"
+                          "other\tHoliday packages cinema\n"
+                          f"{line}\n", encoding="utf-8")
+        out = tmp_path / "m.txt"
+        code = main(["train", "--corpus", str(corpus), "--out", str(out)])
+        assert code == 2
+        assert f"corpus line 3: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -406,6 +429,15 @@ class TestCampaign:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_negative_adaptation_lag_fails_before_simulating(
+            self, tmp_path, capsys):
+        out = tmp_path / "b"
+        code = main(["campaign", "--seed", "5", "--out", str(out),
+                     "--train", "1", "--test", "1", "--adaptation-lag", "-1"])
+        assert code == 2
+        assert "adaptation_lag" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_override_the_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "campaign.cfg"
         cfg.write_text("test_sessions_per_topic = 2\n"
@@ -668,6 +700,28 @@ class TestTopLevel:
                      "simulate", "campaign", "report"):
             assert name in out
 
+    @pytest.mark.parametrize("command, flags", [
+        ("campaign", ("--train", "--test", "--sigma-multiplier", "--probe-count")),
+        ("detect", ("--sigma-multiplier", "--probe-count")),
+    ])
+    def test_help_shows_the_config_defaults(self, capsys, command, flags):
+        campaign, detector = CampaignConfig(), DetectorConfig()
+        defaults = {
+            "--train": campaign.train_sessions_per_topic,
+            "--test": campaign.test_sessions_per_topic,
+            "--sigma-multiplier": detector.sigma_multiplier,
+            "--probe-count": detector.session_probe_count,
+        }
+        assert defaults == {"--train": 3, "--test": 10,
+                            "--sigma-multiplier": 3, "--probe-count": 5}
+        assert main([command, "--help"]) == 0
+        # Unwrapped; the usage line shows each flag as "[--flag METAVAR]".
+        text = " ".join(capsys.readouterr().out.split())
+        for flag in flags:
+            metavar = flag[2:].replace("-", "_").upper()
+            entry = text.split(f" {flag} {metavar} ")[1].split(" --")[0]
+            assert f"(default {defaults[flag]:g}" in entry, entry
+
     def test_no_subcommand_is_a_usage_error(self, capsys):
         assert main([]) == 1
 
@@ -798,7 +852,8 @@ def renamed_bundles(mini_campaign, tmp_path_factory):
     save_baselines(TopicBaseline(
         {_misc(t): stats for t, stats in baseline.per_topic.items()}, "misc"),
         renamed / "baselines.txt")
-    save_capture([replace(trace, topic_label=_misc(trace.topic_label))
+    save_capture([SessionTrace(trace.session_id, _misc(trace.topic_label),
+                               trace.interactions)
                   for trace in mini_campaign.test_traces],
                  renamed / "test.capture")
     return original, renamed

@@ -19,11 +19,17 @@ be ``lru_cache(maxsize=1)``, a singleton.
 A fourth check keeps the test oracle independent: ``tests/oracle.py`` may
 import nothing from ``pri``, at top level or inside a function, so that a
 reference never shares a rule table or a helper with the code it checks.
+
+A fifth check keeps start-up cheap: a fresh interpreter that imports
+``pri.cli`` loads neither ``dataclasses`` nor ``inspect``, whose import and
+generated classes cost every command tens of milliseconds.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -215,3 +221,28 @@ def test_the_check_finds_a_package_import():
               "    import pri\n    return _STEP2_RULES\n")
     assert package_imports(source) == [
         "line 4 pri.textproc", "line 6 pri.porter", "line 7 pri"]
+
+
+# Modules a fresh ``import pri.cli`` must not load.
+STARTUP_FORBIDDEN = ("dataclasses", "inspect")
+
+
+def loaded_in_fresh_interpreter(code: str) -> list[str]:
+    """Those of STARTUP_FORBIDDEN in ``sys.modules`` after a new interpreter
+    runs ``code`` with ``src`` on its path.  ``-S`` skips site-packages
+    hooks, so only the code's own imports count."""
+    probe = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {code}; "
+             f"print(' '.join(m for m in {STARTUP_FORBIDDEN!r} "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                          capture_output=True, text=True)
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    assert loaded_in_fresh_interpreter("import pri.cli") == []
+
+
+def test_the_check_finds_a_stray_startup_import():
+    assert loaded_in_fresh_interpreter("import pri.cli; import dataclasses") == [
+        "dataclasses", "inspect"]

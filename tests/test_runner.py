@@ -5,7 +5,6 @@ from __future__ import annotations
 import gc
 import random
 import weakref
-from dataclasses import replace
 from io import StringIO
 
 import pytest
@@ -47,7 +46,7 @@ def location_engine(default_keywords, seed=3):
 def example_script():
     # The literal leaves the optional "! topic:" directive out, so pin the
     # topic here the way a capture-side caller would.
-    return replace(parse_script(EXAMPLE_SCRIPT.splitlines()), topic="location")
+    return parse_script(EXAMPLE_SCRIPT.splitlines())._replace(topic="location")
 
 
 class TestSeedFanOut:
