@@ -68,15 +68,21 @@ class SessionVerdict(NamedTuple):
     topics: frozenset[str] = frozenset()
 
 
+class SessionResult(NamedTuple):
+    """One judged session; scores and probe verdicts are in probe order."""
+
+    session_id: str
+    truth: str
+    scores: tuple[ScoreVector, ...]
+    probe_verdicts: tuple[ProbeVerdict, ...]
+    verdict: SessionVerdict
+
+
 class ConfusionRow(NamedTuple):
     true_detect: float
     false_other: float
     true_other: float
     false_detect: float
-
-
-class ConfusionMatrix(NamedTuple):
-    rows: dict[str, ConfusionRow]
 
 
 class LagStatistics(NamedTuple):
@@ -187,63 +193,52 @@ def detect_session(
 
 
 def confusion_matrix(
-    session_verdicts: Sequence[SessionVerdict],
-    ground_truth: Sequence[str],
-    topics: Sequence[str],
-) -> ConfusionMatrix:
-    if not session_verdicts or len(session_verdicts) != len(ground_truth):
-        raise ValidationError("need aligned, nonempty verdicts and ground truth")
+    sessions: Sequence[SessionResult], topics: Iterable[str]
+) -> dict[str, ConfusionRow]:
     rows: dict[str, ConfusionRow] = {}
     for topic in topics:
-        own = [v for v, t in zip(session_verdicts, ground_truth) if t == topic]
-        rest = [v for v, t in zip(session_verdicts, ground_truth) if t != topic]
-        detected_own = sum(1 for v in own if topic in v.topics)
-        detected_rest = sum(1 for v in rest if topic in v.topics)
-        true_detect = detected_own / len(own) if own else 0.0
-        false_detect = detected_rest / len(rest) if rest else 0.0
+        own = [topic in s.verdict.topics for s in sessions if s.truth == topic]
+        rest = [topic in s.verdict.topics for s in sessions if s.truth != topic]
+        true_detect = sum(own) / len(own) if own else 0.0
+        false_detect = sum(rest) / len(rest) if rest else 0.0
         rows[topic] = ConfusionRow(
             true_detect=true_detect,
             false_other=1.0 - true_detect,
             true_other=1.0 - false_detect,
             false_detect=false_detect,
         )
-    return ConfusionMatrix(rows=rows)
+    return rows
 
 
 def detection_rates(
-    session_verdicts: Sequence[SessionVerdict],
-    ground_truth: Sequence[str],
-    catchall: str,
+    sessions: Sequence[SessionResult], catchall: str
 ) -> tuple[float, float]:
     """(sensitive-session detection rate, catchall false-positive rate)."""
-    sensitive = [v for v, t in zip(session_verdicts, ground_truth) if t != catchall]
-    catchalls = [v for v, t in zip(session_verdicts, ground_truth) if t == catchall]
-    rate = (sum(1 for v in sensitive if v.sensitive) / len(sensitive)
-            if sensitive else 0.0)
-    false_positive = (sum(1 for v in catchalls if v.sensitive) / len(catchalls)
-                      if catchalls else 0.0)
+    sensitive = [s.verdict.sensitive for s in sessions if s.truth != catchall]
+    catchalls = [s.verdict.sensitive for s in sessions if s.truth == catchall]
+    rate = sum(sensitive) / len(sensitive) if sensitive else 0.0
+    false_positive = sum(catchalls) / len(catchalls) if catchalls else 0.0
     return rate, false_positive
 
 
-def probe_misclassified(verdict: ProbeVerdict, truth: str, catchall: str) -> bool:
-    if truth == catchall:
-        return verdict.sensitive_flag
-    return not (verdict.sensitive_flag and truth in verdict.detected_topics)
-
-
 def lag_statistics(
-    probe_verdicts_per_session: Sequence[Sequence[ProbeVerdict]],
-    ground_truth: Sequence[str],
-    catchall: str,
+    sessions: Sequence[SessionResult], catchall: str
 ) -> LagStatistics:
-    """Run lengths of consecutive misclassified probes, and first-error index."""
+    """Run lengths of consecutive misclassified probes, and first-error index.
+
+    A probe is misclassified when flagged in a catch-all session, or when not
+    flagged as its own topic in a sensitive one.
+    """
     runs: list[int] = []
     first_errors: list[int] = []
-    for verdicts, truth in zip(probe_verdicts_per_session, ground_truth):
+    for session in sessions:
+        truth = session.truth
         current = 0
         first: int | None = None
-        for i, verdict in enumerate(verdicts, start=1):
-            if probe_misclassified(verdict, truth, catchall):
+        for i, verdict in enumerate(session.probe_verdicts, start=1):
+            if (verdict.sensitive_flag if truth == catchall
+                    else not (verdict.sensitive_flag
+                              and truth in verdict.detected_topics)):
                 current += 1
                 if first is None:
                     first = i

@@ -18,20 +18,19 @@ from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 from .config import bundled_lines
 from .corpus import ResultPage
 from .errors import ValidationError
-from .textproc import default_filter, filter_terms, term_set, tokenize
+from .textproc import filter_terms, term_set
 
 DEFAULT_PROBES = ("symptoms and causes", "help and advice")
 DEFAULT_MIN_RATIO = 0.01
 
 
 class ProbeCandidate:
-    def __init__(self, term: str, surface: str, tf: int) -> None:
-        if not term or not surface:
-            raise ValidationError("probe candidate needs a term and a surface form")
+    def __init__(self, term: str, tf: int) -> None:
+        if not term:
+            raise ValidationError("probe candidate needs a term")
         if tf <= 0:
             raise ValidationError("probe candidate frequency must be positive")
         self.term = term
-        self.surface = surface
         self.tf = tf
 
     def __eq__(self, other: object) -> bool:
@@ -76,23 +75,10 @@ def extract_candidates(
         raise ValidationError("cannot extract probe candidates from zero pages")
     if top_k <= 0:
         raise ValidationError("top_k must be positive")
-    flt = default_filter()
-    # Each term's raw-token spellings, so candidates render as surface words;
-    # a term's frequency is the total of its spellings.
-    spellings: dict[str, Counter] = {}
-    for page in pages:
-        for text in _page_texts(page):
-            for token in tokenize(text):
-                term = flt.term(token)
-                if term is not None:
-                    spellings.setdefault(term, Counter())[token] += 1
-    ranked = sorted(spellings.items(), key=lambda kv: (-kv[1].total(), kv[0]))
-    candidates = []
-    for term, surfaces in ranked[:top_k]:
-        surface = min(surfaces, key=lambda s: (-surfaces[s], s))
-        candidates.append(
-            ProbeCandidate(term=term, surface=surface, tf=surfaces.total()))
-    return candidates
+    counts = Counter(term for page in pages for text in _page_texts(page)
+                     for term in filter_terms(text))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [ProbeCandidate(term=term, tf=tf) for term, tf in ranked[:top_k]]
 
 
 def ambiguity_ratio(n_topic: int, n_topic_probe: int) -> float:

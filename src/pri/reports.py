@@ -68,12 +68,12 @@ def topic_score_matrix(result: CampaignResult) -> dict[str, dict[str, float]]:
         t: {c: Counter() for c in topics} for t in topics
     }
     counts: dict[str, int] = {t: 0 for t in topics}
-    for sid, vectors in evaluation.probe_scores.items():
-        truth = evaluation.truths[sid]
+    for session in evaluation.sessions:
+        truth = session.truth
         if truth not in sums:
             continue
         row = sums[truth]
-        for vector in vectors:
+        for vector in session.scores:
             counts[truth] += 1
             numerators = vector.numerators
             for category in topics:
@@ -128,9 +128,9 @@ def _lag_lines(lag: LagStatistics, arrow: str, sep: str) -> list[tuple[str, str]
 
 def _session_counts(evaluation: Evaluation) -> tuple[int, int]:
     """(sensitive sessions, catch-all sessions)."""
-    n_catchall = sum(1 for t in evaluation.truths.values()
-                     if t == evaluation.catchall)
-    return len(evaluation.truths) - n_catchall, n_catchall
+    n_catchall = sum(1 for s in evaluation.sessions
+                     if s.truth == evaluation.catchall)
+    return len(evaluation.sessions) - n_catchall, n_catchall
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ def render_text(evaluation: Evaluation) -> str:
         "Per-topic session rates",
         "-----------------------",
     ]
-    rows = evaluation.confusion.rows
+    rows = evaluation.confusion
     width = max(map(len, rows), default=5)
     lines.append(f"{'topic':<{width}}" + "".join(
         f"  {column.replace('_', ' '):>{w}}"
@@ -181,7 +181,7 @@ def render_csv(evaluation: Evaluation) -> str:
                      repr(evaluation.sensitive_rate)))
     writer.writerow(("summary", "rate", "false_positive",
                      repr(evaluation.false_positive_rate)))
-    for topic, values in evaluation.confusion.rows.items():
+    for topic, values in evaluation.confusion.items():
         for column, value in zip(CONFUSION_COLUMNS, values):
             writer.writerow(("confusion", topic, column, repr(value)))
     for row in _lag_rows(evaluation.lag):
@@ -194,10 +194,10 @@ def render_detections(evaluation: Evaluation) -> str:
     out = StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("session", "topic", "sensitive", "detected_topics"))
-    for sid in evaluation.session_ids:
-        verdict = evaluation.session_verdicts[sid]
+    for session in evaluation.sessions:
+        verdict = session.verdict
         detected = ";".join(sorted(verdict.topics))
-        writer.writerow((sid, evaluation.truths[sid],
+        writer.writerow((session.session_id, session.truth,
                          int(verdict.sensitive), detected))
     return out.getvalue()
 
@@ -239,7 +239,7 @@ def _summary_markdown(result: CampaignResult) -> str:
         + " |",
         "|" + " --- |" * (1 + len(CONFUSION_COLUMNS)),
     ]
-    for topic, values in evaluation.confusion.rows.items():
+    for topic, values in evaluation.confusion.items():
         lines.append("| " + " | ".join([topic, *map(_percent, values)]) + " |")
     lines += ["", "## Misclassification lag", ""]
     lines += ([f"- {label}: {value}"
@@ -286,7 +286,7 @@ def write_bundle(result: CampaignResult, out_dir: str | Path) -> tuple[Path, ...
         "confusion.csv": _csv(
             ("topic",) + CONFUSION_COLUMNS,
             [(topic, *map(repr, values))
-             for topic, values in evaluation.confusion.rows.items()]),
+             for topic, values in evaluation.confusion.items()]),
         "heatmap.csv": _heatmap_csv(result),
         "lag.csv": _csv(("statistic", "key", "value"),
                         _lag_rows(evaluation.lag)),

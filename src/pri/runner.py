@@ -18,17 +18,15 @@ it on a capture file.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import CategorySet, Interaction, LabeledAdvert, SessionTrace
 from .detector import (
-    ConfusionMatrix,
+    ConfusionRow,
     DetectorConfig,
     LagStatistics,
-    ProbeVerdict,
-    SessionVerdict,
+    SessionResult,
     TopicBaseline,
     calibrate,
     classify_probe,
@@ -59,6 +57,8 @@ DEFAULT_TEST_SESSIONS = 10
 
 def derive_seed(master_seed: int, channel: str) -> int:
     """Stable 64-bit seed for one named random channel of a run."""
+    import hashlib  # here, not at top level: only campaigns pay its import
+
     digest = hashlib.sha256(f"{master_seed}:{channel}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -158,25 +158,18 @@ class CampaignConfig:
 
 
 class Evaluation(NamedTuple):
-    """Verdicts for a set of sessions and every aggregate derived from them.
+    """One record per judged session and every aggregate derived from them.
 
     Every field is computed once, by ``evaluate_capture``; the renderers in
     ``pri.reports`` only format these values.
     """
 
     catchall: str
-    truths: dict[str, str]
-    probe_scores: dict[str, tuple[ScoreVector, ...]]
-    probe_verdicts: dict[str, tuple[ProbeVerdict, ...]]
-    session_verdicts: dict[str, SessionVerdict]
+    sessions: tuple[SessionResult, ...]
     sensitive_rate: float
     false_positive_rate: float
-    confusion: ConfusionMatrix
+    confusion: dict[str, ConfusionRow]
     lag: LagStatistics
-
-    @property
-    def session_ids(self) -> tuple[str, ...]:
-        return tuple(self.truths)
 
 
 def evaluate_capture(
@@ -187,48 +180,41 @@ def evaluate_capture(
 ) -> Evaluation:
     """Score and classify every probe in the traces, then aggregate once.
 
-    The catch-all is the model's, and the baseline must name the same one.
-    The confusion matrix covers every true topic other than the catch-all,
-    sorted; a capture with no sessions has no confusion rows.
+    The model, the baselines and the capture must agree: the baselines name
+    the model's catch-all and exactly the model's labels, and every session's
+    topic is a model label.  The confusion matrix covers every true topic
+    other than the catch-all, sorted.
     """
     catchall = model.categories.catchall
     if baseline.catchall != catchall:
         raise ValidationError(
             f"baselines catch-all {baseline.catchall!r} differs from the "
             f"model's {catchall!r}")
+    labels, named = set(model.categories.all_labels), baseline.per_topic.keys()
+    if named != labels:
+        missing = ", ".join(sorted(labels - named)) or "none"
+        extra = ", ".join(sorted(named - labels)) or "none"
+        raise ValidationError("baselines topics differ from the model's: "
+                              f"missing {missing}; extra {extra}")
     config = config or DetectorConfig()
-    truths: dict[str, str] = {}
-    probe_scores: dict[str, tuple[ScoreVector, ...]] = {}
-    probe_verdicts: dict[str, tuple[ProbeVerdict, ...]] = {}
-    session_verdicts: dict[str, SessionVerdict] = {}
+    sessions: list[SessionResult] = []
     for trace in traces:
+        if trace.topic_label not in labels:
+            raise ValidationError(f"session {trace.session_id}: unknown topic "
+                                  f"{trace.topic_label!r}")
         vectors = score_probes(model, trace)
         verdicts = tuple(
             classify_probe(vector, baseline, config) for vector in vectors
         )
-        truths[trace.session_id] = trace.topic_label
-        probe_scores[trace.session_id] = vectors
-        probe_verdicts[trace.session_id] = verdicts
-        session_verdicts[trace.session_id] = detect_session(verdicts, config)
+        sessions.append(SessionResult(
+            trace.session_id, trace.topic_label, vectors, verdicts,
+            detect_session(verdicts, config)))
 
-    truth_list = list(truths.values())
-    verdict_list = list(session_verdicts.values())
-    sensitive_rate, false_positive_rate = detection_rates(
-        verdict_list, truth_list, catchall
-    )
-    topics = sorted(set(truth_list) - {catchall})
-    return Evaluation(
-        catchall=catchall,
-        truths=truths,
-        probe_scores=probe_scores,
-        probe_verdicts=probe_verdicts,
-        session_verdicts=session_verdicts,
-        sensitive_rate=sensitive_rate,
-        false_positive_rate=false_positive_rate,
-        confusion=(confusion_matrix(verdict_list, truth_list, topics)
-                   if truths else ConfusionMatrix(rows={})),
-        lag=lag_statistics(list(probe_verdicts.values()), truth_list, catchall),
-    )
+    topics = sorted({s.truth for s in sessions} - {catchall})
+    return Evaluation(catchall, tuple(sessions),
+                      *detection_rates(sessions, catchall),
+                      confusion_matrix(sessions, topics),
+                      lag_statistics(sessions, catchall))
 
 
 class CampaignResult(NamedTuple):

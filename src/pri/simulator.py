@@ -15,7 +15,6 @@ page matches the configured ``pool_diversity``.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections import deque
@@ -191,6 +190,8 @@ def links_for_query(query: str) -> Links:
     The words of rank ``r`` come from the first 8 bytes of the sha256
     digest of ``f"{query}\\x1f{r}"``; the shared prefix is hashed once.
     """
+    import hashlib  # here, not at top level: only simulated sessions pay it
+
     prefix = hashlib.sha256(query.encode("utf-8") + b"\x1f")
     links = []
     for suffix in _RANK_SUFFIXES:

@@ -6,16 +6,19 @@ The slot apportionment, the topic-score matrix and the capture writer are
 kept in their plain forms, one dict per intermediate, one Fraction addition
 per score and one ``json.dumps`` per record, as the references for the
 package's faster versions.  The engine's belief is replayed from the whole
-log of registered updates at every step, with no pending queue.  The Porter
-stemmer, ``reference_stem``, re-derives each character's consonant or vowel
-class on demand, recursing back through runs of y, and keeps its own rule
-tables.  They share no code with the package under test, and import nothing
+log of registered updates at every step, with no pending queue.  The
+session rates, confusion rows and lag tables are recounted from plain
+``(truth, probe verdicts)`` lists, the lag runs by splitting a string.  The
+Porter stemmer, ``reference_stem``, re-derives each character's consonant or
+vowel class on demand, recursing back through runs of y, and keeps its own
+rule tables.  They share no code with the package under test, and import nothing
 from it (``tests/test_imports.py`` checks this).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import IO, Callable, Iterable, Mapping, Sequence
@@ -87,11 +90,11 @@ def reference_topic_score_matrix(result) -> dict[str, dict[str, float]]:
     topics = result.config.categories.sensitive
     sums: dict[str, Counter] = {t: Counter() for t in topics}
     counts: dict[str, int] = {t: 0 for t in topics}
-    for sid, vectors in evaluation.probe_scores.items():
-        truth = evaluation.truths[sid]
+    for session in evaluation.sessions:
+        truth = session.truth
         if truth not in sums:
             continue
-        for vector in vectors:
+        for vector in session.scores:
             counts[truth] += 1
             for category in topics:
                 sums[truth][category] += vector.scores[category]
@@ -102,6 +105,64 @@ def reference_topic_score_matrix(result) -> dict[str, dict[str, float]]:
         }
         for topic in topics
     }
+
+
+PlainSession = tuple[str, Sequence[tuple[bool, Sequence[str]]]]
+
+
+def reference_aggregates(
+    sessions: Sequence[PlainSession], catchall: str, probe_count: int
+) -> dict[tuple[str, str, str], object]:
+    """Session counts, rates, confusion rows and lag tables, keyed
+    ``(table, row, column)`` as in the long-format CSV report.
+
+    ``sessions`` holds ``(truth, [(flag, detected_topics), ...])`` for each
+    session, probes in order.  A session is sensitive when one of its first
+    ``probe_count`` probes is flagged, and is detected as every topic those
+    probes name.  A probe errs when it is flagged in a catch-all session, or
+    not flagged as its own topic in a sensitive one; the lag tables come from
+    the runs of a string that marks each erring probe ``x``.  Each rate is
+    the same int or float quotient the package computes, so values compare
+    exactly.
+    """
+    table: dict[tuple[str, str, str], object] = {}
+    judged = [(truth, any(flag for flag, _ in probes[:probe_count]),
+               {t for _, topics in probes[:probe_count] for t in topics})
+              for truth, probes in sessions]
+    sensitive = [hit for truth, hit, _ in judged if truth != catchall]
+    neutral = [hit for truth, hit, _ in judged if truth == catchall]
+    table["summary", "sessions", "sensitive"] = len(sensitive)
+    table["summary", "sessions", "catchall"] = len(neutral)
+    table["summary", "rate", "sensitive_detection"] = (
+        sensitive.count(True) / len(sensitive) if sensitive else 0.0)
+    table["summary", "rate", "false_positive"] = (
+        neutral.count(True) / len(neutral) if neutral else 0.0)
+    for topic in sorted({truth for truth, _, _ in judged} - {catchall}):
+        own = [topic in found for truth, _, found in judged if truth == topic]
+        rest = [topic in found for truth, _, found in judged if truth != topic]
+        true_detect = own.count(True) / len(own)
+        false_detect = rest.count(True) / len(rest) if rest else 0.0
+        for column, value in (("true_detect", true_detect),
+                              ("false_other", 1.0 - true_detect),
+                              ("true_other", 1.0 - false_detect),
+                              ("false_detect", false_detect)):
+            table["confusion", topic, column] = value
+    runs: list[int] = []
+    firsts: list[int] = []
+    for truth, probes in sessions:
+        marks = "".join(
+            ("x" if flag else ".") if truth == catchall
+            else ("." if flag and truth in topics else "x")
+            for flag, topics in probes)
+        runs += [len(run) for run in marks.split(".") if run]
+        if "x" in marks:
+            firsts.append(marks.index("x") + 1)
+    for name, values in (("run_length", runs), ("first_error", firsts)):
+        for k in sorted(set(values)):
+            table["lag", name, str(k)] = values.count(k) / len(values)
+    table["lag", "expected_run", ""] = (
+        math.fsum(runs) / len(runs) if runs else None)
+    return table
 
 
 def reference_write_capture(traces: Iterable, out: IO[str]) -> None:

@@ -173,7 +173,7 @@ def _check_rates(failures: list[str], evaluation) -> None:
            f"sensitive detection rate {evaluation.sensitive_rate:.3f} < 0.95")
     _check(failures, evaluation.false_positive_rate <= 0.05,
            f"false positive rate {evaluation.false_positive_rate:.3f} > 0.05")
-    for topic, row in evaluation.confusion.rows.items():
+    for topic, row in evaluation.confusion.items():
         _check(failures, row.true_detect >= 0.90,
                f"{topic}: true detect {row.true_detect:.3f} < 0.90")
         _check(failures, row.false_other <= 0.10,
@@ -234,9 +234,9 @@ def _own_topic_means(result) -> dict[str, float]:
     for topic in result.config.categories.all_labels:
         values = [
             float(vector.scores[topic])
-            for sid, vectors in result.evaluation.probe_scores.items()
-            if result.evaluation.truths[sid] == topic
-            for vector in vectors
+            for session in result.evaluation.sessions
+            if session.truth == topic
+            for vector in session.scores
         ]
         means[topic] = fmean(values)
     return means
@@ -299,12 +299,10 @@ def test_criterion_6_learning_lag_statistics(google):
 def test_criterion_7_probe_hygiene(google):
     result, _ = google
     failures: list[str] = []
-    catchall_ids = [sid for sid, truth in result.evaluation.truths.items()
-                    if truth == "other"]
-    _check(failures, len(catchall_ids) >= 10,
+    neutral = [s for s in result.evaluation.sessions if s.truth == "other"]
+    _check(failures, len(neutral) >= 10,
            "fewer than 10 neutral test sessions")
-    flagged = [sid for sid in catchall_ids
-               if result.evaluation.session_verdicts[sid].sensitive]
+    flagged = [s.session_id for s in neutral if s.verdict.sensitive]
     _check(failures, not flagged,
            f"neutral sessions flagged sensitive: {flagged}")
 
@@ -318,7 +316,7 @@ def test_criterion_7_probe_hygiene(google):
             _check(failures, got == expected,
                    f"{topic}/{probe!r}: rounded ratio {got}% != {expected}%")
     _verdict(7, "probe hygiene", failures,
-             f"{len(catchall_ids)} neutral sessions unflagged, "
+             f"{len(neutral)} neutral sessions unflagged, "
              f"{cells} survey cells reproduced")
 
 

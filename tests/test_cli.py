@@ -580,6 +580,65 @@ class TestMalformedBaselines:
         assert baseline.per_topic["other"].sigma == 0.0
 
 
+def _without_payday(bundle, tmp_path):
+    lines = (bundle / "baselines.txt").read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "baselines.txt"
+    path.write_text("".join(line + "\n" for line in lines
+                            if not line.startswith("payday\t")),
+                    encoding="utf-8")
+    return {"--baselines": path}
+
+
+def _only_other_and_zzz(bundle, tmp_path):
+    path = tmp_path / "baselines.txt"
+    path.write_text("#pri-baselines v1\ncatchall\tother\n"
+                    "other\t0.5\t0.0\t8\nzzz\t0.5\t0.1\t8\n", encoding="utf-8")
+    return {"--baselines": path}
+
+
+def _session_relabelled_zzz(bundle, tmp_path):
+    traces = parse_capture(read_lines(bundle / "test.capture"))
+    first = traces[0]
+    path = tmp_path / "test.capture"
+    save_capture([SessionTrace(first.session_id, "zzz", first.interactions),
+                  *traces[1:]], path)
+    return {"--capture": path}
+
+
+# case -> (replaces one input of the bundle, expected error text)
+_DISAGREEING_INPUTS = {
+    "baselines-without-payday": (
+        _without_payday,
+        "baselines topics differ from the model's: missing payday; "
+        "extra none"),
+    "baselines-of-other-and-zzz": (
+        _only_other_and_zzz,
+        "baselines topics differ from the model's: missing anorexia, "
+        "bankrupt, diabetes, disabled, divorce, gambling, gay, location, "
+        "payday, prostate, unemployed; extra zzz"),
+    "capture-session-zzz": (
+        _session_relabelled_zzz,
+        "session test-anorexia-00: unknown topic 'zzz'"),
+}
+
+
+class TestInputsAgree:
+    """Model, baselines and capture must name the same topics."""
+
+    @pytest.mark.parametrize("case", sorted(_DISAGREEING_INPUTS))
+    def test_disagreeing_inputs_are_a_data_error(self, cli_bundle, tmp_path,
+                                                 capsys, case):
+        replace, message = _DISAGREEING_INPUTS[case]
+        inputs = {"--model": cli_bundle / "model.txt",
+                  "--baselines": cli_bundle / "baselines.txt",
+                  "--capture": cli_bundle / "test.capture",
+                  **replace(cli_bundle, tmp_path)}
+        code = main(["report", *(str(part) for flag_value in inputs.items()
+                                 for part in flag_value)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
 _IDS = ("0", "1", "x", "-1", "")
 _VALUES = ("1/2", "3/0", "0/1", "-1/3", "2", "x", "", "1e999", "nan", "-inf",
            "0.5", "-1")

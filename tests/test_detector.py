@@ -16,6 +16,7 @@ from pri.detector import (
     DetectorConfig,
     LagStatistics,
     ProbeVerdict,
+    SessionResult,
     SessionVerdict,
     TopicBaseline,
     baselines_from_samples,
@@ -226,14 +227,24 @@ def _session(topic_detected: bool, flag=True, topic="gambling"):
     return SessionVerdict(sensitive=flag, topics=topics)
 
 
+def _judged(truth, verdict=SessionVerdict(False), probes=()):
+    """A session record carrying only what the aggregates read."""
+    return SessionResult("s", truth, (), tuple(probes), verdict)
+
+
+def _judged_all(verdicts, truths):
+    return [_judged(truth, verdict) for verdict, truth in zip(verdicts, truths)]
+
+
 class TestConfusion:
     def test_perfect_diagonal(self):
         verdicts = [_session(True, topic="gambling"),
                     _session(True, topic="payday")]
         truths = ["gambling", "payday"]
-        matrix = confusion_matrix(verdicts, truths, ("gambling", "payday"))
+        matrix = confusion_matrix(_judged_all(verdicts, truths),
+                                  ("gambling", "payday"))
         for topic in ("gambling", "payday"):
-            row = matrix.rows[topic]
+            row = matrix[topic]
             assert row.true_detect == 1.0
             assert row.false_other == 0.0
             assert row.true_other == 1.0
@@ -242,9 +253,10 @@ class TestConfusion:
     def test_misdetection_bookkeeping(self):
         verdicts = [SessionVerdict(True, frozenset({"payday"}))]
         truths = ["gambling"]
-        matrix = confusion_matrix(verdicts, truths, ("gambling", "payday"))
-        assert matrix.rows["gambling"].false_other == 1.0
-        assert matrix.rows["payday"].false_detect == 1.0
+        matrix = confusion_matrix(_judged_all(verdicts, truths),
+                                  ("gambling", "payday"))
+        assert matrix["gambling"].false_other == 1.0
+        assert matrix["payday"].false_detect == 1.0
 
     def test_rows_sum_to_one_exactly(self):
         verdicts = [
@@ -254,22 +266,25 @@ class TestConfusion:
             SessionVerdict(True, frozenset({"gambling", "payday"})),
         ]
         truths = ["payday", "payday", "gambling", "gambling"]
-        matrix = confusion_matrix(verdicts, truths, ("gambling", "payday"))
-        for row in matrix.rows.values():
+        matrix = confusion_matrix(_judged_all(verdicts, truths),
+                                  ("gambling", "payday"))
+        for row in matrix.values():
             assert row.true_detect + row.false_other == 1.0
             assert row.true_other + row.false_detect == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            confusion_matrix([], [], ("gambling",))
 
     def test_session_level_rates(self):
         verdicts = [_session(True), _session(False, flag=False),
                     SessionVerdict(True), SessionVerdict(False)]
         truths = ["gambling", "gambling", "other", "other"]
-        sensitive_rate, false_positive = detection_rates(verdicts, truths, "other")
+        sensitive_rate, false_positive = detection_rates(
+            _judged_all(verdicts, truths), "other")
         assert sensitive_rate == 0.5
         assert false_positive == 0.5
+
+
+def _judged_lags(probe_lists, truths):
+    return [_judged(truth, probes=probes)
+            for probes, truth in zip(probe_lists, truths)]
 
 
 class TestLagStatistics:
@@ -283,29 +298,30 @@ class TestLagStatistics:
         probes = [[self._verdict(True), self._verdict(True),
                    self._verdict(False), self._verdict(False),
                    self._verdict(False)]]
-        stats = lag_statistics(probes, ["gambling"], catchall="other")
+        stats = lag_statistics(_judged_lags(probes, ["gambling"]), "other")
         assert stats.run_length_dist == {2: 1.0}
         assert stats.first_error_dist == {1: 1.0}
         assert stats.expected_run == 2.0
 
     def test_no_errors(self):
         probes = [[self._verdict(False)] * 5]
-        stats = lag_statistics(probes, ["gambling"], catchall="other")
+        stats = lag_statistics(_judged_lags(probes, ["gambling"]), "other")
         assert stats.run_length_dist == {}
         assert stats.expected_run is None
 
     def test_catchall_sessions_err_when_flagged(self):
         flagged = ProbeVerdict(True, ())
         clear = ProbeVerdict(False, ())
-        stats = lag_statistics([[clear, flagged, clear, clear, clear]],
-                               ["other"], catchall="other")
+        stats = lag_statistics(
+            _judged_lags([[clear, flagged, clear, clear, clear]], ["other"]),
+            "other")
         assert stats.run_length_dist == {1: 1.0}
         assert stats.first_error_dist == {2: 1.0}
 
     def test_multiple_runs_in_one_session(self):
         v = self._verdict
         probes = [[v(True), v(False), v(True), v(True), v(False)]]
-        stats = lag_statistics(probes, ["gambling"], catchall="other")
+        stats = lag_statistics(_judged_lags(probes, ["gambling"]), "other")
         assert stats.run_length_dist == {1: 0.5, 2: 0.5}
         assert stats.expected_run == 1.5
         assert stats.first_error_dist == {1: 1.0}
@@ -317,8 +333,8 @@ class TestLagStatistics:
             [v(True), v(True), v(False), v(False), v(False)],
             [v(False)] * 5,
         ]
-        stats = lag_statistics(probes, ["gambling", "gambling", "gambling"],
-                               catchall="other")
+        stats = lag_statistics(
+            _judged_lags(probes, ["gambling", "gambling", "gambling"]), "other")
         assert sum(stats.run_length_dist.values()) == pytest.approx(1.0)
         assert sum(stats.first_error_dist.values()) == pytest.approx(1.0)
         assert stats.expected_run == pytest.approx(1.5)

@@ -22,7 +22,9 @@ reference never shares a rule table or a helper with the code it checks.
 
 A fifth check keeps start-up cheap: a fresh interpreter that imports
 ``pri.cli`` loads neither ``dataclasses`` nor ``inspect``, whose import and
-generated classes cost every command tens of milliseconds.
+generated classes cost every command tens of milliseconds, nor ``hashlib``,
+whose OpenSSL binding costs a few milliseconds that only campaigns and
+simulated sessions need.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ def test_the_check_finds_a_package_import():
 
 
 # Modules a fresh ``import pri.cli`` must not load.
-STARTUP_FORBIDDEN = ("dataclasses", "inspect")
+STARTUP_FORBIDDEN = ("dataclasses", "inspect", "hashlib")
 
 
 def loaded_in_fresh_interpreter(code: str) -> list[str]:
@@ -246,3 +248,5 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 def test_the_check_finds_a_stray_startup_import():
     assert loaded_in_fresh_interpreter("import pri.cli; import dataclasses") == [
         "dataclasses", "inspect"]
+    assert loaded_in_fresh_interpreter("import pri.cli; import hashlib") == [
+        "hashlib"]

@@ -82,17 +82,11 @@ class TestCandidateRanking:
             _page("advice", links=[("symptom checker", "symptom signs symptom")])
         ]
         ranked = extract_candidates(pages)
-        assert ranked[0] == ranked[0].__class__("symptom", "symptom", 3)
+        assert ranked[0] == ranked[0].__class__("symptom", 3)
 
     def test_tie_breaks_lexicographic(self):
         ranked = extract_candidates([_page("zebra apple zebra apple")])
         assert [c.term for c in ranked] == ["appl", "zebra"]
-
-    def test_surface_form_is_most_frequent_spelling(self):
-        ranked = extract_candidates([_page("symptoms symptoms symptom causes")])
-        by_term = {c.term: c for c in ranked}
-        assert by_term["symptom"].surface == "symptoms"
-        assert by_term["caus"].surface == "causes"
 
     def test_top_k_truncates(self):
         pages = [_page("alpha beta gamma delta epsilon")]

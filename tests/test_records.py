@@ -44,7 +44,7 @@ BAD_VALUES = {
     "SessionTrace": lambda: trace(interactions=(interaction(step=2),
                                                 interaction(step=1))),
     "DetectorConfig": lambda: DetectorConfig(sigma_multiplier=float("nan")),
-    "ProbeCandidate": lambda: ProbeCandidate("help", "help", 0),
+    "ProbeCandidate": lambda: ProbeCandidate("help", 0),
     "CategoryKeywords": lambda: CategoryKeywords("payday", ()),
     "ScriptEntry": lambda: ScriptEntry("  ", False),
     "EngineConfig": lambda: EngineConfig(adaptation_lag=-1),

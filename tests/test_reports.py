@@ -11,7 +11,9 @@ import pytest
 from pri.corpus import parse_capture
 from pri.detector import (
     ProbeVerdict,
+    SessionResult,
     SessionVerdict,
+    classify_probe,
     confusion_matrix,
     detection_rates,
     lag_statistics,
@@ -27,12 +29,18 @@ from pri.reports import (
     topic_score_matrix,
     write_bundle,
 )
-from pri.runner import CampaignConfig, Evaluation, evaluate_capture, run_campaign
+from pri.runner import (
+    CampaignConfig,
+    Evaluation,
+    evaluate_capture,
+    run_campaign,
+    score_probes,
+)
 
 from pri.simulator import load_engine_config
 
 from conftest import MINI_KEYWORDS
-from oracle import reference_topic_score_matrix
+from oracle import reference_aggregates, reference_topic_score_matrix
 
 # The mini campaign's tables as first written, before the renderers shared
 # any code; any change to a renderer's bytes shows up here.
@@ -158,6 +166,46 @@ class TestFastPaths:
         assert cold == warm == read_bundle_bytes(bundle_dir)
 
 
+def _plain_sessions(result):
+    """Each test session's truth and (flag, detected topics) per probe."""
+    detector = result.config.detector
+    return [(trace.topic_label,
+             [(verdict.sensitive_flag, verdict.detected_topics)
+              for verdict in (classify_probe(vector, result.baseline, detector)
+                              for vector in score_probes(result.model, trace))])
+            for trace in result.test_traces]
+
+
+def _report_values(evaluation):
+    """The long-format CSV report as (table, row, column) -> parsed value."""
+    rows = list(csv.reader(StringIO(render_csv(evaluation))))[1:]
+    return {(table, row, column): (int(value) if row == "sessions"
+                                   else float(value) if value else None)
+            for table, row, column, value in rows}
+
+
+class TestReferenceAggregates:
+    """Rates, confusion rows and lag tables equal a plain recount."""
+
+    def _check(self, result):
+        values = _report_values(result.evaluation)
+        assert values == reference_aggregates(
+            _plain_sessions(result), result.config.catchall,
+            result.config.detector.session_probe_count)
+        return values
+
+    def test_mini_campaign(self, mini_campaign):
+        self._check(mini_campaign)
+
+    def test_bing_like_campaign(self):
+        config = CampaignConfig(keywords=MINI_KEYWORDS,
+                                train_sessions_per_topic=2,
+                                test_sessions_per_topic=3,
+                                engine=load_engine_config("bing_like"))
+        values = self._check(run_campaign(config, master_seed=11))
+        assert any(key[:2] == ("lag", "run_length") for key in values)
+
+
 class TestRendering:
     def test_text_report_mentions_the_rates(self, mini_campaign):
         text = render_text(mini_campaign.evaluation)
@@ -181,9 +229,8 @@ class TestRendering:
         assert rows[0] == ["session", "topic", "sensitive", "detected_topics"]
         ids = [r[0] for r in rows[1:]]
         assert ids == [t.session_id for t in mini_campaign.test_traces]
-        for row in rows[1:]:
-            verdict = mini_campaign.evaluation.session_verdicts[row[0]]
-            assert row[2] == str(int(verdict.sensitive))
+        for row, session in zip(rows[1:], mini_campaign.evaluation.sessions):
+            assert row[2] == str(int(session.verdict.sensitive))
 
 
 class TestEmptyLag:
@@ -191,17 +238,16 @@ class TestEmptyLag:
 
     @pytest.fixture
     def evaluation(self):
-        truths = {"s1": "prostate", "s2": "other"}
-        probe_verdicts = {"s1": (ProbeVerdict(True, ("prostate",)),),
-                          "s2": (ProbeVerdict(False, ()),)}
-        session_verdicts = {"s1": SessionVerdict(True, frozenset({"prostate"})),
-                            "s2": SessionVerdict(False)}
-        verdicts, topics = list(session_verdicts.values()), list(truths.values())
+        sessions = (
+            SessionResult("s1", "prostate", (),
+                          (ProbeVerdict(True, ("prostate",)),),
+                          SessionVerdict(True, frozenset({"prostate"}))),
+            SessionResult("s2", "other", (), (ProbeVerdict(False, ()),),
+                          SessionVerdict(False)))
         return Evaluation(
-            "other", truths, {}, probe_verdicts, session_verdicts,
-            *detection_rates(verdicts, topics, "other"),
-            confusion_matrix(verdicts, topics, ["prostate"]),
-            lag_statistics(list(probe_verdicts.values()), topics, "other"))
+            "other", sessions, *detection_rates(sessions, "other"),
+            confusion_matrix(sessions, ["prostate"]),
+            lag_statistics(sessions, "other"))
 
     def test_text(self, evaluation):
         assert render_text(evaluation).endswith(

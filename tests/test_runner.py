@@ -205,20 +205,19 @@ class TestCampaign:
 
     def test_every_test_session_is_judged(self, mini_campaign):
         ids = {t.session_id for t in mini_campaign.test_traces}
-        evaluation = mini_campaign.evaluation
-        assert set(evaluation.session_verdicts) == ids
-        assert set(evaluation.probe_verdicts) == ids
-        assert set(evaluation.truths) == ids
-        for sid, verdicts in evaluation.probe_verdicts.items():
-            assert len(verdicts) == len(evaluation.probe_scores[sid])
-            assert len(verdicts) >= 5
+        sessions = mini_campaign.evaluation.sessions
+        assert {s.session_id for s in sessions} == ids
+        assert len(sessions) == len(ids)
+        for session in sessions:
+            assert len(session.probe_verdicts) == len(session.scores)
+            assert len(session.probe_verdicts) >= 5
 
     def test_mini_campaign_detects_cleanly(self, mini_campaign):
         evaluation = mini_campaign.evaluation
         assert evaluation.sensitive_rate == 1.0
         assert evaluation.false_positive_rate == 0.0
         for topic in ("prostate", "divorce"):
-            assert evaluation.confusion.rows[topic].true_detect == 1.0
+            assert evaluation.confusion[topic].true_detect == 1.0
 
     def test_catchall_baseline_is_exact(self, mini_campaign):
         # Catch-all pages all carry one term multiset, so the calibrated
@@ -238,7 +237,7 @@ class TestCampaign:
             return out.getvalue()
 
         assert dump(a) == dump(b)
-        assert a.evaluation.session_verdicts == b.evaluation.session_verdicts
+        assert a.evaluation.sessions == b.evaluation.sessions
         assert a.evaluation.sensitive_rate == b.evaluation.sensitive_rate
 
     def test_different_seeds_differ(self):
@@ -264,13 +263,14 @@ class TestCampaign:
         config = mini_campaign.config
         model = train(training_corpus(training), config.categories)
         baseline = calibrate(model, training)
+        expected = {s.session_id: s.probe_verdicts
+                    for s in mini_campaign.evaluation.sessions}
         for trace in testing:
             verdicts = tuple(
                 classify_probe(vector, baseline, config.detector)
                 for vector in score_probes(model, trace)
             )
-            expected = mini_campaign.evaluation.probe_verdicts[trace.session_id]
-            assert verdicts == expected
+            assert verdicts == expected[trace.session_id]
 
     def test_score_probes_aligns_with_probe_steps(self, mini_campaign):
         trace = mini_campaign.test_traces[0]
