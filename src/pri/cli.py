@@ -22,7 +22,7 @@ from .detector import (
     calibrate,
     parse_baselines,
 )
-from .errors import PriError, UsageError, ValidationError
+from .errors import UsageError, ValidationError
 from .estimator import parse_model, save_model, score, train
 from .probes import (
     DEFAULT_MIN_RATIO,
@@ -61,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(text)
 
@@ -399,9 +399,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except PriError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # pragma: no cover - last resort
         print(f"unexpected error: {exc}", file=sys.stderr)
         return 3

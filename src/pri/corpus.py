@@ -45,9 +45,6 @@ class CategorySet:
     def __contains__(self, label: object) -> bool:
         return label in self.all_labels
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.all_labels)
-
 
 class LabeledAdvert(NamedTuple):
     label: str

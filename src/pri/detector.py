@@ -159,11 +159,10 @@ def calibrate(model: PriModel, training_traces: Iterable[SessionTrace]) -> Topic
 def classify_probe(
     scores: ScoreVector, baseline: TopicBaseline, config: DetectorConfig
 ) -> ProbeVerdict:
+    """Flag a page whose catch-all score leaves its interval, and name the
+    topics whose intervals hold their scores; `baseline` covers every label
+    of `scores`, as `runner.evaluate_capture` checks."""
     m = config.sigma_multiplier
-    if baseline.catchall not in scores.numerators:
-        raise ValidationError(f"scores lack the catch-all {baseline.catchall!r}")
-    if baseline.catchall not in baseline.per_topic:
-        raise ValidationError(f"baseline lacks the catch-all {baseline.catchall!r}")
     flag = not baseline.contains(
         baseline.catchall, scores.value(baseline.catchall), m)
     detected: tuple[str, ...] = ()
@@ -172,7 +171,6 @@ def classify_probe(
             topic
             for topic in scores.numerators
             if topic != baseline.catchall
-            and topic in baseline.per_topic
             and baseline.contains(topic, scores.value(topic), m)
         )
     return ProbeVerdict(sensitive_flag=flag, detected_topics=detected)

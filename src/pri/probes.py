@@ -116,8 +116,6 @@ def select_probe(
     """
     if not probes:
         raise ValidationError("no candidate probes supplied")
-    if not topics:
-        raise ValidationError("no topics in the group")
     if not math.isfinite(min_ratio):
         raise ValidationError(f"min_ratio must be finite, not {min_ratio!r}")
     failures: list[str] = []

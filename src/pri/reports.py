@@ -81,8 +81,6 @@ def topic_score_matrix(result: CampaignResult) -> dict[str, dict[str, float]]:
     denominators = result.model.share_denominators
     matrix: dict[str, dict[str, float]] = {}
     for topic in topics:
-        if not counts[topic]:
-            raise ValueError(f"no probe scores for topic {topic!r}")
         matrix[topic] = {}
         for category, by_common in sums[topic].items():
             common = math.lcm(*by_common)
@@ -293,7 +291,7 @@ def write_bundle(result: CampaignResult, out_dir: str | Path) -> tuple[Path, ...
         "summary.md": _summary_markdown(result),
     }
     for name, text in tables.items():
-        (directory / name).write_text(text, encoding="utf-8")
+        (directory / name).write_text(text, encoding="utf-8", newline="\n")
     return tuple(directory / name for name in BUNDLE_FILES)
 
 

@@ -206,9 +206,12 @@ def evaluate_capture(
         verdicts = tuple(
             classify_probe(vector, baseline, config) for vector in vectors
         )
+        try:
+            verdict = detect_session(verdicts, config)
+        except ValidationError as exc:
+            raise ValidationError(f"session {trace.session_id}: {exc}") from exc
         sessions.append(SessionResult(
-            trace.session_id, trace.topic_label, vectors, verdicts,
-            detect_session(verdicts, config)))
+            trace.session_id, trace.topic_label, vectors, verdicts, verdict))
 
     topics = sorted({s.truth for s in sessions} - {catchall})
     return Evaluation(catchall, tuple(sessions),

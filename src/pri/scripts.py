@@ -119,8 +119,6 @@ def generate_script(
     keywords: CategoryKeywords, probe: str, rng: random.Random
 ) -> QueryScript:
     """Probe-led script: [probe, gap of 1-5 user queries]... ending on a probe."""
-    if not probe.strip():
-        raise ValidationError("scripts need a probe query")
     # Aim below the ceiling so a final full gap cannot overshoot it.
     target = rng.randint(MIN_QUERIES, MAX_QUERIES - MAX_PROBE_GAP - 1)
 

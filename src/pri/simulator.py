@@ -148,8 +148,6 @@ def expected_distinct(pool_size: int, draws: int) -> float:
 
 def diversity_slice(pool_size: int, draws: int, target: float) -> int:
     """Smallest slice whose expected distinct-advert count best matches target."""
-    if pool_size < 1:
-        raise ValidationError("pool must hold at least one advert")
     return min(
         range(1, pool_size + 1),
         key=lambda k: (abs(expected_distinct(k, draws) - target), k),

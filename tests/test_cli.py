@@ -123,6 +123,38 @@ class TestTrain:
         assert f"corpus line 3: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, flags, message", [
+        ("payday\t  ", [], "corpus line 3: empty advert text"),
+        ("gambling\tBet now", ["--categories", "payday"],
+         "corpus line 3: unknown label 'gambling'"),
+    ])
+    def test_bad_corpus_line_is_reported_by_line(
+            self, tmp_path, capsys, line, flags, message):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("payday\tCheap payday loans fast\n"
+                          "other\tHoliday packages cinema\n"
+                          f"{line}\n", encoding="utf-8")
+        out = tmp_path / "m.txt"
+        code = main(["train", "--corpus", str(corpus), "--out", str(out),
+                     *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_categories_flag_naming_the_corpus_labels_changes_nothing(
+            self, toy_model, tmp_path):
+        out = tmp_path / "m.txt"
+        assert main(["train", "--corpus", TOY_CORPUS, "--out", str(out),
+                     "--categories", "prostate"]) == 0
+        assert out.read_bytes() == toy_model.read_bytes()
+
+    def test_categories_flag_naming_nothing_is_a_usage_error(
+            self, tmp_path, capsys):
+        code = main(["train", "--corpus", TOY_CORPUS,
+                     "--out", str(tmp_path / "m.txt"), "--categories", " , "])
+        assert code == 1
+        assert "--categories names no entries" in capsys.readouterr().err
+
 
 class TestScore:
     def test_golden_advert_scores_as_csv(self, toy_model, tmp_path):
@@ -176,6 +208,30 @@ class TestScore:
         expected = "model line 4" if where == "model-id" else "capture line 2"
         assert expected in capsys.readouterr().err
 
+    def test_topic_changing_within_a_session_is_a_data_error(
+            self, cli_bundle, tmp_path, capsys):
+        lines = (cli_bundle / "test.capture").read_text().splitlines()
+        record = json.loads(lines[2])
+        record["topic"] = "divorce"
+        lines[2] = json.dumps(record)
+        capture = tmp_path / "mixed.capture"
+        capture.write_text("".join(line + "\n" for line in lines))
+        code = main(["score", "--model", str(cli_bundle / "model.txt"),
+                     "--capture", str(capture)])
+        assert code == 2
+        assert (f"capture line 3: conflicting topic for session "
+                f"{record['session_id']}" in capsys.readouterr().err)
+
+    def test_out_in_a_missing_directory_is_a_usage_error(
+            self, toy_model, tmp_path, capsys):
+        capture = tmp_path / "empty.capture"
+        save_capture([], capture)
+        code = main(["score", "--model", str(toy_model),
+                     "--capture", str(capture),
+                     "--out", str(tmp_path / "nowhere" / "scores.csv")])
+        assert code == 1
+        assert "nowhere" in capsys.readouterr().err
+
 
 class TestDetect:
     def test_bundle_replays_to_a_verdict_per_session(self, cli_bundle, capsys):
@@ -191,6 +247,27 @@ class TestDetect:
                      "--capture", str(cli_bundle / "test.capture")])
         assert code == 1
         assert "--baselines" in capsys.readouterr().err
+
+    def test_short_session_is_named(self, cli_bundle, capsys):
+        code = main(["detect", "--model", str(cli_bundle / "model.txt"),
+                     "--capture", str(cli_bundle / "test.capture"),
+                     "--baselines", str(cli_bundle / "baselines.txt"),
+                     "--probe-count", "99"])
+        assert code == 2
+        first = parse_capture(read_lines(cli_bundle / "test.capture"))[0]
+        assert capsys.readouterr().err == (
+            f"error: session {first.session_id}: incomplete session: "
+            f"{len(first.probes)} probe verdicts, need 99\n")
+
+    def test_calibration_session_of_an_unknown_topic_is_a_data_error(
+            self, cli_bundle, tmp_path, capsys):
+        training = _session_relabelled_zzz(cli_bundle, tmp_path)["--capture"]
+        code = main(["detect", "--model", str(cli_bundle / "model.txt"),
+                     "--capture", str(cli_bundle / "test.capture"),
+                     "--calibrate", str(training)])
+        assert code == 2
+        assert ("session test-anorexia-00: unknown topic 'zzz'"
+                in capsys.readouterr().err)
 
 
 _MODEL_HEAD = "#pri-model v1\ncategories\ta\ncatchall\tother\n"
@@ -227,6 +304,8 @@ _MALFORMED_MODELS = {
         "dict\t0\tfoo\nstat\t0\t1/1\ta=2/1,other=-1/1\n", "negative weight"),
     "zero-denominator": (
         "dict\t0\tfoo\nstat\t0\t3/0\ta=1/1\n", "bad rational '3/0'"),
+    "two-field-stat": (
+        "dict\t0\tfoo\nstat\t0\t1/1\n", "model line 5: malformed stat line"),
 }
 
 
@@ -282,6 +361,33 @@ class TestProbeSelect:
 
     def test_some_mode_is_required(self, capsys):
         assert main(["probe-select"]) == 1
+
+    def test_both_modes_at_once_is_a_usage_error(self, cli_bundle, capsys):
+        code = main(["probe-select", "--capture",
+                     str(cli_bundle / "test.capture"), "--topics", "payday"])
+        assert code == 1
+        assert "separate modes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--topics", "payday", "--probes", "foo bar"],
+         "no ambiguity counts for ('payday', 'foo bar')"),
+        (["--capture", "B/test.capture", "--top", "0"],
+         "top_k must be positive"),
+        (["--topics", "anorexia", "--ambiguity", "SURVEY"],
+         "probe result count cannot be negative"),
+    ])
+    def test_bad_input_is_a_data_error(self, cli_bundle, tmp_path, capsys,
+                                       flags, message):
+        survey = tmp_path / "survey.csv"
+        survey.write_text("topic,probe,n_topic,n_topic_probe\n"
+                          "anorexia,symptoms and causes,10,-1\n",
+                          encoding="utf-8")
+        paths = {"B/test.capture": cli_bundle / "test.capture",
+                 "SURVEY": survey}
+        code = main(["probe-select",
+                     *(str(paths.get(flag, flag)) for flag in flags)])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -477,6 +583,8 @@ _MALFORMED_CONFIGS = {
                                      "session_probe_count 6 exceeds 5"),
     "revealing-probe": ("probe = payday loans\n",
                         "shares keyword terms with bankrupt, payday"),
+    "include-cycle": ("include campaign.cfg\n",
+                      "configuration include cycle at"),
 }
 
 
@@ -859,6 +967,19 @@ class TestInputFiles:
                 for arg in _NOT_UTF8_COMMANDS[name]]
         assert main(argv) == 2
         assert f"{bad} line 3: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["model", "baselines", "capture"])
+    def test_zero_byte_file_is_a_data_error(self, cli_bundle, tmp_path,
+                                            capsys, kind):
+        inputs = {"model": cli_bundle / "model.txt",
+                  "baselines": cli_bundle / "baselines.txt",
+                  "capture": cli_bundle / "test.capture",
+                  kind: tmp_path / "empty"}
+        inputs[kind].write_bytes(b"")
+        code = main(["report", *(part for name, path in inputs.items()
+                                 for part in (f"--{name}", str(path)))])
+        assert code == 2
+        assert f"empty {kind} file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["score", "campaign"])
     def test_missing_file_is_a_usage_error(self, cli_bundle, tmp_path,

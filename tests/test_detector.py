@@ -33,6 +33,8 @@ from pri.detector import (
 from pri.errors import ValidationError
 from pri.estimator import ScoreVector, train
 
+from oracle import reference_aggregates
+
 
 def _vector(catchall_value, **topic_values):
     scores = {"other": F(catchall_value)}
@@ -325,6 +327,17 @@ class TestLagStatistics:
         assert stats.run_length_dist == {1: 0.5, 2: 0.5}
         assert stats.expected_run == 1.5
         assert stats.first_error_dist == {1: 1.0}
+
+    def test_run_at_the_session_end_counts(self):
+        probes = [self._verdict(wrong) for wrong in (True, True, False, True)]
+        stats = lag_statistics(_judged_lags([probes], ["gambling"]), "other")
+        assert stats.run_length_dist == {1: 0.5, 2: 0.5}
+        table = reference_aggregates(
+            [("gambling", [(p.sensitive_flag, p.detected_topics)
+                           for p in probes])], "other", len(probes))
+        assert stats.run_length_dist == {
+            int(key): value for (name, row, key), value in table.items()
+            if (name, row) == ("lag", "run_length")}
 
     def test_distributions_sum_to_one(self):
         v = self._verdict

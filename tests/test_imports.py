@@ -24,7 +24,13 @@ A fifth check keeps start-up cheap: a fresh interpreter that imports
 ``pri.cli`` loads neither ``dataclasses`` nor ``inspect``, whose import and
 generated classes cost every command tens of milliseconds, nor ``hashlib``,
 whose OpenSSL binding costs a few milliseconds that only campaigns and
-simulated sessions need.
+simulated sessions need.  A fresh ``import pri`` loads no ``pri.*``
+submodule, so that importing one module, such as ``pri.porter``, loads only
+what that module needs.
+
+A sixth check keeps every output file in one byte form: each
+``write_text`` call, and each ``open`` for writing, in ``src/pri`` passes
+``newline="\n"``, so that no platform turns line ends into ``\r\n``.
 """
 
 from __future__ import annotations
@@ -229,16 +235,21 @@ def test_the_check_finds_a_package_import():
 STARTUP_FORBIDDEN = ("dataclasses", "inspect", "hashlib")
 
 
-def loaded_in_fresh_interpreter(code: str) -> list[str]:
-    """Those of STARTUP_FORBIDDEN in ``sys.modules`` after a new interpreter
-    runs ``code`` with ``src`` on its path.  ``-S`` skips site-packages
-    hooks, so only the code's own imports count."""
+def modules_after(code: str) -> set[str]:
+    """``sys.modules`` after a new interpreter runs ``code`` with ``src`` on
+    its path.  ``-S`` skips site-packages hooks, so only the code's own
+    imports count."""
     probe = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {code}; "
-             f"print(' '.join(m for m in {STARTUP_FORBIDDEN!r} "
-             "if m in sys.modules))")
+             "print(' '.join(sys.modules))")
     done = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
                           capture_output=True, text=True)
-    return done.stdout.split()
+    return set(done.stdout.split())
+
+
+def loaded_in_fresh_interpreter(code: str) -> list[str]:
+    """Those of STARTUP_FORBIDDEN that ``code`` loads in a new interpreter."""
+    loaded = modules_after(code)
+    return [m for m in STARTUP_FORBIDDEN if m in loaded]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
@@ -250,3 +261,59 @@ def test_the_check_finds_a_stray_startup_import():
         "dataclasses", "inspect"]
     assert loaded_in_fresh_interpreter("import pri.cli; import hashlib") == [
         "hashlib"]
+
+
+def pri_submodules_after(code: str) -> list[str]:
+    return sorted(m for m in modules_after(code) if m.startswith("pri."))
+
+
+def test_package_import_loads_no_submodule():
+    assert pri_submodules_after("import pri") == []
+
+
+def test_the_check_finds_a_loaded_submodule():
+    assert pri_submodules_after("import pri.porter") == ["pri.porter"]
+
+
+def writes_without_newline(source: str) -> list[str]:
+    """``line call`` of each ``write_text`` call, and each ``open`` call
+    with a writing mode, that does not pass ``newline="\\n"``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = (node.func.attr if isinstance(node.func, ast.Attribute)
+                else getattr(node.func, "id", None))
+        if name == "open":
+            # builtin open(path, mode); Path.open(mode)
+            modes = (node.args[1:2] if isinstance(node.func, ast.Name)
+                     else node.args[:1])
+            modes += [k.value for k in node.keywords if k.arg == "mode"]
+            if not any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                       and "b" not in m.value and set("wax+") & set(m.value)
+                       for m in modes):
+                continue
+        elif name != "write_text":
+            continue
+        if not any(k.arg == "newline" and isinstance(k.value, ast.Constant)
+                   and k.value.value == "\n" for k in node.keywords):
+            found.append(f"line {node.lineno} {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_writes_name_the_line_end(path):
+    assert writes_without_newline(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_platform_line_end():
+    source = ("from pathlib import Path\n"
+              "Path('a').write_text('x', encoding='utf-8')\n"
+              "Path('b').write_text('x', newline='\\n')\n"
+              "open('c', 'w', encoding='utf-8')\n"
+              "open('d', mode='a', newline='\\n')\n"
+              "open('e', encoding='utf-8')\n"
+              "open('f', 'wb')\n"
+              "Path('g').open('w')\n")
+    assert writes_without_newline(source) == [
+        "line 2 write_text", "line 4 open", "line 8 open"]
