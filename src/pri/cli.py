@@ -271,15 +271,7 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
                              f"{MIN_PROBES} for a campaign)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="pri",
-        description="Measure what a search engine has learned about a user "
-                    "from the adverts it serves.",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("train", help="train a term-frequency model on a corpus")
+def _train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True,
                    help="label<TAB>advert text file")
     p.add_argument("--out", required=True, help="model file to write")
@@ -289,13 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catchall", default="other")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("score", help="score every page of a capture")
+
+def _score_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--capture", required=True)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("detect", help="flag sensitive sessions in a capture")
+
+def _detect_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--capture", required=True)
     source = p.add_mutually_exclusive_group(required=True)
@@ -306,9 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("probe-select",
-                       help="rank candidate probe terms, or choose a probe "
-                            "for a topic group")
+
+def _probe_select_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--capture", default=None,
                    help="rank the most frequent page terms in this capture")
     p.add_argument("--top", type=int, default=10,
@@ -325,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_probe_select)
 
-    p = sub.add_parser("simulate", help="run one scripted session against "
-                                        "a simulated engine")
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--script", required=True, help="query script file")
     p.add_argument("--engine", required=True,
                    help="engine preset name (google_like, bing_like) "
@@ -339,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="capture file to write")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("campaign", help="train, calibrate, and evaluate a "
-                                        "full multi-session experiment")
+
+def _campaign_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True,
                    help="master seed every session derives from")
     p.add_argument("--out", required=True, help="directory for the artifacts")
@@ -366,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detector_flags(p)
     p.set_defaults(func=cmd_campaign)
 
-    p = sub.add_parser("report", help="render detection tables for a capture")
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--baselines", required=True)
     p.add_argument("--capture", required=True)
@@ -375,12 +369,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_report)
 
+
+# subcommand -> (its help line, the function that adds its flags)
+_SUBCOMMANDS = {
+    "train": ("train a term-frequency model on a corpus", _train_flags),
+    "score": ("score every page of a capture", _score_flags),
+    "detect": ("flag sensitive sessions in a capture", _detect_flags),
+    "probe-select": ("rank candidate probe terms, or choose a probe for a "
+                     "topic group", _probe_select_flags),
+    "simulate": ("run one scripted session against a simulated engine",
+                 _simulate_flags),
+    "campaign": ("train, calibrate, and evaluate a full multi-session "
+                 "experiment", _campaign_flags),
+    "report": ("render detection tables for a capture", _report_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``pri`` parser, with every subcommand, or with only ``command``:
+    a command line that names its subcommand first reads no other's flags."""
+    parser = _Parser(
+        prog="pri",
+        description="Measure what a search engine has learned about a user "
+                    "from the adverts it serves.",
+    )
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name, (help_line, add_flags) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            add_flags(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        parser = build_parser()
+        parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS
+                              else None)
         args = parser.parse_args(argv)
         if not getattr(args, "func", None):
             parser.print_usage(sys.stderr)

@@ -174,31 +174,37 @@ def write_capture(traces: Iterable[SessionTrace], out: IO[str]) -> None:
 
     Each record is the bytes of ``json.dumps(record, sort_keys=True,
     separators=(",", ":"))``, assembled from per-string encodings with the
-    keys in sorted order.
+    keys in sorted order; each session's records go out as one string.
     """
     out.write(CAPTURE_HEADER + "\n")
     encode = encode_basestring_ascii
     # A campaign writes a few dozen distinct advert texts thousands of times.
     encoded: dict[str, str] = {}
     for trace in sorted(traces, key=lambda t: t.session_id):
-        session_id = encode(trace.session_id)
-        topic = encode(trace.topic_label)
+        # A session repeats its probe, and with it the probe's links.
+        session_links: dict[tuple[tuple[str, str], ...], str] = {}
+        session_field = f',"session_id":{encode(trace.session_id)},"step":'
+        topic_field = f',"topic":{encode(trace.topic_label)}}}\n'
+        records = []
         for interaction in trace.interactions:
             page = interaction.page
             for ad in page.adverts:
                 if ad.text not in encoded:
                     encoded[ad.text] = encode(ad.text)
             adverts = ",".join([encoded[ad.text] for ad in page.adverts])
-            links = ",".join([f"[{encode(title)},{encode(snippet)}]"
-                              for title, snippet in page.links])
+            links = session_links.get(page.links)
+            if links is None:
+                links = session_links[page.links] = ",".join([
+                    f"[{encode(title)},{encode(snippet)}]"
+                    for title, snippet in page.links])
             clicked = ",".join(map(str, interaction.clicked))
             is_probe = "true" if interaction.is_probe else "false"
-            out.write(
+            records.append(
                 f'{{"adverts":[{adverts}],"clicked":[{clicked}],'
                 f'"is_probe":{is_probe},"links":[{links}],'
-                f'"query":{encode(interaction.query)},'
-                f'"session_id":{session_id},"step":{interaction.step},'
-                f'"topic":{topic}}}\n')
+                f'"query":{encode(interaction.query)}'
+                f'{session_field}{interaction.step}{topic_field}')
+        out.write("".join(records))
 
 
 def save_capture(traces: Iterable[SessionTrace], path: str | Path) -> None:

@@ -67,7 +67,9 @@ class PriModel:
     ``n`` with, per category, the integer ``sum(count * share)``; its
     category mass is that integer over ``D_c * n``.  Scoring stores a
     text's contribution from the text's second sighting on; a text seen
-    only once leaves a single entry in a set of seen texts.
+    only once leaves a single entry in a set of seen texts.  ``page_scores``
+    keeps a page's vector, keyed by its sorted nonzero contributions, once
+    every text of the page has a stored contribution (see ``score``).
     """
 
     def __init__(
@@ -105,6 +107,9 @@ class PriModel:
         }
         self._seen: set[str] = set()
         self._contributions: dict[str, tuple[int, CategoryMass]] = {}
+        # Sorted nonzero contributions of a scored page -> its ScoreVector.
+        self.page_scores: dict[tuple[tuple[int, CategoryMass], ...],
+                               ScoreVector] = {}
 
     @property
     def term_filter(self) -> TermFilter:
@@ -117,10 +122,8 @@ class PriModel:
         return len(self._contributions)
 
     def contribution(self, text: str) -> tuple[int, CategoryMass]:
-        """Filtered length of one advert text and its integer category mass."""
-        entry = self._contributions.get(text)
-        if entry is not None:
-            return entry
+        """Filtered length of one advert text and its integer category mass,
+        computed afresh; ``score`` looks a stored one up first."""
         terms = filter_terms(text)
         shares = self.shares
         mass: dict[str, int] = {}
@@ -221,13 +224,31 @@ def train(
 
 
 def score(model: PriModel, adverts: Sequence[str | Advert]) -> ScoreVector:
-    """Score one page of adverts against every category."""
+    """Score one page of adverts against every category.
+
+    A page's vector is a function of the multiset of its adverts' nonzero
+    contributions, as sums and lcms do not depend on order.  Once each of a
+    page's texts has a stored contribution, the model keeps the page's
+    vector under that multiset and returns it for every page that repeats
+    it; a page holding a text seen for the first or second time is looked
+    up but not stored, so pages of texts seen once leave nothing behind.
+    """
+    stored = model._contributions
+    keep = True
     entries = []
     for advert in adverts:
         text = advert.text if isinstance(advert, Advert) else advert
-        length, mass = model.contribution(text)
-        if mass:
-            entries.append((length, mass))
+        entry = stored.get(text)
+        if entry is None:
+            keep = False
+            entry = model.contribution(text)
+        if entry[1]:
+            entries.append(entry)
+    entries.sort()
+    key = tuple(entries)
+    vector = model.page_scores.get(key)
+    if vector is not None:
+        return vector
     sums = dict.fromkeys(model.categories.all_labels, 0)
     # Each advert's mass is over D_c * n; bring them all over D_c * L.
     common = math.lcm(*(length for length, _ in entries))
@@ -235,7 +256,10 @@ def score(model: PriModel, adverts: Sequence[str | Advert]) -> ScoreVector:
         scale = common // length
         for category, value in mass:
             sums[category] += value * scale
-    return ScoreVector(sums, common, model.share_denominators)
+    vector = ScoreVector(sums, common, model.share_denominators)
+    if keep:
+        model.page_scores[key] = vector
+    return vector
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .detector import (
     ConfusionRow,
     DetectorConfig,
     LagStatistics,
+    ProbeVerdict,
     SessionResult,
     TopicBaseline,
     calibrate,
@@ -77,21 +78,26 @@ def run_session(
         raise ValidationError(
             f"session {session_id}: topic {script.topic!r} is not an engine category"
         )
+    decided = None if keywords is None else keywords.click_memo
+    submit = engine.submit_query
     interactions: list[Interaction] = []
     for step, entry in enumerate(script.entries, start=1):
-        page = engine.submit_query(entry.text)
-        clicked: list[int] = []
-        if not entry.is_probe and keywords is not None:
+        page = submit(entry.text)
+        clicked: tuple[int, ...] = ()
+        if decided is not None and not entry.is_probe:
+            clicks = []
             for slot, advert in enumerate(page.adverts):
-                if click_decision(advert.text, keywords):
-                    engine.register_click(slot)
-                    clicked.append(slot)
+                click = decided.get(advert.text)
+                if click is None:
+                    click = click_decision(advert.text, keywords)
+                if click:
+                    clicks.append(slot)
+            if clicks:
+                clicked = tuple(clicks)
+                engine.register_clicks(clicked)
         interactions.append(
-            Interaction(step=step, query=entry.text, page=page,
-                        clicked=tuple(clicked), is_probe=entry.is_probe)
-        )
-    return SessionTrace(session_id=session_id, topic_label=script.topic,
-                        interactions=tuple(interactions))
+            Interaction(step, entry.text, page, clicked, entry.is_probe))
+    return SessionTrace(session_id, script.topic, tuple(interactions))
 
 
 def training_corpus(traces: Sequence[SessionTrace]) -> list[LabeledAdvert]:
@@ -198,14 +204,21 @@ def evaluate_capture(
                               f"missing {missing}; extra {extra}")
     config = config or DetectorConfig()
     sessions: list[SessionResult] = []
+    # `score` returns one vector per distinct page, so each is classified
+    # once, keyed by identity: `sessions` keeps every vector alive.
+    classified: dict[int, ProbeVerdict] = {}
+
+    def classify(vector: ScoreVector) -> ProbeVerdict:
+        verdict = classified[id(vector)] = classify_probe(vector, baseline, config)
+        return verdict
+
     for trace in traces:
         if trace.topic_label not in labels:
             raise ValidationError(f"session {trace.session_id}: unknown topic "
                                   f"{trace.topic_label!r}")
         vectors = score_probes(model, trace)
-        verdicts = tuple(
-            classify_probe(vector, baseline, config) for vector in vectors
-        )
+        verdicts = tuple([classified.get(id(vector)) or classify(vector)
+                          for vector in vectors])
         try:
             verdict = detect_session(verdicts, config)
         except ValidationError as exc:

@@ -19,7 +19,8 @@ from .textproc import filter_terms, term_set
 
 # Connective templates used to dress keyword groups up as plausible queries.
 # Kept free of terms from every bundled topic vocabulary so the dressing never
-# changes which topics a query matches.
+# changes which topics a query matches.  Each is empty or single-spaced words,
+# so a query is a plain join of its connective and its phrases.
 CONNECTIVES = ("", "how to", "what is", "find", "best", "near me", "why do",
                "top", "get", "about")
 
@@ -49,11 +50,16 @@ class CategoryKeywords:
         self.phrases = phrases
         # Advert text -> click_decision's answer: sessions meet a few hundred
         # distinct adverts thousands of times, so each is decided once.
-        self._clicks: dict[str, bool] = {}
+        self.click_memo: dict[str, bool] = {}
 
     @cached_property
     def term_set(self) -> frozenset[str]:
         return term_set(self.phrases)
+
+    @cached_property
+    def query_phrases(self) -> tuple[str, ...]:
+        """The phrases with single spaces between words, as queries hold them."""
+        return tuple(" ".join(phrase.split()) for phrase in self.phrases)
 
 
 class ScriptEntry:
@@ -122,11 +128,13 @@ def generate_script(
     # Aim below the ceiling so a final full gap cannot overshoot it.
     target = rng.randint(MIN_QUERIES, MAX_QUERIES - MAX_PROBE_GAP - 1)
 
+    randint, choice = rng.randint, rng.choice
+    phrases = keywords.query_phrases
     probe_entry = ScriptEntry(probe, True)
     queries: list[ScriptEntry] = [probe_entry]
     while len(queries) < target:
         gap_room = target - len(queries) - 1
-        gap = rng.randint(MIN_PROBE_GAP, MAX_PROBE_GAP)
+        gap = randint(MIN_PROBE_GAP, MAX_PROBE_GAP)
         if gap >= gap_room:
             gap = gap_room  # close the script on this probe
         elif gap_room - gap == 1:
@@ -134,11 +142,11 @@ def generate_script(
             # would then follow this one with no user queries between.
             gap = gap - 1 if gap > 1 else gap_room
         for _ in range(gap):
-            group_size = rng.randint(1, 2)
-            phrases = [rng.choice(keywords.phrases) for _ in range(group_size)]
-            connective = rng.choice(CONNECTIVES)
-            text = " ".join((connective + " " + " ".join(phrases)).split())
-            queries.append(ScriptEntry(text, False))
+            group = [choice(phrases) for _ in range(randint(1, 2))]
+            connective = choice(CONNECTIVES)
+            if connective:
+                group.insert(0, connective)
+            queries.append(ScriptEntry(" ".join(group), False))
         queries.append(probe_entry)
 
     script = QueryScript(topic=keywords.label, entries=tuple(queries))
@@ -165,11 +173,11 @@ def click_decision(item_text: str, keywords: CategoryKeywords) -> bool:
 
     A text with no terms is never clicked.
     """
-    clicked = keywords._clicks.get(item_text)
+    clicked = keywords.click_memo.get(item_text)
     if clicked is None:
         terms = filter_terms(item_text)
         hits = sum(1 for t in terms if t in keywords.term_set)
-        clicked = keywords._clicks[item_text] = (
+        clicked = keywords.click_memo[item_text] = (
             bool(terms) and hits / len(terms) > CLICK_SHARE)
     return clicked
 

@@ -1,16 +1,20 @@
 """Deterministic advert-serving engine used as the adversary under test.
 
 The engine keeps one nonnegative weight per category.  Every submitted query
-is answered from the weights as already applied; only then does the pending
-queue advance and the new query join it.  An update caused by interaction
-``j`` (a query hitting a category's vocabulary, or a click on a served
-advert) therefore first influences the page served for interaction
-``j + adaptation_lag + 1``, for queries and clicks alike.
+is answered from the weights as already applied.  Only then do the labels
+the query hits join the pending queue, due ``adaptation_lag`` interactions
+later, and the queue applies, first in first out, every update now due.  A
+page's clicks join the queue in one call, in slot order, and are applied the
+same way.  An update caused by interaction ``j`` (a query hitting a
+category's vocabulary, or a click on a served advert) therefore first
+influences the page served for interaction ``j + adaptation_lag + 1``, for
+queries and clicks alike.
 
 Advert slots are apportioned to categories by largest remainder over the
-current weights, and each slot is filled from the category's pool slice.  The
-slice size is chosen so that the expected number of distinct adverts on a
-page matches the configured ``pool_diversity``.
+current weights, once per distinct weight state in a campaign, and each slot
+is filled from the category's pool slice.  The slice size is chosen so that
+the expected number of distinct adverts on a page matches the configured
+``pool_diversity``.
 """
 
 from __future__ import annotations
@@ -191,13 +195,15 @@ def links_for_query(query: str) -> Links:
     import hashlib  # here, not at top level: only simulated sessions pay it
 
     prefix = hashlib.sha256(query.encode("utf-8") + b"\x1f")
+    words = _BYTE_WORDS
     links = []
     for suffix in _RANK_SUFFIXES:
         digest = prefix.copy()
         digest.update(suffix)
-        words = [_BYTE_WORDS[byte] for byte in digest.digest()[:8]]
-        links.append((f"{words[0]} {words[1]} {words[2]}",
-                      f"{words[3]} {words[4]} {words[5]} {words[6]} {words[7]}"))
+        d = digest.digest()
+        links.append((f"{words[d[0]]} {words[d[1]]} {words[d[2]]}",
+                      f"{words[d[3]]} {words[d[4]]} {words[d[5]]} "
+                      f"{words[d[6]]} {words[d[7]]}"))
     return tuple(links)
 
 
@@ -282,6 +288,10 @@ class EngineTables:
                 f"weights' sum overflow")
         self.prior = {label: value / total for label, value in raw.items()}
         self._answers: dict[str, tuple[Links, tuple[str, ...]]] = {}
+        # Weight values in label order -> the category of each advert slot.
+        # Sessions revisit the same weight states, so each is apportioned
+        # once per campaign.
+        self._slot_labels: dict[tuple[float, ...], tuple[str, ...]] = {}
 
     def answer(self, query: str) -> tuple[Links, tuple[str, ...]]:
         """The query's organic links and the labels its terms match."""
@@ -293,6 +303,18 @@ class EngineTables:
             entry = self._answers[query] = (links_for_query(query), labels)
         return entry
 
+    def slot_labels(self, weights: dict[str, float]) -> tuple[str, ...]:
+        """The category of each advert slot of a page served from `weights`,
+        an engine's weights, which keep the labels' order."""
+        key = tuple(weights.values())
+        labels = self._slot_labels.get(key)
+        if labels is None:
+            counts = apportion_slots(weights, self.categories.all_labels,
+                                     self.config.ads_per_page)
+            labels = self._slot_labels[key] = tuple(
+                label for label, count in counts.items() for _ in range(count))
+        return labels
+
 
 class AdEngine:
     """Advert server whose belief trails interactions by ``adaptation_lag``;
@@ -301,8 +323,8 @@ class AdEngine:
     def __init__(self, tables: EngineTables, seed: int) -> None:
         self._tables = tables
         self._weights = dict(tables.prior)
-        # The category of each advert slot, apportioned from the weights;
-        # None until the next page after the weights change.
+        # The category of each advert slot of the next page; None after the
+        # weights change.
         self._slot_labels: tuple[str, ...] | None = None
         # (due step, label, is_click) in registration order.  Due steps never
         # decrease along the queue, so draining its front applies updates in
@@ -322,59 +344,59 @@ class AdEngine:
         return dict(self._weights)
 
     def submit_query(self, query: str) -> ResultPage:
+        """Serve a page from the applied weights, then register the labels
+        the query matches and apply every update now due."""
         self._step += 1
-        links, labels = self._tables.answer(query)
-        page, slot_labels = self._compose_page(links)
-        self._apply_due()
-        for label in labels:
-            self._register(label, False)
+        tables = self._tables
+        links, labels = tables.answer(query)
+        slot_labels = self._slot_labels
+        if slot_labels is None:
+            slot_labels = self._slot_labels = tables.slot_labels(self._weights)
+        choice = self._rng.choice
+        slices = tables.slices
+        page = ResultPage(links, tuple([choice(slices[label])
+                                        for label in slot_labels]))
         self._last_served = slot_labels
+        if labels:
+            due = self._step + tables.config.adaptation_lag
+            self._queue.extend([(due, label, False) for label in labels])
+        self._apply_due()
         return page
 
-    def register_click(self, position: int) -> None:
-        """Record a click on an advert slot of the most recent page."""
-        if self._last_served is None:
+    def register_clicks(self, positions: Sequence[int]) -> None:
+        """Record clicks on advert slots of the most recent page, in order."""
+        served = self._last_served
+        if served is None:
             raise ValidationError("cannot register a click before any page is served")
-        if not 0 <= position < len(self._last_served):
-            raise ValidationError(f"clicked position {position} is out of range")
-        self._register(self._last_served[position], True)
+        for position in positions:
+            if not 0 <= position < len(served):
+                raise ValidationError(f"clicked position {position} is out of range")
+        due = self._step + self._tables.config.adaptation_lag
+        self._queue.extend([(due, served[position], True)
+                            for position in positions])
+        self._apply_due()
 
     # -- internals --------------------------------------------------------
 
-    def _compose_page(self, links: Links) -> tuple[ResultPage, tuple[str, ...]]:
-        tables = self._tables
-        slot_labels = self._slot_labels
-        if slot_labels is None:
-            counts = apportion_slots(self._weights, tables.categories.all_labels,
-                                     tables.config.ads_per_page)
-            slot_labels = self._slot_labels = tuple(
-                label for label, count in counts.items() for _ in range(count))
-        choice = self._rng.choice
-        slices = tables.slices
-        adverts = tuple([choice(slices[label]) for label in slot_labels])
-        return ResultPage(links=links, adverts=adverts), slot_labels
-
-    def _register(self, label: str, is_click: bool) -> None:
-        self._queue.append((self._step + self._tables.config.adaptation_lag,
-                            label, is_click))
-        self._apply_due()
-
     def _apply_due(self) -> None:
         queue = self._queue
-        while queue and queue[0][0] <= self._step:
+        step = self._step
+        if not queue or queue[0][0] > step:
+            return
+        weights = self._weights
+        config = self._tables.config
+        while queue and queue[0][0] <= step:
             _, label, is_click = queue.popleft()
             if is_click:
-                config = self._tables.config
-                self._weights[label] *= config.click_boost
+                weights[label] *= config.click_boost
                 # apportion_slots needs ads_per_page * weight / total finite.
-                if not math.isfinite(
-                        sum(self._weights.values()) * config.ads_per_page):
+                if not math.isfinite(sum(weights.values()) * config.ads_per_page):
                     raise ValidationError(
                         f"click_boost = {config.click_boost!r} makes the "
                         f"{label!r} weight overflow")
             else:
-                self._weights[label] += QUERY_INCREMENT
-            self._slot_labels = None
+                weights[label] += QUERY_INCREMENT
+        self._slot_labels = None
 
 
 def new_engine(tables: EngineTables, seed: int) -> AdEngine:

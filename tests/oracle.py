@@ -6,7 +6,11 @@ The slot apportionment, the topic-score matrix and the capture writer are
 kept in their plain forms, one dict per intermediate, one Fraction addition
 per score and one ``json.dumps`` per record, as the references for the
 package's faster versions.  The engine's belief is replayed from the whole
-log of registered updates at every step, with no pending queue.  The
+log of registered updates at every step, with no pending queue.
+``ReferenceEngine`` and ``reference_session`` serve and click whole sessions
+in the engine's plain form: a fresh apportionment for every page, and one
+registration and one pass over a pending list per matched label and per
+click.  The
 session rates, confusion rows and lag tables are recounted from plain
 ``(truth, probe verdicts)`` lists, the lag runs by splitting a string.  The
 Porter stemmer, ``reference_stem``, re-derives each character's consonant or
@@ -17,8 +21,10 @@ from it (``tests/test_imports.py`` checks this).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from typing import IO, Callable, Iterable, Mapping, Sequence
@@ -217,6 +223,122 @@ class ReferenceBelief:
                 else:
                     weights[label] += 1.0
         return weights
+
+
+class ReferenceOverflow(Exception):
+    """A click boost overflowed the reference engine's weights."""
+
+
+class ReferenceEngine:
+    """The advert engine in its plain form, one update at a time.
+
+    Each query is served from the applied weights, apportioned afresh for
+    every page and filled with one ``rng.choice`` per slot.  The query's
+    labels are then registered one by one, and so is every click; each
+    registration appends ``(due step, label, is_click)`` to a pending list
+    and applies every entry now due, in registration order.  Organic links
+    are hashed per rank from the full ``f"{query}\x1f{rank}"``.
+    """
+
+    def __init__(
+        self,
+        prior: Mapping[str, float],
+        slices: Mapping[str, Sequence[str]],
+        order: Sequence[str],
+        ads_per_page: int,
+        lag: int,
+        click_boost: float,
+        seed: int,
+        matches: Callable[[str], Iterable[str]],
+        link_words: Sequence[str],
+    ) -> None:
+        self.weights = dict(prior)
+        self.slices = slices
+        self.order = order
+        self.ads_per_page = ads_per_page
+        self.lag = lag
+        self.click_boost = click_boost
+        self.rng = random.Random(seed)
+        self.matches = matches
+        self.link_words = link_words
+        self.pending: list[tuple[int, str, bool]] = []
+        self.step = 0
+        self.served: list[str] = []
+
+    def links(self, query: str) -> tuple[tuple[str, str], ...]:
+        links = []
+        for rank in range(5):
+            digest = hashlib.sha256(f"{query}\x1f{rank}".encode("utf-8")).digest()
+            words = [self.link_words[byte % len(self.link_words)]
+                     for byte in digest[:8]]
+            links.append((" ".join(words[:3]), " ".join(words[3:])))
+        return tuple(links)
+
+    def submit_query(self, query: str) -> tuple[tuple[tuple[str, str], ...], list[str]]:
+        """(links, advert texts by slot) of the page served for ``query``."""
+        self.step += 1
+        counts = reference_apportion_slots(self.weights, self.order,
+                                           self.ads_per_page)
+        self.served = [label for label in self.order
+                       for _ in range(counts[label])]
+        adverts = [self.rng.choice(self.slices[label]) for label in self.served]
+        self._apply_due()
+        for label in self.matches(query):
+            self._register(label, False)
+        return self.links(query), adverts
+
+    def register_click(self, slot: int) -> None:
+        self._register(self.served[slot], True)
+
+    def _register(self, label: str, is_click: bool) -> None:
+        self.pending.append((self.step + self.lag, label, is_click))
+        self._apply_due()
+
+    def _apply_due(self) -> None:
+        while self.pending and self.pending[0][0] <= self.step:
+            _, label, is_click = self.pending.pop(0)
+            if is_click:
+                self.weights[label] *= self.click_boost
+                if not math.isfinite(sum(self.weights.values()) * self.ads_per_page):
+                    raise ReferenceOverflow(
+                        f"click_boost = {self.click_boost!r} makes the "
+                        f"{label!r} weight overflow")
+            else:
+                self.weights[label] += 1.0
+
+
+def reference_click(terms: Sequence[str], topic_terms: Iterable[str]) -> bool:
+    """Click when topic terms are more than a tenth of an advert's terms."""
+    topic_terms = set(topic_terms)
+    hits = sum(1 for term in terms if term in topic_terms)
+    return bool(terms) and hits / len(terms) > 0.1
+
+
+def reference_session(
+    engine: ReferenceEngine,
+    entries: Sequence[tuple[str, bool]],
+    clicks: Callable[[str], bool] | None,
+) -> list[tuple[tuple, tuple[str, ...], tuple[int, ...], list[dict[str, float]]]]:
+    """Drive ``(query, is_probe)`` entries one interaction at a time.
+
+    Per step: the page's links, its advert texts, the clicked slots, and
+    the weights after the query and after the page's clicks, if any.
+    Probe pages, and every page when ``clicks`` is None, are never clicked.
+    """
+    steps = []
+    for query, is_probe in entries:
+        links, adverts = engine.submit_query(query)
+        beliefs = [dict(engine.weights)]
+        clicked = []
+        if not is_probe and clicks is not None:
+            for slot, text in enumerate(adverts):
+                if clicks(text):
+                    engine.register_click(slot)
+                    clicked.append(slot)
+        if clicked:
+            beliefs.append(dict(engine.weights))
+        steps.append((links, tuple(adverts), tuple(clicked), beliefs))
+    return steps
 
 
 # ---------------------------------------------------------------------------

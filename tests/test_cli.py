@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pri.cli import main
+from pri.cli import build_parser, main
 from pri.config import parse_config, read_lines
 from pri.corpus import (
     Advert,
@@ -241,6 +241,24 @@ class TestDetect:
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert rows[0] == ["session", "topic", "sensitive", "detected_topics"]
         assert len(rows) == 1 + 12
+
+    def test_bundle_replays_the_same_rows_in_capture_order(
+            self, cli_bundle, capsys):
+        assert main(["detect", "--model", str(cli_bundle / "model.txt"),
+                     "--capture", str(cli_bundle / "test.capture"),
+                     "--baselines", str(cli_bundle / "baselines.txt")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        bundled = (cli_bundle / "sessions.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert printed[0] == bundled[0]
+        assert sorted(printed[1:]) == sorted(bundled[1:])
+        # detect keeps the capture's order, by session id; the bundle lists
+        # the sensitive topics sorted, then the catch-all.
+        printed_ids = [row.split(",")[0] for row in printed[1:]]
+        bundled_ids = [row.split(",")[0] for row in bundled[1:]]
+        assert printed_ids == sorted(printed_ids)
+        assert bundled_ids[-1] == "test-other-00"
+        assert printed_ids != bundled_ids
 
     def test_baseline_source_is_required(self, cli_bundle, capsys):
         code = main(["detect", "--model", str(cli_bundle / "model.txt"),
@@ -888,6 +906,18 @@ class TestTopLevel:
             metavar = flag[2:].replace("-", "_").upper()
             entry = text.split(f" {flag} {metavar} ")[1].split(" --")[0]
             assert f"(default {defaults[flag]:g}" in entry, entry
+
+    @pytest.mark.parametrize("command", [
+        "train", "score", "detect", "probe-select", "simulate", "campaign",
+        "report"])
+    def test_a_named_subcommand_has_the_full_parsers_flags(self, capsys,
+                                                           command):
+        # main builds only the subcommand its command line names.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        full = capsys.readouterr().out
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out == full
 
     def test_no_subcommand_is_a_usage_error(self, capsys):
         assert main([]) == 1

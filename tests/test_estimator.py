@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pri.corpus import CategorySet, Dictionary, LabeledAdvert
+from pri.corpus import Advert, CategorySet, Dictionary, LabeledAdvert
 from pri.errors import ValidationError
 from pri.config import read_lines
 from pri.estimator import (
@@ -204,16 +204,38 @@ def test_cached_and_first_seen_texts_match_reference_oracle():
         page = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 6)))
                 for _ in range(rng.randint(1, 5))]
         first = score(model, page)
-        second = score(model, page)
+        # The same texts on another page: the per-text memo answers them.
+        again = page + page[:1]
+        second = score(model, again)
         assert model.cached_texts == len(set(page))
-        assert second == first
         fresh = [" ".join(rng.choices(_WORDS, k=rng.randint(1, 6)))
                  for _ in range(rng.randint(1, 3))]
-        for texts, vector in ((page, second),
+        for texts, vector in ((page, first), (again, second),
                               (page[:2] + fresh, score(model, page[:2] + fresh))):
             for label in _LABELS:
                 expected = reference_score_texts(corpus, texts, label, flt.terms)
                 assert vector.scores[label] == expected
+
+
+def test_pages_with_one_multiset_of_contributions_share_one_vector():
+    rng = random.Random(7)
+    categories = CategorySet(sensitive=_LABELS[:-1], catchall="other")
+    flt = TermFilter()
+    corpus = _random_corpus(rng)
+    model = train([LabeledAdvert(l, t) for l, t in corpus], categories)
+    page = ["alpha bravo", "charlie", "alpha bravo", "delta echo foxtrot"]
+    # First and second sightings of its texts: the page is not stored.
+    assert score(model, page) == score(model, page)
+    assert model.page_scores == {}
+    stored = score(model, [Advert(text) for text in reversed(page)])
+    assert len(model.page_scores) == 1
+    assert score(model, page) is stored
+    # Texts with the same terms contribute the same, whatever their wording.
+    assert score(model, ["Alpha, bravo!"] + page[1:]) is stored
+    assert score(model, page[:3]) is not stored
+    for label in _LABELS:
+        assert stored.scores[label] == reference_score_texts(
+            corpus, page, label, flt.terms)
 
 
 def test_texts_scored_once_leave_the_cache_empty(golden_corpus, golden_categories):
@@ -224,6 +246,7 @@ def test_texts_scored_once_leave_the_cache_empty(golden_corpus, golden_categorie
     assert model.cached_texts == 0
     score(model, texts[:3])
     assert model.cached_texts == 3
+    assert model.page_scores == {}
 
 
 def _assert_matches_oracle(model, corpus, page, flt):

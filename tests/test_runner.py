@@ -22,8 +22,16 @@ from pri.runner import (
     score_probes,
     training_corpus,
 )
-from pri.scripts import QueryScript, ScriptEntry, generate_script, parse_script
+from pri.scripts import (
+    QueryScript,
+    ScriptEntry,
+    generate_script,
+    keyword_catalog,
+    parse_script,
+)
 from pri.simulator import (
+    LINK_WORDS,
+    AdEngine,
     EngineTables,
     build_ad_pools,
     links_for_query,
@@ -34,6 +42,12 @@ from pri.textproc import filter_terms
 from test_scripts import EXAMPLE_SCRIPT, LOCATION
 
 from conftest import MINI_KEYWORDS
+from oracle import (
+    ReferenceEngine,
+    ReferenceOverflow,
+    reference_click,
+    reference_session,
+)
 
 
 def location_engine(default_keywords, seed=3):
@@ -123,6 +137,107 @@ class TestRunSession:
                              entries=(ScriptEntry("stars", False),))
         with pytest.raises(ValidationError, match="astrology"):
             run_session(location_engine(default_keywords), script, None, "s")
+
+
+class RecordingEngine(AdEngine):
+    """An AdEngine that counts its pages and keeps its weights after every
+    call."""
+
+    def __init__(self, tables: EngineTables, seed: int) -> None:
+        super().__init__(tables, seed)
+        self.pages = 0
+        self.beliefs: list[dict[str, float]] = []
+
+    def submit_query(self, query):
+        self.pages += 1
+        page = super().submit_query(query)
+        self.beliefs.append(self.belief())
+        return page
+
+    def register_clicks(self, positions):
+        super().register_clicks(positions)
+        self.beliefs.append(self.belief())
+
+
+class TestSessionsMatchTheReferenceEngine:
+    """`run_session` on an `AdEngine` serves, clicks and believes exactly
+    what the oracle's one-update-at-a-time engine and loop do."""
+
+    SEEDS = range(24)
+
+    @staticmethod
+    def pair(default_keywords, config, seed, clicks_on):
+        """(engine, reference, script, clicking keywords, click rule) for one
+        session; the topic cycles over every label with the seed."""
+        categories = CategorySet(tuple(sorted(default_keywords)), "other")
+        tables = EngineTables(config, build_ad_pools(default_keywords, "other"),
+                              categories)
+        order = categories.all_labels
+        slices = {label: tuple(ad.text for ad in ads)
+                  for label, ads in tables.slices.items()}
+        vocab = {label: {t for text in texts for t in filter_terms(text)}
+                 for label, texts in slices.items()}
+
+        def matches(query):
+            terms = set(filter_terms(query))
+            return [label for label in order if terms & vocab[label]]
+
+        reference = ReferenceEngine(
+            tables.prior, slices, order, config.ads_per_page,
+            config.adaptation_lag, config.click_boost, seed, matches, LINK_WORDS)
+        catalog = keyword_catalog(default_keywords, "other")
+        topic = catalog[order[seed % len(order)]]
+        script = generate_script(topic, "symptoms and causes",
+                                 random.Random(seed))
+        topic_terms = {t for phrase in topic.phrases for t in filter_terms(phrase)}
+
+        def click(text):
+            return reference_click(filter_terms(text), topic_terms)
+
+        return (RecordingEngine(tables, seed), reference, script,
+                topic if clicks_on else None, click if clicks_on else None)
+
+    @pytest.mark.parametrize("clicks_on", [True, False], ids=["clicks", "no-clicks"])
+    @pytest.mark.parametrize("lag", [0, 1, 2, 3])
+    @pytest.mark.parametrize("preset", ["google_like", "bing_like"])
+    def test_pages_clicks_and_beliefs_match(
+            self, default_keywords, preset, lag, clicks_on):
+        config = load_engine_config(preset).replace(adaptation_lag=lag)
+        clicked_pages = 0
+        for seed in self.SEEDS:
+            engine, reference, script, keywords, click = self.pair(
+                default_keywords, config, seed, clicks_on)
+            trace = run_session(engine, script, keywords, f"s{seed}")
+            expected = reference_session(
+                reference, [(e.text, e.is_probe) for e in script.entries], click)
+            beliefs = iter(engine.beliefs)
+            for interaction, (links, adverts, clicked, after) in zip(
+                    trace.interactions, expected, strict=True):
+                assert interaction.page.links == links
+                assert tuple(ad.text for ad in interaction.page.adverts) == adverts
+                assert interaction.clicked == clicked
+                assert [next(beliefs) for _ in after] == after
+                clicked_pages += bool(clicked)
+            assert next(beliefs, None) is None
+        assert (clicked_pages > len(self.SEEDS)) == clicks_on
+
+    @pytest.mark.parametrize("lag", [0, 1, 2, 3])
+    @pytest.mark.parametrize("preset", ["google_like", "bing_like"])
+    def test_click_boost_overflow_raises_at_the_same_page(
+            self, default_keywords, preset, lag):
+        config = load_engine_config(preset).replace(adaptation_lag=lag,
+                                                    click_boost=1e200)
+        # Seed 1 is a bankrupt session, whose adverts get clicked.
+        engine, reference, script, keywords, click = self.pair(
+            default_keywords, config, 1, True)
+        with pytest.raises(ValidationError) as raised:
+            run_session(engine, script, keywords, "s")
+        with pytest.raises(ReferenceOverflow) as expected:
+            reference_session(
+                reference, [(e.text, e.is_probe) for e in script.entries], click)
+        assert str(raised.value) == str(expected.value)
+        assert "'bankrupt' weight overflow" in str(raised.value)
+        assert engine.pages == reference.step < len(script.entries)
 
 
 class TestTrainingCorpus:

@@ -32,9 +32,14 @@ from pri.simulator import (
     new_engine,
     parse_prior_knowledge,
 )
-from pri.textproc import filter_terms
+from pri.textproc import filter_terms, term_set
 
-from oracle import ReferenceBelief, reference_apportion_slots
+from oracle import (
+    ReferenceBelief,
+    ReferenceEngine,
+    ReferenceOverflow,
+    reference_apportion_slots,
+)
 
 
 @pytest.fixture(scope="module")
@@ -348,7 +353,7 @@ class TestEngineServing:
             slot for slot, ad in enumerate(page.adverts)
             if ad in pools["prostate"]
         ]
-        engine.register_click(clicked[0])
+        engine.register_clicks(clicked[:1])
         assert abs(engine.belief()["prostate"] - 2 * before) < 1e-12
 
     def test_clicks_saturate_the_page(self, pools, categories):
@@ -356,9 +361,8 @@ class TestEngineServing:
         engine.submit_query("prostate cancer")
         page = engine.submit_query("symptoms and causes")
         for step in ({"prostate": 3, "other": 1}, {"prostate": 4}):
-            for slot, ad in enumerate(page.adverts):
-                if ad in pools["prostate"]:
-                    engine.register_click(slot)
+            engine.register_clicks([slot for slot, ad in enumerate(page.adverts)
+                                    if ad in pools["prostate"]])
             page = engine.submit_query("symptoms and causes")
             assert composition(page, pools) == step
 
@@ -406,9 +410,8 @@ class TestEngineServing:
         compositions = []
         page = engine.submit_query("divorce separation")
         for _ in range(6):
-            for slot, ad in enumerate(page.adverts):
-                if ad in pools["divorce"]:
-                    engine.register_click(slot)
+            engine.register_clicks([slot for slot, ad in enumerate(page.adverts)
+                                    if ad in pools["divorce"]])
             page = engine.submit_query("divorce separation")
             compositions.append(composition(page, pools)["divorce"])
         # Pages: cold, cold (lag), 2 slots, then clicks compound two pages on.
@@ -423,9 +426,8 @@ class TestEngineServing:
             for query in ("symptoms and causes", "payday cheap",
                           "payday advice", "symptoms and causes"):
                 page = engine.submit_query(query)
-                for slot, ad in enumerate(page.adverts):
-                    if ad in pools["payday"]:
-                        engine.register_click(slot)
+                engine.register_clicks([slot for slot, ad in enumerate(page.adverts)
+                                        if ad in pools["payday"]])
                 pages.append((tuple(ad.text for ad in page.adverts), page.links))
             return pages
 
@@ -480,10 +482,12 @@ class TestEngineServing:
     def test_clicks_need_a_served_page(self, pools, categories):
         engine = engine_for(google_config(), pools, categories, 7)
         with pytest.raises(ValidationError, match="before any page"):
-            engine.register_click(0)
+            engine.register_clicks([0])
         engine.submit_query("symptoms and causes")
         with pytest.raises(ValidationError, match="out of range"):
-            engine.register_click(4)
+            engine.register_clicks([0, 4])
+        assert engine.belief() == engine_for(
+            google_config(), pools, categories, 7).belief()
 
 
 class TestEngineTables:
@@ -534,9 +538,9 @@ class TestSlotLabelMemo:
                 changes += expected != previous
                 previous = expected
                 if not entry.is_probe:
-                    for slot, advert in enumerate(page.adverts):
-                        if click_decision(advert.text, catalog[topic]):
-                            engine.register_click(slot)
+                    engine.register_clicks([
+                        slot for slot, advert in enumerate(page.adverts)
+                        if click_decision(advert.text, catalog[topic])])
         # The sessions exercise both a kept and a recomputed apportionment.
         assert 4 < changes < steps
 
@@ -556,7 +560,8 @@ class TestOneUpdatePath:
         seed=st.integers(0, 2**32 - 1),
         actions=st.lists(st.one_of(
             st.tuples(st.just("query"), st.integers(0, 12)),
-            st.tuples(st.just("click"), st.integers(0, 3)),
+            st.tuples(st.just("click"),
+                      st.lists(st.integers(0, 3), min_size=1, max_size=4)),
         ), max_size=30),
     )
     @settings(max_examples=150, deadline=None)
@@ -588,6 +593,76 @@ class TestOneUpdatePath:
             elif slots is None:
                 continue
             else:
-                engine.register_click(value)
-                reference.click(slots[value])
+                engine.register_clicks(value)
+                for slot in value:
+                    reference.click(slots[slot])
             assert engine.belief() == reference.belief()
+
+
+def outcome(call, error_type):
+    """(the call's result, None), or (None, its error's message)."""
+    try:
+        return call(), None
+    except error_type as exc:
+        return None, str(exc)
+
+
+class TestEngineMatchesTheReferenceEngine:
+    """Pages, beliefs and overflow errors of an `AdEngine` match the oracle's
+    engine, which registers and applies one update at a time, for click
+    boosts up to ones that overflow the weights within a few clicks."""
+
+    @given(
+        lag=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        boost=st.one_of(st.sampled_from([2.0, 1e60, 2e154, 1e200]),
+                        st.floats(0.5, 1e250)),
+        actions=st.lists(st.one_of(
+            st.tuples(st.just("query"), st.integers(0, 12)),
+            st.tuples(st.just("click"),
+                      st.lists(st.integers(0, 3), min_size=1, max_size=4)),
+        ), max_size=30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pages_beliefs_and_overflows_match(
+            self, pools, categories, default_keywords, lag, seed, boost, actions):
+        config = google_config(adaptation_lag=lag, click_boost=boost)
+        tables = EngineTables(config, pools, categories)
+        order = categories.all_labels
+        slices = {label: tuple(ad.text for ad in ads)
+                  for label, ads in tables.slices.items()}
+        vocab = {label: term_set(texts) for label, texts in slices.items()}
+
+        def matches(query):
+            terms = set(filter_terms(query))
+            return [label for label in order if terms & vocab[label]]
+
+        engine = new_engine(tables, seed)
+        reference = ReferenceEngine(tables.prior, slices, order,
+                                    config.ads_per_page, lag, boost, seed,
+                                    matches, LINK_WORDS)
+        queries = TestOneUpdatePath.queries(default_keywords)
+        served = False
+        for action, value in actions:
+            if action == "query":
+                page, error = outcome(
+                    lambda: engine.submit_query(queries[value]), ValidationError)
+                expected, expected_error = outcome(
+                    lambda: reference.submit_query(queries[value]),
+                    ReferenceOverflow)
+                assert error == expected_error
+                if error:
+                    break
+                assert page.links == expected[0]
+                assert [ad.text for ad in page.adverts] == expected[1]
+                served = True
+            elif served:
+                _, error = outcome(
+                    lambda: engine.register_clicks(value), ValidationError)
+                _, expected_error = outcome(
+                    lambda: [reference.register_click(slot) for slot in value],
+                    ReferenceOverflow)
+                assert error == expected_error
+                if error:
+                    break
+            assert engine.belief() == reference.weights
