@@ -7,6 +7,11 @@ Two on-disk formats live here:
 * capture files: a ``#pri-capture v1`` header followed by one canonical JSON
   record per interaction, sorted by (session_id, step).  The writer emits a
   single canonical byte form so round-trip equality is meaningful.
+
+``write_capture`` encodes each distinct advert text once per file and each
+distinct links value once per session.  ``parse_capture`` is where a capture
+from outside becomes ``SessionTrace`` records, so it alone checks what a
+record holds; the records themselves are plain ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -65,38 +70,18 @@ class ResultPage(NamedTuple):
     adverts: tuple[Advert, ...]
 
 
-class Interaction:
-    def __init__(self, step: int, query: str, page: ResultPage,
-                 clicked: tuple[int, ...], is_probe: bool) -> None:
-        if is_probe and clicked:
-            raise ValidationError("probe responses are never clicked")
-        for idx in clicked:
-            if not 0 <= idx < len(page.adverts):
-                raise ValidationError(f"clicked index {idx} out of range")
-        self.step = step
-        self.query = query
-        self.page = page
-        self.clicked = clicked
-        self.is_probe = is_probe
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Interaction and vars(other) == vars(self)
+class Interaction(NamedTuple):
+    step: int
+    query: str
+    page: ResultPage
+    clicked: tuple[int, ...]
+    is_probe: bool
 
 
-class SessionTrace:
-    def __init__(self, session_id: str, topic_label: str,
-                 interactions: tuple[Interaction, ...]) -> None:
-        steps = [it.step for it in interactions]
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ValidationError(
-                f"session {session_id}: steps must be strictly increasing"
-            )
-        self.session_id = session_id
-        self.topic_label = topic_label
-        self.interactions = interactions
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is SessionTrace and vars(other) == vars(self)
+class SessionTrace(NamedTuple):
+    session_id: str
+    topic_label: str
+    interactions: tuple[Interaction, ...]
 
     @property
     def probes(self) -> tuple[Interaction, ...]:
@@ -280,8 +265,13 @@ def parse_capture(lines: Iterable[str]) -> list[SessionTrace]:
             )
         except KeyError as exc:
             raise ValidationError(f"capture line {lineno}: missing field {exc}") from exc
-        except ValidationError as exc:
-            raise ValidationError(f"capture line {lineno}: {exc}") from exc
+        if interaction.is_probe and interaction.clicked:
+            raise ValidationError(
+                f"capture line {lineno}: probe responses are never clicked")
+        for idx in interaction.clicked:
+            if not 0 <= idx < len(interaction.page.adverts):
+                raise ValidationError(
+                    f"capture line {lineno}: clicked index {idx} out of range")
 
         if sid != current_id:
             flush()

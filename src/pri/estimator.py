@@ -19,6 +19,12 @@ the lcm of their filtered lengths, so a page's score for category ``c`` is
 builds no ``Fraction``: CPython's int true division is correctly rounded, so
 ``m / (D_c * L)`` is the float of the exact score, and the ``Fraction`` view
 equals the term-by-term sums.
+
+A ``PriModel`` stores the repeated answers of scoring: the contribution of
+each advert text seen twice, and in ``page_scores`` the vector of each page
+whose texts all have one, keyed by the page's sorted contributions.
+Reworded adverts with the same terms therefore share one vector, and
+``evaluate_capture`` classifies each distinct vector once.
 """
 
 from __future__ import annotations

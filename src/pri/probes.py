@@ -24,19 +24,6 @@ DEFAULT_PROBES = ("symptoms and causes", "help and advice")
 DEFAULT_MIN_RATIO = 0.01
 
 
-class ProbeCandidate:
-    def __init__(self, term: str, tf: int) -> None:
-        if not term:
-            raise ValidationError("probe candidate needs a term")
-        if tf <= 0:
-            raise ValidationError("probe candidate frequency must be positive")
-        self.term = term
-        self.tf = tf
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ProbeCandidate and vars(other) == vars(self)
-
-
 class AmbiguityEntry(NamedTuple):
     topic: str
     probe: str
@@ -46,16 +33,6 @@ class AmbiguityEntry(NamedTuple):
     @property
     def ratio(self) -> float:
         return ambiguity_ratio(self.n_topic, self.n_topic_probe)
-
-
-class AmbiguityReport(NamedTuple):
-    entries: tuple[AmbiguityEntry, ...]
-
-    def lookup(self, topic: str, probe: str) -> AmbiguityEntry:
-        for entry in self.entries:
-            if entry.topic == topic and entry.probe == probe:
-                return entry
-        raise ValidationError(f"no ambiguity counts for ({topic!r}, {probe!r})")
 
 
 def _page_texts(page: ResultPage) -> Iterable[str]:
@@ -69,16 +46,16 @@ def _page_texts(page: ResultPage) -> Iterable[str]:
 def extract_candidates(
     pages: Sequence[ResultPage],
     top_k: int = 10,
-) -> list[ProbeCandidate]:
-    """Rank stems by aggregate frequency over link and advert text."""
+) -> list[tuple[str, int]]:
+    """(term, frequency) of the top stems by aggregate frequency over link
+    and advert text, most frequent first, ties by term."""
     if not pages:
         raise ValidationError("cannot extract probe candidates from zero pages")
     if top_k <= 0:
         raise ValidationError("top_k must be positive")
     counts = Counter(term for page in pages for text in _page_texts(page)
                      for term in filter_terms(text))
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [ProbeCandidate(term=term, tf=tf) for term, tf in ranked[:top_k]]
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
 
 
 def ambiguity_ratio(n_topic: int, n_topic_probe: int) -> float:
@@ -104,7 +81,7 @@ def revealing_topics(
 
 def select_probe(
     probes: Sequence[str],
-    report: AmbiguityReport,
+    report: Mapping[tuple[str, str], AmbiguityEntry],
     topics: Sequence[str],
     min_ratio: float = DEFAULT_MIN_RATIO,
     keywords: Mapping[str, Sequence[str]] | None = None,
@@ -126,7 +103,12 @@ def select_probe(
                 f"{probe!r} shares keyword terms with {', '.join(revealing)}"
             )
             continue
-        ratios = {t: report.lookup(t, probe).ratio for t in topics}
+        ratios: dict[str, float] = {}
+        for topic in topics:
+            if (topic, probe) not in report:
+                raise ValidationError(
+                    f"no ambiguity counts for ({topic!r}, {probe!r})")
+            ratios[topic] = report[topic, probe].ratio
         low = sorted(t for t, r in ratios.items() if r < min_ratio)
         if low:
             worst = ", ".join(f"{t}={ratios[t]:.4f}" for t in low)
@@ -143,14 +125,18 @@ def select_probe(
 # ---------------------------------------------------------------------------
 
 
-def write_candidates_csv(candidates: Sequence[ProbeCandidate], out: IO[str]) -> None:
+def write_candidates_csv(candidates: Sequence[tuple[str, int]],
+                         out: IO[str]) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["rank", "term", "tf"])
-    for rank, candidate in enumerate(candidates, start=1):
-        writer.writerow([rank, candidate.term, candidate.tf])
+    for rank, (term, tf) in enumerate(candidates, start=1):
+        writer.writerow([rank, term, tf])
 
 
-def parse_ambiguity_csv(lines: Iterable[str]) -> AmbiguityReport:
+def parse_ambiguity_csv(
+    lines: Iterable[str],
+) -> dict[tuple[str, str], AmbiguityEntry]:
+    """Survey counts by (topic, probe); a repeated pair keeps its first row."""
     reader = csv.DictReader(lines)
     try:
         fieldnames = reader.fieldnames
@@ -165,23 +151,22 @@ def parse_ambiguity_csv(lines: Iterable[str]) -> AmbiguityReport:
         raise ValidationError(
             "ambiguity CSV needs columns topic, probe, n_topic, n_topic_probe"
         )
-    entries = []
+    report: dict[tuple[str, str], AmbiguityEntry] = {}
     for row in rows:
         try:
-            entries.append(
-                AmbiguityEntry(
-                    topic=row["topic"],
-                    probe=row["probe"],
-                    n_topic=int(row["n_topic"]),
-                    n_topic_probe=int(row["n_topic_probe"]),
-                )
+            entry = AmbiguityEntry(
+                topic=row["topic"],
+                probe=row["probe"],
+                n_topic=int(row["n_topic"]),
+                n_topic_probe=int(row["n_topic_probe"]),
             )
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad ambiguity row {row!r}: {exc}") from exc
-    if not entries:
+        report.setdefault((entry.topic, entry.probe), entry)
+    if not report:
         raise ValidationError("ambiguity CSV has no data rows")
-    return AmbiguityReport(entries=tuple(entries))
+    return report
 
 
-def default_ambiguity_report() -> AmbiguityReport:
+def default_ambiguity_report() -> dict[tuple[str, str], AmbiguityEntry]:
     return parse_ambiguity_csv(bundled_lines("probe_ambiguity.csv"))

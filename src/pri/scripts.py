@@ -62,15 +62,9 @@ class CategoryKeywords:
         return tuple(" ".join(phrase.split()) for phrase in self.phrases)
 
 
-class ScriptEntry:
-    def __init__(self, text: str, is_probe: bool) -> None:
-        if not text.strip():
-            raise ValidationError("query entries need text")
-        self.text = text
-        self.is_probe = is_probe
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is ScriptEntry and vars(other) == vars(self)
+class ScriptEntry(NamedTuple):
+    text: str
+    is_probe: bool
 
 
 class QueryScript(NamedTuple):

@@ -15,6 +15,20 @@ current weights, once per distinct weight state in a campaign, and each slot
 is filled from the category's pool slice.  The slice size is chosen so that
 the expected number of distinct adverts on a page matches the configured
 ``pool_diversity``.
+
+A campaign, and ``pri simulate``, builds one ``EngineTables`` from the
+engine settings, the advert pools and the categories.  It checks the pools
+once and holds what every engine reads and none changes: each category's
+diversity slice and vocabulary, the prior belief, and, filled as sessions
+submit them, each distinct query's organic links and matched categories,
+and each distinct weight state's slot labels (the category of each advert
+slot).  Every page serves the campaign's frozen ``Advert``s.  An
+``AdEngine`` holds only its session's state: its copy of the weights, the
+slot labels of its next page, looked up again only after the weights
+change, the pending queue, the step, its random generator and the slot
+labels of the last page served.  Each interaction does its work once: the
+query's labels, and then a page's clicks in one ``register_clicks`` call,
+join the pending queue, which is drained once per call.
 """
 
 from __future__ import annotations
@@ -333,7 +347,7 @@ class AdEngine:
         self._queue: deque[tuple[int, str, bool]] = deque()
         self._step = 0
         self._rng = random.Random(seed)
-        self._last_served: tuple[str, ...] | None = None
+        self._last_served: tuple[str, ...] = ()
 
     @property
     def categories(self) -> CategorySet:
@@ -364,13 +378,11 @@ class AdEngine:
         return page
 
     def register_clicks(self, positions: Sequence[int]) -> None:
-        """Record clicks on advert slots of the most recent page, in order."""
+        """Record clicks on advert slots of the most recent page, in order.
+
+        Each position must be a slot of that page, as in ``run_session``.
+        """
         served = self._last_served
-        if served is None:
-            raise ValidationError("cannot register a click before any page is served")
-        for position in positions:
-            if not 0 <= position < len(served):
-                raise ValidationError(f"clicked position {position} is out of range")
         due = self._step + self._tables.config.adaptation_lag
         self._queue.extend([(due, served[position], True)
                             for position in positions])

@@ -4,6 +4,9 @@ The pipeline is: lowercase, split on runs of [a-z0-9], drop stopwords,
 stem, then drop stopwords once more.  The second pass matters because a
 stem can land on a stopword that its surface form missed ("ies" -> "i").
 Category labels are never passed through here -- only displayed text is.
+The package's only process-wide state is the two singletons
+``default_stopwords()`` and ``default_filter()``, whose token table holds
+one entry per distinct token.
 """
 
 from __future__ import annotations

@@ -311,7 +311,7 @@ def test_criterion_7_probe_hygiene(google):
     cells = 0
     for topic, _n, _np1, _np2, pct1, pct2 in AMBIGUITY_ROWS:
         for probe, expected in ((p1, pct1), (p2, pct2)):
-            got = round(100 * report.lookup(topic, probe).ratio)
+            got = round(100 * report[topic, probe].ratio)
             cells += 1
             _check(failures, got == expected,
                    f"{topic}/{probe!r}: rounded ratio {got}% != {expected}%")

@@ -277,6 +277,31 @@ class TestDetect:
             f"error: session {first.session_id}: incomplete session: "
             f"{len(first.probes)} probe verdicts, need 99\n")
 
+    def test_probe_count_1_judges_each_session_on_its_first_probe(
+            self, cli_bundle, tmp_path, capsys):
+        # Cut every session after its first probe: with --probe-count 1
+        # the verdicts are the same, and by default they are not.
+        traces = parse_capture(read_lines(cli_bundle / "test.capture"))
+        first_only = []
+        for trace in traces:
+            end = next(i for i, it in enumerate(trace.interactions)
+                       if it.is_probe)
+            first_only.append(trace._replace(
+                interactions=trace.interactions[:end + 1]))
+        cut = tmp_path / "first-probe.capture"
+        save_capture(first_only, cut)
+
+        def detect(capture, *flags):
+            assert main(["detect", "--model", str(cli_bundle / "model.txt"),
+                         "--capture", str(capture),
+                         "--baselines", str(cli_bundle / "baselines.txt"),
+                         *flags]) == 0
+            return capsys.readouterr().out
+
+        whole = detect(cli_bundle / "test.capture", "--probe-count", "1")
+        assert whole == detect(cut, "--probe-count", "1")
+        assert whole != detect(cli_bundle / "test.capture")
+
     def test_calibration_session_of_an_unknown_topic_is_a_data_error(
             self, cli_bundle, tmp_path, capsys):
         training = _session_relabelled_zzz(cli_bundle, tmp_path)["--capture"]

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 from io import StringIO
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pri.cli import main
 from pri.corpus import (
     Advert,
     CategorySet,
@@ -197,25 +199,29 @@ class TestCaptureRoundTrip:
 
 
 class TestTraceInvariants:
-    def test_probe_click_invariant(self):
-        with pytest.raises(ValidationError):
-            Interaction(1, "q", _page("ad"), (0,), True)
+    """``parse_capture`` is where a capture from outside becomes traces, so
+    it checks that each clicked position indexes the record's adverts (and,
+    in ``test_probe_with_click_rejected``, that no probe is clicked)."""
 
-    def test_click_index_bounds(self):
-        with pytest.raises(ValidationError):
-            Interaction(1, "q", _page("ad"), (3,), False)
-
-    def test_steps_strictly_increase(self):
-        good = _trace()
-        assert [it.step for it in good.interactions] == [1, 2]
-        with pytest.raises(ValidationError):
-            SessionTrace(
-                "s", "other",
-                (
-                    Interaction(2, "q", _page(), (), False),
-                    Interaction(1, "q", _page(), (), False),
-                ),
-            )
+    @pytest.mark.parametrize("clicked, index", [([0, 2], 2), ([-1], -1)],
+                             ids=["past-the-adverts", "negative"])
+    def test_a_bad_click_exits_2_naming_the_line(
+            self, tmp_path, capsys, clicked, index):
+        message = f"clicked index {index} out of range"
+        out = StringIO()
+        write_capture([_trace()], out)
+        lines = out.getvalue().splitlines()
+        record = json.loads(lines[1])
+        assert len(record["adverts"]) == 2
+        record["clicked"] = clicked
+        lines[1] = json.dumps(record, sort_keys=True)
+        with pytest.raises(ValidationError, match=f"capture line 2: {message}"):
+            parse_capture(lines)
+        capture = tmp_path / "bad.capture"
+        capture.write_text("".join(line + "\n" for line in lines),
+                           encoding="utf-8")
+        assert main(["probe-select", "--capture", str(capture)]) == 2
+        assert capsys.readouterr().err == f"error: capture line 2: {message}\n"
 
     def test_probe_subsequence(self):
         assert [it.step for it in _trace().probes] == [2]

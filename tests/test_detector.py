@@ -379,3 +379,6 @@ class TestConfigValidation:
     def test_bad_probe_count_rejected(self):
         with pytest.raises(ValidationError):
             DetectorConfig(session_probe_count=0)
+
+    def test_one_probe_per_session_is_accepted(self):
+        assert DetectorConfig(session_probe_count=1).session_probe_count == 1

@@ -14,7 +14,6 @@ from pri.errors import ValidationError
 from pri.probes import (
     DEFAULT_PROBES,
     AmbiguityEntry,
-    AmbiguityReport,
     ambiguity_ratio,
     default_ambiguity_report,
     extract_candidates,
@@ -63,30 +62,26 @@ class TestCandidateRanking:
             for advert in page.adverts:
                 oracle.update(filter_terms(advert.text))
         assert oracle == {"help": 5, "advic": 3, "symptom": 1}
-        ranked = extract_candidates(pages)
-        assert [(c.term, c.tf) for c in ranked] == [
+        assert extract_candidates(pages) == [
             ("help", 5), ("advic", 3), ("symptom", 1),
         ]
 
     def test_dominant_term_ranks_first(self):
         pages = [_page("help with help and more help", "advice on symptoms")]
-        assert extract_candidates(pages)[0].term == "help"
+        assert extract_candidates(pages)[0] == ("help", 3)
 
     def test_single_repeated_advert(self):
-        assert [c.term for c in extract_candidates([_page("advice advice")])] == [
-            "advic"
-        ]
+        assert extract_candidates([_page("advice advice")]) == [("advic", 2)]
 
     def test_links_count_toward_frequency(self):
         pages = [
             _page("advice", links=[("symptom checker", "symptom signs symptom")])
         ]
-        ranked = extract_candidates(pages)
-        assert ranked[0] == ranked[0].__class__("symptom", 3)
+        assert extract_candidates(pages)[0] == ("symptom", 3)
 
     def test_tie_breaks_lexicographic(self):
-        ranked = extract_candidates([_page("zebra apple zebra apple")])
-        assert [c.term for c in ranked] == ["appl", "zebra"]
+        assert extract_candidates([_page("zebra apple zebra apple")]) == [
+            ("appl", 2), ("zebra", 2)]
 
     def test_top_k_truncates(self):
         pages = [_page("alpha beta gamma delta epsilon")]
@@ -132,8 +127,8 @@ class TestAmbiguityRatio:
         report = default_ambiguity_report()
         p1, p2 = DEFAULT_PROBES
         for topic, n, np1, np2, pct1, pct2 in AMBIGUITY_ROWS:
-            entry1 = report.lookup(topic, p1)
-            entry2 = report.lookup(topic, p2)
+            entry1 = report[topic, p1]
+            entry2 = report[topic, p2]
             assert (entry1.n_topic, entry1.n_topic_probe) == (n, np1)
             assert (entry2.n_topic, entry2.n_topic_probe) == (n, np2)
             assert round(100 * entry1.ratio) == pct1
@@ -169,12 +164,16 @@ class TestSelection:
         assert chosen == "help and advice"
 
     def test_single_failing_candidate_errors_with_ratios(self):
-        report = AmbiguityReport(
-            entries=(AmbiguityEntry("bankrupt", "symptoms and causes",
-                                    86_900_000, 434_000),)
-        )
+        report = {("bankrupt", "symptoms and causes"): AmbiguityEntry(
+            "bankrupt", "symptoms and causes", 86_900_000, 434_000)}
         with pytest.raises(ValidationError, match="0.0050"):
             select_probe(("symptoms and causes",), report, ("bankrupt",))
+
+    def test_a_pair_without_counts_is_named(self):
+        with pytest.raises(ValidationError, match=(
+                r"no ambiguity counts for \('zzz', 'symptoms and causes'\)")):
+            select_probe(DEFAULT_PROBES, default_ambiguity_report(),
+                         ("prostate", "zzz"))
 
     def test_keyword_collision_screens_probe(self, default_keywords):
         # "help and advice" appears inside the gambling keyword list, so the
@@ -219,11 +218,23 @@ class TestCsvRoundTrips:
         text = ("topic,probe,n_topic,n_topic_probe,ratio\n"
                 "anorexia,symptoms and causes,28500000,834000,0.029263\n"
                 "payday,help and advice,70300000,6570000,0.093457\n")
-        assert parse_ambiguity_csv(text.splitlines()) == AmbiguityReport((
-            AmbiguityEntry("anorexia", "symptoms and causes", 28_500_000,
-                           834_000),
-            AmbiguityEntry("payday", "help and advice", 70_300_000, 6_570_000),
-        ))
+        assert parse_ambiguity_csv(text.splitlines()) == {
+            ("anorexia", "symptoms and causes"): AmbiguityEntry(
+                "anorexia", "symptoms and causes", 28_500_000, 834_000),
+            ("payday", "help and advice"): AmbiguityEntry(
+                "payday", "help and advice", 70_300_000, 6_570_000),
+        }
+
+    def test_a_repeated_pair_keeps_its_first_row(self):
+        # The first row passes the 1% floor and the repeat would not.
+        text = ("topic,probe,n_topic,n_topic_probe\n"
+                "payday,help and advice,100,50\n"
+                "payday,help and advice,100,0\n")
+        report = parse_ambiguity_csv(text.splitlines())
+        assert report == {("payday", "help and advice"): AmbiguityEntry(
+            "payday", "help and advice", 100, 50)}
+        assert select_probe(("help and advice",), report,
+                            ("payday",)) == "help and advice"
 
     def test_candidate_csv_shape(self):
         candidates = extract_candidates([_page("help help advice")])
@@ -240,6 +251,6 @@ class TestCsvRoundTrips:
 
     def test_counts_file_covers_all_topics_and_probes(self):
         report = default_ambiguity_report()
-        probes = tuple(dict.fromkeys(entry.probe for entry in report.entries))
+        probes = tuple(dict.fromkeys(probe for _, probe in report))
         assert probes == DEFAULT_PROBES
-        assert len(report.entries) == 22
+        assert len(report) == 22

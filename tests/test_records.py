@@ -1,9 +1,18 @@
-"""Value classes: each validated one rejects a bad value, copies go through
-the constructor, and session traces compare by every field."""
+"""The classes that check their input, and the records that do not.
+
+``BAD_VALUES`` lists every class of ``src/pri`` whose ``__init__`` raises
+``ValidationError``, with one construction each that it rejects; an ``ast``
+guard keeps the list complete.  Records that only carry data, such as
+``Interaction`` and ``SessionTrace``, are ``NamedTuple``s: what they hold
+from a file is checked by the parser that reads the file, and they compare
+by every field.
+"""
 
 from __future__ import annotations
 
+import ast
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +27,11 @@ from pri.corpus import (
 )
 from pri.detector import DetectorConfig
 from pri.errors import ValidationError
-from pri.probes import ProbeCandidate
 from pri.runner import CampaignConfig
-from pri.scripts import CategoryKeywords, ScriptEntry
-from pri.simulator import EngineConfig
+from pri.scripts import CategoryKeywords
+from pri.simulator import EngineConfig, EngineTables
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pri"
 
 PAGE = ResultPage((("title", "snippet"),), (Advert("ad one"), Advert("ad two")))
 
@@ -40,14 +50,11 @@ def trace(**changes) -> SessionTrace:
 # class name -> a construction with one bad value
 BAD_VALUES = {
     "CategorySet": lambda: CategorySet(("other",), "other"),
-    "Interaction": lambda: interaction(is_probe=True),
-    "SessionTrace": lambda: trace(interactions=(interaction(step=2),
-                                                interaction(step=1))),
     "DetectorConfig": lambda: DetectorConfig(sigma_multiplier=float("nan")),
-    "ProbeCandidate": lambda: ProbeCandidate("help", 0),
     "CategoryKeywords": lambda: CategoryKeywords("payday", ()),
-    "ScriptEntry": lambda: ScriptEntry("  ", False),
     "EngineConfig": lambda: EngineConfig(adaptation_lag=-1),
+    "EngineTables": lambda: EngineTables(EngineConfig(), {},
+                                         CategorySet(("payday",))),
     "CampaignConfig": lambda: CampaignConfig(train_sessions_per_topic=0),
 }
 
@@ -56,6 +63,52 @@ BAD_VALUES = {
 def test_a_bad_value_is_rejected(name):
     with pytest.raises(ValidationError):
         BAD_VALUES[name]()
+
+
+def raises_validation_error(node: ast.AST) -> bool:
+    """Whether a ``raise ValidationError`` statement lies inside ``node``."""
+    for raised in ast.walk(node):
+        if isinstance(raised, ast.Raise) and raised.exc is not None:
+            exc = raised.exc
+            name = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(name, ast.Name) and name.id == "ValidationError":
+                return True
+    return False
+
+
+def checking_classes(source: str) -> list[str]:
+    """Names of the module's classes whose ``__init__`` raises
+    ``ValidationError`` itself."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.FunctionDef)
+                    and item.name == "__init__"
+                    and raises_validation_error(item)
+                    for item in node.body)]
+
+
+def test_every_checking_class_has_a_bad_value():
+    found = [name for path in sorted(SRC.glob("*.py"))
+             for name in checking_classes(path.read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(BAD_VALUES)
+
+
+def test_the_guard_finds_a_class_without_a_row():
+    source = (
+        "class Checked:\n"
+        "    def __init__(self, x):\n"
+        "        if x < 0:\n"
+        "            raise ValidationError(f'{x} is negative')\n"
+        "class Record(NamedTuple):\n"
+        "    x: int\n"
+        "class Elsewhere:\n"
+        "    def __init__(self, x):\n"
+        "        raise ValueError(x)\n"
+        "    def check(self):\n"
+        "        raise ValidationError\n"
+    )
+    assert checking_classes(source) == ["Checked"]
+    assert set(checking_classes(source)) - set(BAD_VALUES) == {"Checked"}
 
 
 def test_engine_config_copies_are_validated():

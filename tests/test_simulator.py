@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -479,15 +480,19 @@ class TestEngineServing:
             raised[name] = {label for label in before if after[label] > before[label]}
         assert raised == {"broad": {"payday", "bankrupt"}, "narrow": set()}
 
-    def test_clicks_need_a_served_page(self, pools, categories):
-        engine = engine_for(google_config(), pools, categories, 7)
-        with pytest.raises(ValidationError, match="before any page"):
+    def test_a_sum_that_overflows_only_across_the_slots_is_an_error(
+            self, pools, categories):
+        # The clicked catch-all weight, 100/111 * 1e308, and the weights'
+        # sum stay finite, but apportioning four slots multiplies by 4.
+        engine = engine_for(google_config(click_boost=1e308), pools,
+                            categories, 7)
+        page = engine.submit_query("symptoms and causes")
+        assert composition(page, pools) == {"other": 4}
+        with pytest.raises(ValidationError, match=(
+                r"click_boost = 1e\+308 makes the 'other' weight overflow")):
             engine.register_clicks([0])
-        engine.submit_query("symptoms and causes")
-        with pytest.raises(ValidationError, match="out of range"):
-            engine.register_clicks([0, 4])
-        assert engine.belief() == engine_for(
-            google_config(), pools, categories, 7).belief()
+        total = sum(engine.belief().values())
+        assert math.isfinite(total) and not math.isfinite(4 * total)
 
 
 class TestEngineTables:
@@ -545,6 +550,16 @@ class TestSlotLabelMemo:
         assert 4 < changes < steps
 
 
+def engine_actions(slots: int):
+    """Up to 30 actions: ("query", an index into TestOneUpdatePath.queries)
+    or ("click", slots of a page with `slots` adverts)."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("query"), st.integers(0, 12)),
+        st.tuples(st.just("click"),
+                  st.lists(st.integers(0, slots - 1), min_size=1, max_size=4)),
+    ), max_size=30)
+
+
 class TestOneUpdatePath:
     """Queries and clicks, at every lag, go through one pending queue."""
 
@@ -558,11 +573,7 @@ class TestOneUpdatePath:
     @given(
         lag=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
-        actions=st.lists(st.one_of(
-            st.tuples(st.just("query"), st.integers(0, 12)),
-            st.tuples(st.just("click"),
-                      st.lists(st.integers(0, 3), min_size=1, max_size=4)),
-        ), max_size=30),
+        actions=engine_actions(4),
     )
     @settings(max_examples=150, deadline=None)
     def test_belief_matches_the_replayed_log(
@@ -609,24 +620,25 @@ def outcome(call, error_type):
 
 class TestEngineMatchesTheReferenceEngine:
     """Pages, beliefs and overflow errors of an `AdEngine` match the oracle's
-    engine, which registers and applies one update at a time, for click
-    boosts up to ones that overflow the weights within a few clicks."""
+    engine, which registers and applies one update at a time, for pages of
+    one to four adverts and click boosts up to ones that overflow the
+    weights within a few clicks."""
 
     @given(
         lag=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),
         boost=st.one_of(st.sampled_from([2.0, 1e60, 2e154, 1e200]),
                         st.floats(0.5, 1e250)),
-        actions=st.lists(st.one_of(
-            st.tuples(st.just("query"), st.integers(0, 12)),
-            st.tuples(st.just("click"),
-                      st.lists(st.integers(0, 3), min_size=1, max_size=4)),
-        ), max_size=30),
+        page_and_actions=st.integers(1, 4).flatmap(
+            lambda slots: st.tuples(st.just(slots), engine_actions(slots))),
     )
     @settings(max_examples=150, deadline=None)
     def test_pages_beliefs_and_overflows_match(
-            self, pools, categories, default_keywords, lag, seed, boost, actions):
-        config = google_config(adaptation_lag=lag, click_boost=boost)
+            self, pools, categories, default_keywords, lag, seed, boost,
+            page_and_actions):
+        slots, actions = page_and_actions
+        config = google_config(adaptation_lag=lag, click_boost=boost,
+                               ads_per_page=slots)
         tables = EngineTables(config, pools, categories)
         order = categories.all_labels
         slices = {label: tuple(ad.text for ad in ads)
