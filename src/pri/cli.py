@@ -8,9 +8,7 @@ success, 1 usage problem, 2 invalid input data, 3 unexpected failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from io import StringIO
 from pathlib import Path
 
 from .config import load_config, read_lines
@@ -31,9 +29,14 @@ from .probes import (
     extract_candidates,
     parse_ambiguity_csv,
     select_probe,
-    write_candidates_csv,
 )
-from .reports import render_csv, render_detections, render_text, write_bundle
+from .reports import (
+    csv_text,
+    render_csv,
+    render_detections,
+    render_text,
+    write_bundle,
+)
 from .runner import (
     DEFAULT_ENGINE,
     DEFAULT_PROBE,
@@ -95,16 +98,14 @@ def _given(**values) -> dict:
 def cmd_train(args: argparse.Namespace) -> int:
     lines = read_lines(args.corpus)
     if args.categories:
-        sensitive = _comma_list(args.categories, "--categories")
+        categories = CategorySet(_comma_list(args.categories, "--categories"),
+                                 args.catchall)
+        corpus = parse_corpus(lines, categories)
     else:
-        # Only a line with a tab and a label names one; parse_corpus
-        # reports the others by line number.
-        parts = [line.partition("\t") for line in lines]
-        labels = {label.strip() for label, tab, _ in parts
-                  if tab and label.strip() and not label.lstrip().startswith("#")}
-        sensitive = tuple(sorted(labels - {args.catchall}))
-    categories = CategorySet(sensitive, args.catchall)
-    model = train(parse_corpus(lines, categories), categories)
+        corpus = parse_corpus(lines)
+        labels = {advert.label for advert in corpus} - {args.catchall}
+        categories = CategorySet(tuple(sorted(labels)), args.catchall)
+    model = train(corpus, categories)
     save_model(model, args.out)
     return 0
 
@@ -112,16 +113,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     model = parse_model(read_lines(args.model))
     traces = parse_capture(read_lines(args.capture))
-    out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("session", "step", "category", "score"))
-    for trace in traces:
-        for interaction in trace.interactions:
-            vector = score(model, interaction.page.adverts)
-            for category in model.categories.all_labels:
-                writer.writerow((trace.session_id, interaction.step, category,
-                                 repr(vector.value(category))))
-    _emit(out.getvalue(), args.out)
+
+    def rows():
+        for trace in traces:
+            for interaction in trace.interactions:
+                vector = score(model, interaction.page.adverts)
+                for category in model.categories.all_labels:
+                    yield (trace.session_id, interaction.step, category,
+                           repr(vector.value(category)))
+
+    _emit(csv_text(("session", "step", "category", "score"), rows()), args.out)
     return 0
 
 
@@ -150,9 +151,9 @@ def cmd_probe_select(args: argparse.Namespace) -> int:
         traces = parse_capture(read_lines(args.capture))
         pages = [it.page for trace in traces for it in trace.interactions]
         candidates = extract_candidates(pages, top_k=args.top)
-        out = StringIO()
-        write_candidates_csv(candidates, out)
-        _emit(out.getvalue(), args.out)
+        _emit(csv_text(("rank", "term", "tf"),
+                       [(rank, term, tf) for rank, (term, tf)
+                        in enumerate(candidates, start=1)]), args.out)
         return 0
     if args.topics:
         topics = _comma_list(args.topics, "--topics")
@@ -180,11 +181,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     categories = CategorySet(tuple(sorted(keywords)), args.catchall)
     tables = EngineTables(load_engine_config(args.engine),
                           build_ad_pools(keywords, args.catchall), categories)
+    session_id = args.session_id or f"sim-{script.topic}-00"
+    if script.topic not in categories:
+        raise ValidationError(f"session {session_id}: topic {script.topic!r} "
+                              "is not an engine category")
     engine = new_engine(tables, args.seed)
     clicks = None
     if args.clicks and script.keywords:
         clicks = CategoryKeywords(script.topic, script.keywords)
-    session_id = args.session_id or f"sim-{script.topic}-00"
     trace = run_session(engine, script, clicks, session_id)
     save_capture([trace], args.out)
     return 0

@@ -109,8 +109,13 @@ class Dictionary:
         return iter(self.terms)
 
 
-def parse_corpus(lines: Iterable[str], categories: CategorySet) -> list[LabeledAdvert]:
-    """Parse ``label<TAB>text`` records, rejecting unknown labels by line."""
+def parse_corpus(
+    lines: Iterable[str], categories: CategorySet | None = None
+) -> list[LabeledAdvert]:
+    """Parse ``label<TAB>text`` records, rejecting unknown labels by line.
+
+    Without ``categories`` every nonempty label is known.
+    """
     out: list[LabeledAdvert] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -121,7 +126,7 @@ def parse_corpus(lines: Iterable[str], categories: CategorySet) -> list[LabeledA
             raise ValidationError(f"corpus line {lineno}: missing tab separator")
         label = label.strip()
         text = text.strip()
-        if label not in categories:
+        if not label or (categories is not None and label not in categories):
             raise ValidationError(f"corpus line {lineno}: unknown label {label!r}")
         if not text:
             raise ValidationError(f"corpus line {lineno}: empty advert text")

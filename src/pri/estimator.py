@@ -324,9 +324,8 @@ def _parse_id(text: str, lineno: int) -> int:
 
 
 def parse_model(lines: Iterable[str]) -> PriModel:
-    sensitive: tuple[str, ...] | None = None
-    catchall = "other"
-    empty: tuple[str, ...] = ()
+    # "categories", "catchall" and "empty" -> the rest of its one line
+    heads: dict[str, str] = {}
     mapping: dict[str, int] = {}
     id_to_term: dict[int, str] = {}
     totals: dict[str, Fraction] = {}
@@ -334,12 +333,10 @@ def parse_model(lines: Iterable[str]) -> PriModel:
 
     for lineno, line in headed_lines(lines, MODEL_HEADER, "model"):
         kind, _, rest = line.partition("\t")
-        if kind == "categories":
-            sensitive = tuple(c for c in rest.split(",") if c)
-        elif kind == "catchall":
-            catchall = rest
-        elif kind == "empty":
-            empty = tuple(c for c in rest.split(",") if c)
+        if kind in ("categories", "catchall", "empty"):
+            if kind in heads:
+                raise ValidationError(f"model line {lineno}: second {kind} line")
+            heads[kind] = rest
         elif kind == "dict":
             id_text, _, term = rest.partition("\t")
             term_id = _parse_id(id_text, lineno)
@@ -380,9 +377,12 @@ def parse_model(lines: Iterable[str]) -> PriModel:
         else:
             raise ValidationError(f"model line {lineno}: unknown record {kind!r}")
 
-    if sensitive is None:
+    if "categories" not in heads:
         raise ValidationError("model file lacks a categories line")
-    categories = CategorySet(sensitive=sensitive, catchall=catchall)
+    categories = CategorySet(
+        sensitive=tuple(c for c in heads["categories"].split(",") if c),
+        catchall=heads.get("catchall", "other"))
+    empty = tuple(c for c in heads.get("empty", "").split(",") if c)
     undeclared = sorted(set(empty) - set(categories.all_labels))
     if undeclared:
         raise ValidationError(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import bundled_lines
 from .corpus import ResultPage
@@ -32,7 +32,9 @@ class AmbiguityEntry(NamedTuple):
 
     @property
     def ratio(self) -> float:
-        return ambiguity_ratio(self.n_topic, self.n_topic_probe)
+        """N(topic, probe) / N(topic); ``parse_ambiguity_csv`` has checked
+        that the first is nonnegative and the second positive."""
+        return self.n_topic_probe / self.n_topic
 
 
 def _page_texts(page: ResultPage) -> Iterable[str]:
@@ -56,14 +58,6 @@ def extract_candidates(
     counts = Counter(term for page in pages for text in _page_texts(page)
                      for term in filter_terms(text))
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]
-
-
-def ambiguity_ratio(n_topic: int, n_topic_probe: int) -> float:
-    if n_topic <= 0:
-        raise ValidationError("topic result count must be positive")
-    if n_topic_probe < 0:
-        raise ValidationError("probe result count cannot be negative")
-    return n_topic_probe / n_topic
 
 
 def revealing_topics(
@@ -125,18 +119,14 @@ def select_probe(
 # ---------------------------------------------------------------------------
 
 
-def write_candidates_csv(candidates: Sequence[tuple[str, int]],
-                         out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rank", "term", "tf"])
-    for rank, (term, tf) in enumerate(candidates, start=1):
-        writer.writerow([rank, term, tf])
-
-
 def parse_ambiguity_csv(
     lines: Iterable[str],
 ) -> dict[tuple[str, str], AmbiguityEntry]:
-    """Survey counts by (topic, probe); a repeated pair keeps its first row."""
+    """Survey counts by (topic, probe); a repeated pair keeps its first row.
+
+    Every row is checked, used or not: its counts are integers, the topic
+    count positive and the probe count nonnegative.
+    """
     reader = csv.DictReader(lines)
     try:
         fieldnames = reader.fieldnames
@@ -162,6 +152,12 @@ def parse_ambiguity_csv(
             )
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad ambiguity row {row!r}: {exc}") from exc
+        if entry.n_topic <= 0:
+            raise ValidationError(f"bad ambiguity row {row!r}: "
+                                  "topic result count must be positive")
+        if entry.n_topic_probe < 0:
+            raise ValidationError(f"bad ambiguity row {row!r}: "
+                                  "probe result count cannot be negative")
         report.setdefault((entry.topic, entry.probe), entry)
     if not report:
         raise ValidationError("ambiguity CSV has no data rows")

@@ -131,6 +131,16 @@ def _session_counts(evaluation: Evaluation) -> tuple[int, int]:
     return len(evaluation.sessions) - n_catchall, n_catchall
 
 
+def csv_text(header: tuple, rows) -> str:
+    """The header, then each of the iterable ``rows``, as CSV with ``"\\n"``
+    line ends: the one dialect of every CSV file ``pri`` writes."""
+    out = StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # report rendering (the `report` and `detect` commands)
 # ---------------------------------------------------------------------------
@@ -170,34 +180,28 @@ def render_text(evaluation: Evaluation) -> str:
 def render_csv(evaluation: Evaluation) -> str:
     """The same report as render_text, as one long-format CSV."""
     n_sensitive, n_catchall = _session_counts(evaluation)
-    out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("table", "row", "column", "value"))
-    writer.writerow(("summary", "sessions", "sensitive", n_sensitive))
-    writer.writerow(("summary", "sessions", "catchall", n_catchall))
-    writer.writerow(("summary", "rate", "sensitive_detection",
-                     repr(evaluation.sensitive_rate)))
-    writer.writerow(("summary", "rate", "false_positive",
-                     repr(evaluation.false_positive_rate)))
-    for topic, values in evaluation.confusion.items():
-        for column, value in zip(CONFUSION_COLUMNS, values):
-            writer.writerow(("confusion", topic, column, repr(value)))
-    for row in _lag_rows(evaluation.lag):
-        writer.writerow(("lag",) + row)
-    return out.getvalue()
+    rows = [
+        ("summary", "sessions", "sensitive", n_sensitive),
+        ("summary", "sessions", "catchall", n_catchall),
+        ("summary", "rate", "sensitive_detection",
+         repr(evaluation.sensitive_rate)),
+        ("summary", "rate", "false_positive",
+         repr(evaluation.false_positive_rate)),
+    ]
+    rows += [("confusion", topic, column, repr(value))
+             for topic, values in evaluation.confusion.items()
+             for column, value in zip(CONFUSION_COLUMNS, values)]
+    rows += [("lag",) + row for row in _lag_rows(evaluation.lag)]
+    return csv_text(("table", "row", "column", "value"), rows)
 
 
 def render_detections(evaluation: Evaluation) -> str:
     """Per-session verdict CSV: what was flagged and as which topics."""
-    out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(("session", "topic", "sensitive", "detected_topics"))
-    for session in evaluation.sessions:
-        verdict = session.verdict
-        detected = ";".join(sorted(verdict.topics))
-        writer.writerow((session.session_id, session.truth,
-                         int(verdict.sensitive), detected))
-    return out.getvalue()
+    return csv_text(("session", "topic", "sensitive", "detected_topics"),
+                    [(session.session_id, session.truth,
+                      int(session.verdict.sensitive),
+                      ";".join(sorted(session.verdict.topics)))
+                     for session in evaluation.sessions])
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +258,12 @@ def _summary_markdown(result: CampaignResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv(header: tuple, rows) -> str:
-    out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
-
-
 def _heatmap_csv(result: CampaignResult) -> str:
     topics = result.config.categories.sensitive
     matrix = topic_score_matrix(result)
-    return _csv(("session_topic",) + tuple(topics),
-                [(topic,) + tuple(repr(matrix[topic][c]) for c in topics)
-                 for topic in topics])
+    return csv_text(("session_topic",) + tuple(topics),
+                    [(topic,) + tuple(repr(matrix[topic][c]) for c in topics)
+                     for topic in topics])
 
 
 def write_bundle(result: CampaignResult, out_dir: str | Path) -> tuple[Path, ...]:
@@ -281,13 +277,13 @@ def write_bundle(result: CampaignResult, out_dir: str | Path) -> tuple[Path, ...
     save_capture(result.test_traces, directory / "test.capture")
     tables = {
         "sessions.csv": render_detections(evaluation),
-        "confusion.csv": _csv(
+        "confusion.csv": csv_text(
             ("topic",) + CONFUSION_COLUMNS,
             [(topic, *map(repr, values))
              for topic, values in evaluation.confusion.items()]),
         "heatmap.csv": _heatmap_csv(result),
-        "lag.csv": _csv(("statistic", "key", "value"),
-                        _lag_rows(evaluation.lag)),
+        "lag.csv": csv_text(("statistic", "key", "value"),
+                            _lag_rows(evaluation.lag)),
         "summary.md": _summary_markdown(result),
     }
     for name, text in tables.items():

@@ -40,8 +40,6 @@ CLICK_SHARE = 0.1
 
 class CategoryKeywords:
     def __init__(self, label: str, phrases: tuple[str, ...]) -> None:
-        if not label:
-            raise ValidationError("category keywords need a label")
         if not phrases or any(not p.strip() for p in phrases):
             raise ValidationError(
                 f"category {label!r} needs nonempty keyword phrases"
@@ -184,22 +182,24 @@ def click_decision(item_text: str, keywords: CategoryKeywords) -> bool:
 
 
 def parse_script(lines: Iterable[str]) -> QueryScript:
-    probe = ""
-    topic = ""
-    keywords: tuple[str, ...] = ()
-    entries: list[ScriptEntry] = []
+    """Each of "! keywords:", "! probe:" and "! topic:" may appear once, and
+    every query line equal to the probe text is a probe, wherever the
+    directive stands."""
+    # "keywords", "probe" and "topic" -> the text after the colon
+    named: dict[str, str] = {}
+    queries: list[str] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("!"):
             directive = line[1:].strip()
-            if directive.startswith("keywords:"):
-                keywords = tuple(directive[len("keywords:"):].split())
-            elif directive.startswith("probe:"):
-                probe = directive[len("probe:"):].strip()
-            elif directive.startswith("topic:"):
-                topic = directive[len("topic:"):].strip()
+            name, colon, value = directive.partition(":")
+            if colon and name in ("keywords", "probe", "topic"):
+                if name in named:
+                    raise ValidationError(
+                        f"script line {lineno}: second '! {name}:' line")
+                named[name] = value
             elif directive.startswith("wait"):
                 value = directive[len("wait"):].strip()
                 try:
@@ -215,12 +215,16 @@ def parse_script(lines: Iterable[str]) -> QueryScript:
                     f"script line {lineno}: unknown directive {line!r}"
                 )
             continue
-        entries.append(ScriptEntry(line, line == probe))
+        queries.append(line)
+    probe = named.get("probe", "").strip()
     if not probe:
         raise ValidationError("script file declares no probe")
-    if not entries:
+    if not queries:
         raise ValidationError("script file has no query entries")
-    return QueryScript(topic=topic, entries=tuple(entries), keywords=keywords)
+    return QueryScript(
+        topic=named.get("topic", "").strip(),
+        entries=tuple(ScriptEntry(query, query == probe) for query in queries),
+        keywords=tuple(named.get("keywords", "").split()))
 
 
 def keyword_catalog(

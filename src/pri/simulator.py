@@ -17,10 +17,10 @@ the expected number of distinct adverts on a page matches the configured
 ``pool_diversity``.
 
 A campaign, and ``pri simulate``, builds one ``EngineTables`` from the
-engine settings, the advert pools and the categories.  It checks the pools
-once and holds what every engine reads and none changes: each category's
-diversity slice and vocabulary, the prior belief, and, filled as sessions
-submit them, each distinct query's organic links and matched categories,
+engine settings, the advert pools and the categories.  It holds what every
+engine reads and none changes: each category's diversity slice and
+vocabulary, the prior belief, and, filled as sessions submit them, each
+distinct query's organic links and matched categories,
 and each distinct weight state's slot labels (the category of each advert
 slot).  Every page serves the campaign's frozen ``Advert``s.  An
 ``AdEngine`` holds only its session's state: its copy of the weights, the
@@ -229,8 +229,6 @@ def _topic_ads(label: str, phrases: Sequence[str]) -> list[str]:
     two short-term-credit categories swap their last three adverts for the
     shared generic loan copy.
     """
-    if not phrases:
-        raise ValidationError(f"category {label!r} has no keyword phrases")
     ads = []
     for i in range(POOL_SIZE):
         start = i % len(phrases)
@@ -247,14 +245,10 @@ def build_ad_pools(
 ) -> dict[str, tuple[Advert, ...]]:
     """Advert pools for every keyword category plus the catch-all bucket.
 
-    Adverts are frozen, so every page an engine serves shares these.
+    Adverts are frozen, so every page an engine serves shares these.  Each
+    category has phrases and none is named ``catchall``: the caller's
+    ``CategoryKeywords`` and ``CategorySet`` have checked both.
     """
-    if not keywords:
-        raise ValidationError("keyword map is empty")
-    if catchall in keywords:
-        raise ValidationError(
-            f"catch-all label {catchall!r} collides with a keyword category"
-        )
     pools = {
         label: tuple(map(Advert, _topic_ads(label, tuple(phrases))))
         for label, phrases in keywords.items()
@@ -266,7 +260,11 @@ def build_ad_pools(
 class EngineTables:
     """What every engine of a campaign reads and none changes, derived once:
     each category's slice and vocabulary, the prior belief, and each distinct
-    query's organic links and the labels whose vocabulary it hits."""
+    query's organic links and the labels whose vocabulary it hits.
+
+    ``pools`` holds a nonempty pool for every category, as
+    ``build_ad_pools`` makes them.
+    """
 
     def __init__(
         self,
@@ -274,16 +272,11 @@ class EngineTables:
         pools: Mapping[str, Sequence[Advert]],
         categories: CategorySet,
     ) -> None:
-        missing = [c for c in categories.all_labels if c not in pools]
-        if missing:
-            raise ValidationError(f"no advert pool for categories: {missing}")
         self.config = config
         self.categories = categories
         self.slices: dict[str, tuple[Advert, ...]] = {}
         for label in categories.all_labels:
             pool = tuple(pools[label])
-            if not pool:
-                raise ValidationError(f"advert pool for {label!r} is empty")
             size = diversity_slice(len(pool), config.ads_per_page,
                                    config.pool_diversity)
             self.slices[label] = pool[:size]
@@ -348,10 +341,6 @@ class AdEngine:
         self._step = 0
         self._rng = random.Random(seed)
         self._last_served: tuple[str, ...] = ()
-
-    @property
-    def categories(self) -> CategorySet:
-        return self._tables.categories
 
     def belief(self) -> dict[str, float]:
         """Current applied weights (pending updates excluded)."""

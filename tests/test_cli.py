@@ -349,6 +349,12 @@ _MALFORMED_MODELS = {
         "dict\t0\tfoo\nstat\t0\t3/0\ta=1/1\n", "bad rational '3/0'"),
     "two-field-stat": (
         "dict\t0\tfoo\nstat\t0\t1/1\n", "model line 5: malformed stat line"),
+    "second-categories": (
+        "categories\tb\n", "model line 4: second categories line"),
+    "second-catchall": (
+        "catchall\tother\n", "model line 4: second catchall line"),
+    "second-empty": (
+        "empty\ta\nempty\ta\n", "model line 5: second empty line"),
 }
 
 
@@ -393,6 +399,14 @@ class TestProbeSelect:
         assert rows[0] == ["rank", "term", "tf"]
         assert len(rows) == 4
 
+    def test_capture_mode_writes_ranked_rows(self, tmp_path, capsys):
+        page = ResultPage(links=(), adverts=(Advert("help help advice"),))
+        capture = tmp_path / "one.capture"
+        save_capture([SessionTrace("s", "other", (
+            Interaction(1, "q", page, (), False),))], capture)
+        assert main(["probe-select", "--capture", str(capture)]) == 0
+        assert capsys.readouterr().out == "rank,term,tf\n1,help,2\n2,advic,1\n"
+
     def test_oversized_ambiguity_field_is_a_data_error(self, tmp_path, capsys):
         survey = tmp_path / "big.csv"
         survey.write_text("topic,probe,n_topic,n_topic_probe\n"
@@ -418,6 +432,9 @@ class TestProbeSelect:
          "top_k must be positive"),
         (["--topics", "anorexia", "--ambiguity", "SURVEY"],
          "probe result count cannot be negative"),
+        # Every row is checked when read, also one the group never uses.
+        (["--topics", "anorexia", "--ambiguity", "UNUSED"],
+         "topic result count must be positive"),
     ])
     def test_bad_input_is_a_data_error(self, cli_bundle, tmp_path, capsys,
                                        flags, message):
@@ -425,8 +442,12 @@ class TestProbeSelect:
         survey.write_text("topic,probe,n_topic,n_topic_probe\n"
                           "anorexia,symptoms and causes,10,-1\n",
                           encoding="utf-8")
+        unused = tmp_path / "unused.csv"
+        unused.write_text("topic,probe,n_topic,n_topic_probe\n"
+                          "anorexia,symptoms and causes,10,5\n"
+                          "payday,help and advice,0,5\n", encoding="utf-8")
         paths = {"B/test.capture": cli_bundle / "test.capture",
-                 "SURVEY": survey}
+                 "SURVEY": survey, "UNUSED": unused}
         code = main(["probe-select",
                      *(str(paths.get(flag, flag)) for flag in flags)])
         assert code == 2
@@ -464,6 +485,18 @@ symptoms and causes
                      "--out", str(tmp_path / "x.capture")])
         assert code == 2
         assert "topic" in capsys.readouterr().err
+
+    def test_script_topic_the_engine_lacks_is_rejected(self, tmp_path, capsys):
+        script = tmp_path / "s.script"
+        script.write_text(self.SCRIPT.replace("! topic: prostate",
+                                              "! topic: zzz"))
+        out = tmp_path / "x.capture"
+        code = main(["simulate", "--script", str(script), "--engine",
+                     "google_like", "--seed", "9", "--out", str(out)])
+        assert code == 2
+        assert ("session sim-zzz-00: topic 'zzz' is not an engine category"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_unknown_engine_is_a_usage_error(self, tmp_path, capsys):
         script = tmp_path / "s.script"

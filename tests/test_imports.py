@@ -31,6 +31,9 @@ what that module needs.
 A sixth check keeps every output file in one byte form: each
 ``write_text`` call, and each ``open`` for writing, in ``src/pri`` passes
 ``newline="\n"``, so that no platform turns line ends into ``\r\n``.
+
+A seventh check keeps one CSV dialect: ``csv.writer`` is called only in
+``pri/reports.py``, whose ``csv_text`` every CSV output goes through.
 """
 
 from __future__ import annotations
@@ -317,3 +320,32 @@ def test_the_check_finds_a_platform_line_end():
               "Path('g').open('w')\n")
     assert writes_without_newline(source) == [
         "line 2 write_text", "line 4 open", "line 8 open"]
+
+
+def csv_writer_calls(source: str) -> list[str]:
+    """``line N`` of each call of ``csv.writer``, by that name or by a name
+    ``from csv import writer`` binds."""
+    tree = ast.parse(source)
+    names = {"csv.writer"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "csv":
+            names.update(alias.asname or alias.name for alias in node.names
+                         if alias.name == "writer")
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in names]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_reports_writes_csv(path):
+    calls = csv_writer_calls(path.read_text(encoding="utf-8"))
+    if path.name == "reports.py":
+        assert len(calls) == 1
+    else:
+        assert calls == []
+
+
+def test_the_check_finds_a_stray_csv_writer():
+    source = ("import csv\nfrom csv import writer as w, reader\n"
+              "csv.writer(out, lineterminator='\\n')\n"
+              "csv.reader(lines)\nw(out)\nreader(lines)\n")
+    assert csv_writer_calls(source) == ["line 3", "line 5"]

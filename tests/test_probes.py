@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from io import StringIO
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +13,11 @@ from pri.errors import ValidationError
 from pri.probes import (
     DEFAULT_PROBES,
     AmbiguityEntry,
-    ambiguity_ratio,
     default_ambiguity_report,
     extract_candidates,
     parse_ambiguity_csv,
     revealing_topics,
     select_probe,
-    write_candidates_csv,
 )
 from pri.textproc import filter_terms
 
@@ -105,6 +102,10 @@ class TestCandidateRanking:
         assert extract_candidates(shuffled) == baseline
 
 
+def ambiguity_ratio(n_topic, n_topic_probe):
+    return AmbiguityEntry("topic", "probe", n_topic, n_topic_probe).ratio
+
+
 class TestAmbiguityRatio:
     def test_anorexia_row(self):
         ratio = ambiguity_ratio(28_500_000, 834_000)
@@ -119,9 +120,17 @@ class TestAmbiguityRatio:
     def test_equal_counts(self):
         assert ambiguity_ratio(7, 7) == 1.0
 
-    def test_zero_topic_count_rejected(self):
-        with pytest.raises(ValidationError):
-            ambiguity_ratio(0, 5)
+    @pytest.mark.parametrize("counts, message", [
+        ("0,5", "topic result count must be positive"),
+        ("10,-1", "probe result count cannot be negative"),
+    ])
+    def test_bad_counts_rejected_when_read(self, counts, message):
+        # A bad row is rejected although no selection looks its pair up.
+        text = ("topic,probe,n_topic,n_topic_probe\n"
+                "payday,help and advice,100,50\n"
+                f"zzz,unused probe,{counts}\n")
+        with pytest.raises(ValidationError, match=message):
+            parse_ambiguity_csv(text.splitlines())
 
     def test_all_published_percentages_reproduce(self):
         report = default_ambiguity_report()
@@ -235,15 +244,6 @@ class TestCsvRoundTrips:
             "payday", "help and advice", 100, 50)}
         assert select_probe(("help and advice",), report,
                             ("payday",)) == "help and advice"
-
-    def test_candidate_csv_shape(self):
-        candidates = extract_candidates([_page("help help advice")])
-        out = StringIO()
-        write_candidates_csv(candidates, out)
-        lines = out.getvalue().splitlines()
-        assert lines[0] == "rank,term,tf"
-        assert lines[1] == "1,help,2"
-        assert lines[2] == "2,advic,1"
 
     def test_missing_columns_rejected(self):
         with pytest.raises(ValidationError):

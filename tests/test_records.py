@@ -29,7 +29,7 @@ from pri.detector import DetectorConfig
 from pri.errors import ValidationError
 from pri.runner import CampaignConfig
 from pri.scripts import CategoryKeywords
-from pri.simulator import EngineConfig, EngineTables
+from pri.simulator import EngineConfig, EngineTables, build_ad_pools
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pri"
 
@@ -53,8 +53,9 @@ BAD_VALUES = {
     "DetectorConfig": lambda: DetectorConfig(sigma_multiplier=float("nan")),
     "CategoryKeywords": lambda: CategoryKeywords("payday", ()),
     "EngineConfig": lambda: EngineConfig(adaptation_lag=-1),
-    "EngineTables": lambda: EngineTables(EngineConfig(), {},
-                                         CategorySet(("payday",))),
+    "EngineTables": lambda: EngineTables(
+        EngineConfig(prior_knowledge="shoes:5"),
+        build_ad_pools({"payday": ["loans"]}, "other"), CategorySet(("payday",))),
     "CampaignConfig": lambda: CampaignConfig(train_sessions_per_topic=0),
 }
 

@@ -132,12 +132,6 @@ class TestRunSession:
         assert len(trace.interactions) == 2
         assert trace.probes == ()
 
-    def test_unknown_topic_rejected(self, default_keywords):
-        script = QueryScript(topic="astrology",
-                             entries=(ScriptEntry("stars", False),))
-        with pytest.raises(ValidationError, match="astrology"):
-            run_session(location_engine(default_keywords), script, None, "s")
-
 
 class RecordingEngine(AdEngine):
     """An AdEngine that counts its pages and keeps its weights after every

@@ -104,6 +104,23 @@ class TestParseExample:
             with pytest.raises(ValidationError, match="line 3: bad wait duration"):
                 parse_script(["! probe: x", "x", f"! wait {value}"])
 
+    def test_a_probe_line_above_its_directive_is_a_probe(self):
+        script = parse_script(["symptoms and causes", "prostate cancer",
+                               "! probe: symptoms and causes",
+                               "symptoms and causes"])
+        assert script.entries == (ScriptEntry("symptoms and causes", True),
+                                  ScriptEntry("prostate cancer", False),
+                                  ScriptEntry("symptoms and causes", True))
+
+    @pytest.mark.parametrize("directive", [
+        "! probe: help and advice", "! topic: payday", "! keywords: loans"])
+    def test_a_second_naming_directive_is_rejected(self, directive):
+        name = directive[2:].partition(":")[0]
+        lines = ["! probe: x", "! topic: a", "! keywords: k", "x", directive]
+        with pytest.raises(ValidationError,
+                           match=f"line 5: second '! {name}:' line"):
+            parse_script(lines)
+
     def test_unknown_directive_rejected(self):
         with pytest.raises(ValidationError, match="directive"):
             parse_script(["! probe: x", "! frobnicate: y"])

@@ -266,15 +266,6 @@ class TestAdPools:
             for ad in own:
                 assert Counter(filter_terms(ad)) == reference, label
 
-    def test_catchall_collision_rejected(self):
-        with pytest.raises(ValidationError, match="collides"):
-            build_ad_pools({"other": ["x"]}, "other")
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValidationError):
-            build_ad_pools({}, "other")
-        with pytest.raises(ValidationError):
-            build_ad_pools({"payday": []}, "other")
 
 
 class TestLinks:
@@ -322,11 +313,6 @@ class TestEngineServing:
         tables = EngineTables(google_config(prior_knowledge="other:1e308"),
                               pools, categories)
         assert tables.prior["other"] == 1.0
-
-    def test_missing_pool_rejected(self, pools, categories):
-        partial = {k: v for k, v in pools.items() if k != "divorce"}
-        with pytest.raises(ValidationError, match="divorce"):
-            EngineTables(google_config(), partial, categories)
 
     def test_cold_page_is_pure_catchall(self, pools, categories):
         engine = engine_for(google_config(), pools, categories, 7)
