@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import load_config, read_lines
+from .config import load_config, read_lines, typed_settings
 from .corpus import CategorySet, parse_capture, parse_corpus, save_capture
 from .detector import (
     DEFAULT_PROBE_COUNT,
@@ -32,6 +32,7 @@ from .probes import (
 )
 from .reports import (
     csv_text,
+    percent,
     render_csv,
     render_detections,
     render_text,
@@ -69,8 +70,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _comma_list(value: str, flag: str) -> tuple[str, ...]:
-    items = tuple(part.strip() for part in value.split(",") if part.strip())
+def _list_flag(value: str, flag: str, sep: str = ",") -> tuple[str, ...]:
+    """The nonblank entries of a list flag, which must name at least one."""
+    items = tuple(part.strip() for part in value.split(sep) if part.strip())
     if not items:
         raise UsageError(f"{flag} names no entries")
     return items
@@ -98,7 +100,7 @@ def _given(**values) -> dict:
 def cmd_train(args: argparse.Namespace) -> int:
     lines = read_lines(args.corpus)
     if args.categories:
-        categories = CategorySet(_comma_list(args.categories, "--categories"),
+        categories = CategorySet(_list_flag(args.categories, "--categories"),
                                  args.catchall)
         corpus = parse_corpus(lines, categories)
     else:
@@ -156,13 +158,13 @@ def cmd_probe_select(args: argparse.Namespace) -> int:
                         in enumerate(candidates, start=1)]), args.out)
         return 0
     if args.topics:
-        topics = _comma_list(args.topics, "--topics")
+        topics = _list_flag(args.topics, "--topics")
         if args.ambiguity:
             report = parse_ambiguity_csv(read_lines(args.ambiguity))
         else:
             report = default_ambiguity_report()
-        probes = (tuple(p.strip() for p in args.probes.split(";") if p.strip())
-                  if args.probes else DEFAULT_PROBES)
+        probes = (_list_flag(args.probes, "--probes", ";") if args.probes
+                  else DEFAULT_PROBES)
         chosen = select_probe(probes, report, topics,
                               min_ratio=args.min_ratio,
                               keywords=load_default_keywords())
@@ -208,16 +210,11 @@ _CAMPAIGN_SETTINGS = {
 
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Fill each flag left unset from --config, converted by the flag's type."""
-    for key, text in load_config(args.config).items():
-        if key not in _CAMPAIGN_SETTINGS:
-            raise ValidationError(
-                f"{args.config}: unknown campaign setting {key!r}")
-        attribute, convert = _CAMPAIGN_SETTINGS[key]
-        try:
-            value = convert(text)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise ValidationError(
-                f"{args.config}: bad value for {key}: {text!r}") from None
+    types = {key: convert for key, (_, convert) in _CAMPAIGN_SETTINGS.items()}
+    settings = typed_settings(load_config(args.config), types, args.config,
+                              "campaign")
+    for key, value in settings.items():
+        attribute = _CAMPAIGN_SETTINGS[key][0]
         if getattr(args, attribute) is None:
             setattr(args, attribute, value)
 
@@ -241,8 +238,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     paths = write_bundle(result, args.out)
     evaluation = result.evaluation
     sys.stdout.write(
-        f"sensitive detection rate: {100.0 * evaluation.sensitive_rate:.1f}%\n"
-        f"false positive rate: {100.0 * evaluation.false_positive_rate:.1f}%\n"
+        f"sensitive detection rate: {percent(evaluation.sensitive_rate)}\n"
+        f"false positive rate: {percent(evaluation.false_positive_rate)}\n"
         f"wrote {len(paths)} files under {args.out}\n"
     )
     return 0

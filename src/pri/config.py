@@ -6,12 +6,14 @@
 In configuration files, blank lines and ``#`` comments are skipped.  An
 ``include FILE`` line splices in another file, resolved relative to the
 including file; later assignments override earlier ones, so a file can
-include a base profile and then adjust individual keys.
+include a base profile and then adjust individual keys.  ``typed_settings``
+is the one way such a file's text values become typed settings.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from argparse import ArgumentTypeError
+from collections.abc import Callable, Iterable, Mapping
 from pathlib import Path
 
 from .errors import UsageError, ValidationError
@@ -60,6 +62,26 @@ def parse_config(
 
 def load_config(path: str | Path) -> dict[str, str]:
     return _load(Path(path), frozenset())
+
+
+def typed_settings(mapping: Mapping[str, str],
+                   types: Mapping[str, Callable[[str], object]],
+                   source: str, kind: str) -> dict[str, object]:
+    """Each setting of ``mapping`` converted by its key's type in ``types``.
+
+    A key ``types`` lacks, or a value its type rejects, is invalid data
+    naming ``source``, the file the settings came from.
+    """
+    values: dict[str, object] = {}
+    for key, text in mapping.items():
+        if key not in types:
+            raise ValidationError(f"{source}: unknown {kind} setting {key!r}")
+        try:
+            values[key] = types[key](text)
+        except (ValueError, ArgumentTypeError):
+            raise ValidationError(
+                f"{source}: bad value for {key}: {text!r}") from None
+    return values
 
 
 def _load(path: Path, seen: frozenset[Path]) -> dict[str, str]:

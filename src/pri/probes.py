@@ -85,8 +85,6 @@ def select_probe(
     Usable means the ambiguity ratio meets `min_ratio` for each topic and the
     probe shares no filtered term with any group topic's keyword phrases.
     """
-    if not probes:
-        raise ValidationError("no candidate probes supplied")
     if not math.isfinite(min_ratio):
         raise ValidationError(f"min_ratio must be finite, not {min_ratio!r}")
     failures: list[str] = []
@@ -124,41 +122,40 @@ def parse_ambiguity_csv(
 ) -> dict[tuple[str, str], AmbiguityEntry]:
     """Survey counts by (topic, probe); a repeated pair keeps its first row.
 
-    Every row is checked, used or not: its counts are integers, the topic
-    count positive and the probe count nonnegative.
+    Every row is checked as it is read, used or not: its counts are
+    integers, the topic count positive and the probe count nonnegative.  An
+    error names the line it is on.
     """
     reader = csv.DictReader(lines)
+    report: dict[tuple[str, str], AmbiguityEntry] = {}
     try:
         fieldnames = reader.fieldnames
-        rows = list(reader)
+        required = {"topic", "probe", "n_topic", "n_topic_probe"}
+        if fieldnames is None or not required.issubset(fieldnames):
+            raise ValidationError("ambiguity CSV needs columns topic, probe, "
+                                  "n_topic, n_topic_probe")
+        for row in reader:
+            where = f"ambiguity CSV line {reader.line_num}"
+            try:
+                entry = AmbiguityEntry(row["topic"], row["probe"],
+                                       int(row["n_topic"]),
+                                       int(row["n_topic_probe"]))
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"{where}: result counts must be integers, not "
+                    f"{row['n_topic']!r} and {row['n_topic_probe']!r}") from None
+            if entry.n_topic <= 0:
+                raise ValidationError(
+                    f"{where}: topic result count must be positive")
+            if entry.n_topic_probe < 0:
+                raise ValidationError(
+                    f"{where}: probe result count cannot be negative")
+            report.setdefault((entry.topic, entry.probe), entry)
     except csv.Error as exc:
         # DictReader.line_num moves only once a row parses; its reader's
         # counts the line that failed.
         raise ValidationError(
             f"ambiguity CSV line {reader.reader.line_num}: {exc}") from exc
-    required = {"topic", "probe", "n_topic", "n_topic_probe"}
-    if fieldnames is None or not required.issubset(fieldnames):
-        raise ValidationError(
-            "ambiguity CSV needs columns topic, probe, n_topic, n_topic_probe"
-        )
-    report: dict[tuple[str, str], AmbiguityEntry] = {}
-    for row in rows:
-        try:
-            entry = AmbiguityEntry(
-                topic=row["topic"],
-                probe=row["probe"],
-                n_topic=int(row["n_topic"]),
-                n_topic_probe=int(row["n_topic_probe"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad ambiguity row {row!r}: {exc}") from exc
-        if entry.n_topic <= 0:
-            raise ValidationError(f"bad ambiguity row {row!r}: "
-                                  "topic result count must be positive")
-        if entry.n_topic_probe < 0:
-            raise ValidationError(f"bad ambiguity row {row!r}: "
-                                  "probe result count cannot be negative")
-        report.setdefault((entry.topic, entry.probe), entry)
     if not report:
         raise ValidationError("ambiguity CSV has no data rows")
     return report

@@ -94,7 +94,7 @@ def topic_score_matrix(result: CampaignResult) -> dict[str, dict[str, float]]:
 # rows shared by the report and the bundle
 # ---------------------------------------------------------------------------
 
-def _percent(value: float) -> str:
+def percent(value: float) -> str:
     return f"{100.0 * value:.1f}%"
 
 
@@ -115,7 +115,7 @@ def _lag_lines(lag: LagStatistics, arrow: str, sep: str) -> list[tuple[str, str]
         return []
 
     def distribution(dist: dict[int, float]) -> str:
-        return sep.join(f"{k}{arrow}{_percent(p)}" for k, p in dist.items())
+        return sep.join(f"{k}{arrow}{percent(p)}" for k, p in dist.items())
 
     return [
         ("expected run length E[X]", f"{lag.expected_run:.2f}"),
@@ -156,8 +156,8 @@ def render_text(evaluation: Evaluation) -> str:
         "-----------------",
         f"sessions scored:          {n_sensitive + n_catchall}"
         f" ({n_sensitive} sensitive, {n_catchall} catch-all)",
-        f"sensitive detection rate: {_percent(evaluation.sensitive_rate)}",
-        f"false positive rate:      {_percent(evaluation.false_positive_rate)}",
+        f"sensitive detection rate: {percent(evaluation.sensitive_rate)}",
+        f"false positive rate:      {percent(evaluation.false_positive_rate)}",
         "",
         "Per-topic session rates",
         "-----------------------",
@@ -169,7 +169,7 @@ def render_text(evaluation: Evaluation) -> str:
         for column, w in zip(CONFUSION_COLUMNS, _TEXT_WIDTHS)))
     for topic, values in rows.items():
         lines.append(f"{topic:<{width}}" + "".join(
-            f"  {_percent(v):>{w}}" for v, w in zip(values, _TEXT_WIDTHS)))
+            f"  {percent(v):>{w}}" for v, w in zip(values, _TEXT_WIDTHS)))
     lines += ["", "Misclassification lag", "---------------------"]
     lines += ([f"{label + ':':<25} {value}"
                for label, value in _lag_lines(evaluation.lag, ": ", "  ")]
@@ -232,8 +232,8 @@ def _summary_markdown(result: CampaignResult) -> str:
         "",
         "## Headline rates",
         "",
-        f"- sensitive-session detection rate: {_percent(evaluation.sensitive_rate)}",
-        f"- catch-all false positive rate: {_percent(evaluation.false_positive_rate)}",
+        f"- sensitive-session detection rate: {percent(evaluation.sensitive_rate)}",
+        f"- catch-all false positive rate: {percent(evaluation.false_positive_rate)}",
         "",
         "## Per-topic session rates",
         "",
@@ -242,7 +242,7 @@ def _summary_markdown(result: CampaignResult) -> str:
         "|" + " --- |" * (1 + len(CONFUSION_COLUMNS)),
     ]
     for topic, values in evaluation.confusion.items():
-        lines.append("| " + " | ".join([topic, *map(_percent, values)]) + " |")
+        lines.append("| " + " | ".join([topic, *map(percent, values)]) + " |")
     lines += ["", "## Misclassification lag", ""]
     lines += ([f"- {label}: {value}"
                for label, value in _lag_lines(evaluation.lag, " -> ", ", ")]

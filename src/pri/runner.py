@@ -154,10 +154,7 @@ class CampaignConfig:
                 f"session_probe_count {self.detector.session_probe_count} "
                 f"exceeds {MIN_PROBES}, the fewest probes a generated script "
                 "holds")
-
-    @property
-    def categories(self) -> CategorySet:
-        return CategorySet(tuple(sorted(self.keywords)), self.catchall)
+        self.categories = CategorySet(tuple(sorted(self.keywords)), catchall)
 
 
 class Evaluation(NamedTuple):

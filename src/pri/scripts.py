@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import bundled_lines
+from .corpus import parse_corpus
 from .errors import ValidationError
 from .textproc import filter_terms, term_set
 
@@ -90,17 +91,11 @@ class QueryScript(NamedTuple):
 
 
 def load_default_keywords() -> dict[str, list[str]]:
-    """Bundled keyword phrase lists, keyed by sensitive category label."""
+    """Bundled keyword phrase lists, keyed by sensitive category label; the
+    file's ``label<TAB>phrase`` lines follow the corpus line grammar."""
     keywords: dict[str, list[str]] = {}
-    lines = bundled_lines("category_keywords.tsv")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        label, sep, phrase = line.partition("\t")
-        if not sep or not phrase.strip():
-            raise ValidationError(f"keywords line {lineno}: expected label<TAB>phrase")
-        keywords.setdefault(label, []).append(phrase.strip())
+    for label, phrase in parse_corpus(bundled_lines("category_keywords.tsv")):
+        keywords.setdefault(label, []).append(phrase)
     return keywords
 
 
@@ -141,23 +136,7 @@ def generate_script(
             queries.append(ScriptEntry(" ".join(group), False))
         queries.append(probe_entry)
 
-    script = QueryScript(topic=keywords.label, entries=tuple(queries))
-    _check_generated(script)
-    return script
-
-
-def _check_generated(script: QueryScript) -> None:
-    queries = script.entries
-    if not MIN_QUERIES <= len(queries) <= MAX_QUERIES:
-        raise ValidationError(f"generated script has {len(queries)} queries")
-    if not queries[0].is_probe:
-        raise ValidationError("generated script must open with a probe")
-    if not queries[-1].is_probe:
-        raise ValidationError("generated script must close with a probe")
-    bad = [g for g in script.probe_gaps
-           if not MIN_PROBE_GAP <= g <= MAX_PROBE_GAP]
-    if bad:
-        raise ValidationError(f"probe gaps out of range: {bad}")
+    return QueryScript(topic=keywords.label, entries=tuple(queries))
 
 
 def click_decision(item_text: str, keywords: CategoryKeywords) -> bool:

@@ -39,7 +39,7 @@ from collections import deque
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .config import bundled_lines, load_config, parse_config
+from .config import bundled_lines, load_config, parse_config, typed_settings
 from .corpus import Advert, CategorySet, ResultPage
 from .errors import UsageError, ValidationError
 from .textproc import filter_terms, term_set
@@ -412,22 +412,6 @@ def new_engine(tables: EngineTables, seed: int) -> AdEngine:
 _CONFIG_KEYS = {key: type(value) for key, value in vars(EngineConfig()).items()}
 
 
-def engine_config_from_mapping(mapping: Mapping[str, str]) -> EngineConfig:
-    kwargs: dict[str, object] = {}
-    for key, value in mapping.items():
-        if key not in _CONFIG_KEYS:
-            raise ValidationError(f"unknown engine setting {key!r}")
-        convert = _CONFIG_KEYS[key]
-        try:
-            kwargs[key] = convert(value)
-        except ValueError:
-            raise ValidationError(
-                f"engine setting {key} = {value!r} is not a valid "
-                f"{convert.__name__}"
-            ) from None
-    return EngineConfig(**kwargs)  # type: ignore[arg-type]
-
-
 def load_engine_config(source: str | Path) -> EngineConfig:
     """Resolve a preset name or a configuration file path."""
     name = str(source)
@@ -441,4 +425,5 @@ def load_engine_config(source: str | Path) -> EngineConfig:
                 f"{', '.join(ENGINE_PRESETS)} and no such file"
             )
         mapping = load_config(path)
-    return engine_config_from_mapping(mapping)
+    return EngineConfig(**typed_settings(mapping, _CONFIG_KEYS, name,
+                                         "engine"))  # type: ignore[arg-type]

@@ -407,6 +407,25 @@ class TestProbeSelect:
         assert main(["probe-select", "--capture", str(capture)]) == 0
         assert capsys.readouterr().out == "rank,term,tf\n1,help,2\n2,advic,1\n"
 
+    def test_probes_naming_nothing_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "probe.txt"
+        code = main(["probe-select", "--topics", "anorexia", "--probes", ";;",
+                     "--out", str(out)])
+        assert code == 1
+        assert "--probes names no entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_ambiguity_row_names_its_line(self, tmp_path, capsys):
+        survey = tmp_path / "survey.csv"
+        survey.write_text("topic,probe,n_topic,n_topic_probe\n"
+                          "anorexia,symptoms and causes,10,5\n"
+                          "payday,help and advice,x,5\n", encoding="utf-8")
+        code = main(["probe-select", "--topics", "anorexia",
+                     "--ambiguity", str(survey)])
+        assert code == 2
+        assert ("ambiguity CSV line 3: result counts must be integers, "
+                "not 'x' and '5'") in capsys.readouterr().err
+
     def test_oversized_ambiguity_field_is_a_data_error(self, tmp_path, capsys):
         survey = tmp_path / "big.csv"
         survey.write_text("topic,probe,n_topic,n_topic_probe\n"
@@ -534,6 +553,33 @@ def test_engine_file_cannot_set_a_seed(tmp_path, capsys, command):
         argv = ["campaign", "--out", str(out), "--train", "1", "--test", "1"]
     assert main(argv + ["--engine", str(engine), "--seed", "9"]) == 2
     assert "unknown engine setting 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("seed = 3", "unknown engine setting 'seed'"),
+    ("click_boost = x", "bad value for click_boost: 'x'"),
+])
+@pytest.mark.parametrize("route", ["simulate", "campaign", "campaign-config"])
+def test_engine_file_errors_name_the_file(tmp_path, capsys, route, setting,
+                                          message):
+    engine = tmp_path / "engine.cfg"
+    engine.write_text(f"adaptation_lag = 1\n{setting}\n", encoding="utf-8")
+    script = tmp_path / "s.script"
+    script.write_text(TestSimulate.SCRIPT, encoding="utf-8")
+    campaign = tmp_path / "campaign.cfg"
+    campaign.write_text(f"engine = {engine}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "simulate": ["simulate", "--script", str(script),
+                     "--engine", str(engine)],
+        "campaign": ["campaign", "--train", "1", "--test", "1",
+                     "--engine", str(engine)],
+        "campaign-config": ["campaign", "--train", "1", "--test", "1",
+                            "--config", str(campaign)],
+    }[route]
+    assert main(argv + ["--seed", "9", "--out", str(out)]) == 2
+    assert f"error: {engine}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

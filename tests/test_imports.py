@@ -34,11 +34,17 @@ A sixth check keeps every output file in one byte form: each
 
 A seventh check keeps one CSV dialect: ``csv.writer`` is called only in
 ``pri/reports.py``, whose ``csv_text`` every CSV output goes through.
+
+An eighth check keeps one reader of ``key = value`` settings: only
+``pri/config.py`` raises the ``unknown ... setting`` and ``bad value for``
+errors, from ``typed_settings``, which engine and campaign files both go
+through.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -349,3 +355,48 @@ def test_the_check_finds_a_stray_csv_writer():
               "csv.writer(out, lineterminator='\\n')\n"
               "csv.reader(lines)\nw(out)\nreader(lines)\n")
     assert csv_writer_calls(source) == ["line 3", "line 5"]
+
+
+SETTINGS_ERROR = re.compile(r"unknown (\S+ )?setting|bad value for")
+
+
+def settings_errors_raised(source: str) -> list[str]:
+    """``line N`` of each ``raise`` whose message, with each f-string field
+    read as ``{}``, is a settings error: ``unknown ... setting`` or ``bad
+    value for``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        texts = []
+        for part in ast.walk(node.exc):
+            if isinstance(part, ast.JoinedStr):
+                texts.append("".join(
+                    field.value if isinstance(field, ast.Constant) else "{}"
+                    for field in part.values))
+            elif isinstance(part, ast.Constant) and isinstance(part.value, str):
+                texts.append(part.value)
+        if any(SETTINGS_ERROR.search(text) for text in texts):
+            found.append(node.lineno)
+    return [f"line {lineno}" for lineno in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_config_raises_settings_errors(path):
+    raised = settings_errors_raised(path.read_text(encoding="utf-8"))
+    if path.name == "config.py":
+        assert len(raised) == 2
+    else:
+        assert raised == []
+
+
+def test_the_check_finds_a_stray_settings_error():
+    source = ("def f(key, text, kind):\n"
+              "    if kind:\n"
+              "        raise ValidationError(f'unknown {kind} setting {key!r}')\n"
+              "    if text:\n"
+              "        raise ValueError('engine ' f'bad value for {key}: {text}')\n"
+              "    note = 'unknown engine setting'\n"
+              "    raise ValidationError('unknown engine '\n"
+              "                          'setting')\n")
+    assert settings_errors_raised(source) == ["line 3", "line 5", "line 7"]

@@ -123,13 +123,17 @@ class TestAmbiguityRatio:
     @pytest.mark.parametrize("counts, message", [
         ("0,5", "topic result count must be positive"),
         ("10,-1", "probe result count cannot be negative"),
+        ("x,5", "result counts must be integers, not 'x' and '5'"),
+        ("10", "result counts must be integers, not '10' and None"),
     ])
     def test_bad_counts_rejected_when_read(self, counts, message):
-        # A bad row is rejected although no selection looks its pair up.
+        # A bad row is rejected, naming its line, although no selection
+        # looks its pair up.
         text = ("topic,probe,n_topic,n_topic_probe\n"
                 "payday,help and advice,100,50\n"
                 f"zzz,unused probe,{counts}\n")
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError,
+                           match=f"^ambiguity CSV line 3: {message}$"):
             parse_ambiguity_csv(text.splitlines())
 
     def test_all_published_percentages_reproduce(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from pri.simulator import (
     apportion_slots,
     build_ad_pools,
     diversity_slice,
-    engine_config_from_mapping,
     expected_distinct,
     links_for_query,
     load_engine_config,
@@ -102,21 +102,32 @@ class TestEngineConfig:
             "other": 100.0, "payday": 2.5,
         }
 
-    def test_mapping_coercion(self):
-        config = engine_config_from_mapping({
-            "adaptation_lag": "3", "click_boost": "2.0", "ads_per_page": "3",
-            "pool_diversity": "1.7", "prior_knowledge": "other:100",
-        })
-        assert config.adaptation_lag == 3
-        assert config.pool_diversity == 1.7
+    @staticmethod
+    def engine_file(tmp_path, text):
+        path = tmp_path / "engine.cfg"
+        path.write_text(text, encoding="utf-8")
+        return path
 
-    def test_mapping_rejects_unknown_keys(self):
-        with pytest.raises(ValidationError, match="unknown engine setting"):
-            engine_config_from_mapping({"lag": "3"})
+    def test_file_values_are_converted_by_type(self, tmp_path):
+        config = load_engine_config(self.engine_file(tmp_path, (
+            "adaptation_lag = 3\nclick_boost = 2.0\nads_per_page = 3\n"
+            "pool_diversity = 1.7\nprior_knowledge = other:100\n")))
+        assert config == EngineConfig(3, 2.0, 3, 1.7, "other:100")
+        assert type(config.adaptation_lag) is int
+        assert type(config.pool_diversity) is float
 
-    def test_mapping_rejects_bad_types(self):
-        with pytest.raises(ValidationError, match="adaptation_lag"):
-            engine_config_from_mapping({"adaptation_lag": "2.5"})
+    def test_file_rejects_unknown_keys(self, tmp_path):
+        path = self.engine_file(tmp_path, "lag = 3\n")
+        with pytest.raises(ValidationError,
+                           match=re.escape(
+                               f"{path}: unknown engine setting 'lag'")):
+            load_engine_config(path)
+
+    def test_file_rejects_bad_types(self, tmp_path):
+        path = self.engine_file(tmp_path, "adaptation_lag = 2.5\n")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: bad value for adaptation_lag: '2.5'")):
+            load_engine_config(path)
 
 
 class TestEnginePresets:
