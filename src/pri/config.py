@@ -6,7 +6,9 @@
 In configuration files, blank lines and ``#`` comments are skipped.  An
 ``include FILE`` line splices in another file, resolved relative to the
 including file; later assignments override earlier ones, so a file can
-include a base profile and then adjust individual keys.  ``typed_settings``
+include a base profile and then adjust individual keys.  A value that
+names a file resolves the same way, against the directory of the file whose
+line sets it; ``load_config`` reports those directories.  ``typed_settings``
 is the one way such a file's text values become typed settings.
 """
 
@@ -57,11 +59,17 @@ def parse_config(
 
     The lines come from no file, so they cannot ``include`` one.
     """
-    return _parse(lines, source, None, frozenset())
+    return _parse(lines, source, None, frozenset(), None)
 
 
-def load_config(path: str | Path) -> dict[str, str]:
-    return _load(Path(path), frozenset())
+def load_config(path: str | Path,
+                origins: dict[str, Path] | None = None) -> dict[str, str]:
+    """Read a settings file and the files it includes.
+
+    ``origins``, when given, receives each key's directory: that of the
+    file whose line set the key's value.
+    """
+    return _load(Path(path), frozenset(), origins)
 
 
 def typed_settings(mapping: Mapping[str, str],
@@ -84,12 +92,13 @@ def typed_settings(mapping: Mapping[str, str],
     return values
 
 
-def _load(path: Path, seen: frozenset[Path]) -> dict[str, str]:
+def _load(path: Path, seen: frozenset[Path],
+          origins: dict[str, Path] | None) -> dict[str, str]:
     resolved = path.resolve()
     if resolved in seen:
         raise ValidationError(f"configuration include cycle at {path}")
     return _parse(read_lines(path), str(path), resolved.parent,
-                  seen | {resolved})
+                  seen | {resolved}, origins)
 
 
 def _parse(
@@ -97,6 +106,7 @@ def _parse(
     source: str,
     base_dir: Path | None,
     seen: frozenset[Path],
+    origins: dict[str, Path] | None,
 ) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -112,12 +122,15 @@ def _parse(
                     f"{source}:{lineno}: include is only available when "
                     "reading from a file"
                 )
-            values.update(_load(base_dir / target, seen))
+            values.update(_load(base_dir / target, seen, origins))
             continue
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
             raise ValidationError(
                 f"{source}:{lineno}: expected key = value, got {line!r}"
             )
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        values[key] = value.strip()
+        if origins is not None and base_dir is not None:
+            origins[key] = base_dir
     return values

@@ -202,32 +202,26 @@ def save_capture(traces: Iterable[SessionTrace], path: str | Path) -> None:
         write_capture(traces, fh)
 
 
-def _is_str(value: object) -> bool:
-    return isinstance(value, str)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_link(value: object) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(map(_is_str, value))
-
-
-def _list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
-
-
 # Record key -> (the type docs/FORMATS.md gives it, a check for that type).
+# JSON gives each value as its exact type, so ``type(...) is`` tests it, and
+# a bool is no int.
 _RECORD_TYPES = {
-    "session_id": ("a string", _is_str),
-    "topic": ("a string", _is_str),
-    "step": ("an int", _is_int),
-    "query": ("a string", _is_str),
-    "is_probe": ("a bool", lambda value: isinstance(value, bool)),
-    "links": ("a list of [title, snippet] string pairs", _list_of(_is_link)),
-    "adverts": ("a list of strings", _list_of(_is_str)),
-    "clicked": ("a list of ints", _list_of(_is_int)),
+    "session_id": ("a string", lambda value: type(value) is str),
+    "topic": ("a string", lambda value: type(value) is str),
+    "step": ("an int", lambda value: type(value) is int),
+    "query": ("a string", lambda value: type(value) is str),
+    "is_probe": ("a bool", lambda value: type(value) is bool),
+    "links": ("a list of [title, snippet] string pairs",
+              lambda value: type(value) is list
+              and all([type(link) is list and len(link) == 2
+                       and type(link[0]) is str and type(link[1]) is str
+                       for link in value])),
+    "adverts": ("a list of strings",
+                lambda value: type(value) is list
+                and all([type(text) is str for text in value])),
+    "clicked": ("a list of ints",
+                lambda value: type(value) is list
+                and all([type(index) is int for index in value])),
 }
 
 
@@ -258,23 +252,26 @@ def parse_capture(lines: Iterable[str]) -> list[SessionTrace]:
                 raise ValidationError(f"capture line {lineno}: {key} must be {kind}")
         try:
             sid = rec["session_id"]
-            interaction = Interaction(
-                step=rec["step"],
-                query=rec["query"],
-                page=ResultPage(
-                    links=tuple((t, s) for t, s in rec["links"]),
-                    adverts=tuple(Advert(text) for text in rec["adverts"]),
-                ),
-                clicked=tuple(rec["clicked"]),
-                is_probe=rec["is_probe"],
-            )
+            step, query = rec["step"], rec["query"]
+            links, adverts = rec["links"], rec["adverts"]
+            clicked, is_probe = rec["clicked"], rec["is_probe"]
         except KeyError as exc:
             raise ValidationError(f"capture line {lineno}: missing field {exc}") from exc
-        if interaction.is_probe and interaction.clicked:
+        interaction = Interaction(
+            step=step,
+            query=query,
+            page=ResultPage(
+                links=tuple([(title, snippet) for title, snippet in links]),
+                adverts=tuple([Advert(text) for text in adverts]),
+            ),
+            clicked=tuple(clicked),
+            is_probe=is_probe,
+        )
+        if is_probe and clicked:
             raise ValidationError(
                 f"capture line {lineno}: probe responses are never clicked")
-        for idx in interaction.clicked:
-            if not 0 <= idx < len(interaction.page.adverts):
+        for idx in clicked:
+            if not 0 <= idx < len(adverts):
                 raise ValidationError(
                     f"capture line {lineno}: clicked index {idx} out of range")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
@@ -94,14 +93,22 @@ class LagStatistics(NamedTuple):
 def sample_sigma(values: Sequence[float]) -> float:
     """Sample standard deviation of finite floats, correctly rounded.
 
-    The variance is exact, a ``Fraction``, and its square root is rounded
-    once, as ``statistics.stdev`` does from Python 3.11 on; earlier versions
-    can differ in the last bit, which would change a baselines file.
+    The variance is exact: over one power of two ``2**k``, every value is
+    an integer ``a``, and the variance of ``count`` of them is
+    ``(count * sum(a * a) - sum(a) ** 2) / (count * (count - 1) * 4**k)``.
+    Its square root is rounded once, as ``statistics.stdev`` does from
+    Python 3.11 on; earlier versions can differ in the last bit, which
+    would change a baselines file.
     """
-    exact = [Fraction(v) for v in values]
-    mean = sum(exact, Fraction(0)) / len(exact)
-    variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
-    n, m = variance.numerator, variance.denominator
+    ratios = [value.as_integer_ratio() for value in values]
+    # Each denominator is a power of two; k is the largest exponent.
+    k = max(denominator for _, denominator in ratios).bit_length() - 1
+    scaled = [numerator << (k + 1 - denominator.bit_length())
+              for numerator, denominator in ratios]
+    count = len(scaled)
+    total = sum(scaled)
+    n = count * sum(a * a for a in scaled) - total * total
+    m = (count * (count - 1)) << (2 * k)
     # Scale n/m by 4**-q so its root has 2 * 53 + 3 bits, take that root
     # rounded to odd, and let the final conversion round it to nearest:
     # the two roundings together give the correctly rounded root.

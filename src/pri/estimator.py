@@ -9,16 +9,23 @@ page computes, per category, the sum over dictionary terms of
 where a term's frequency inside an advert is its count over the advert's full
 filtered length, and terms outside the dictionary contribute nothing.
 
-Every value is exact, but the loops run on Python ints.  Training sums each
-(term, category) cell as an integer over the lcm of the advert lengths and
-builds one ``Fraction`` per cell.  A model stores each category's shares as
-integer numerators over one common denominator ``D_c``, the lcm of that
-category's share denominators, and scoring sums a page's adverts over ``L``,
-the lcm of their filtered lengths, so a page's score for category ``c`` is
-``m / (D_c * L)`` for an integer ``m``.  Scoring keeps ``m`` unreduced and
-builds no ``Fraction``: CPython's int true division is correctly rounded, so
-``m / (D_c * L)`` is the float of the exact score, and the ``Fraction`` view
-equals the term-by-term sums.
+Every value is exact, and every one is a Python int.  A model stores, per
+term, a ``TermRow``: one denominator, the integer total and the integer
+weight of each category in label order, all over that denominator.
+Training sums each (term, category) cell over the lcm of the advert
+lengths, which every row takes as its denominator; a model file's rows
+take the lcm of the denominators on their line, and ``write_model`` reduces
+each cell as it writes it.
+
+Scoring derives, once and only when a model first scores, each category's
+shares weight / total as integer numerators over one common denominator
+``D_c``, the lcm of that category's share denominators.  It sums a page's
+adverts over ``L``, the lcm of their filtered lengths, so a page's score for
+category ``c`` is ``m / (D_c * L)`` for an integer ``m``.  Scoring keeps
+``m`` unreduced: CPython's int true division is correctly rounded, so
+``m / (D_c * L)`` is the float of the exact score.  ``PriModel.stats`` and
+``ScoreVector.scores`` are ``Fraction`` views built on first use from the
+integers, and only they import ``fractions``.
 
 A ``PriModel`` stores the repeated answers of scoring: the contribution of
 each advert text seen twice, and in ``page_scores`` the vector of each page
@@ -31,10 +38,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import (
     Advert,
@@ -46,14 +52,23 @@ from .corpus import (
 from .errors import ValidationError
 from .textproc import TermFilter, default_filter, filter_terms
 
-MODEL_HEADER = "#pri-model v1"
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-# Shared by every zero cell of the statistics tables (a Fraction is immutable).
-_ZERO = Fraction(0)
+MODEL_HEADER = "#pri-model v1"
 
 # (category, integer numerator) pairs with numerator != 0; the denominator
 # is implied by where the mass is stored.
 CategoryMass = tuple[tuple[str, int], ...]
+
+
+class TermRow(NamedTuple):
+    """One term's training frequencies, each an integer over ``denominator``:
+    the total and, in label order, every category's weight."""
+
+    denominator: int
+    total: int
+    weights: tuple[int, ...]
 
 
 class TermStats(NamedTuple):
@@ -64,10 +79,12 @@ class TermStats(NamedTuple):
 
 
 class PriModel:
-    """Trained statistics plus the values scoring derives from them once.
+    """Trained statistics, the values scoring derives from them, and the
+    answers scoring has stored.
 
+    ``rows`` maps each dictionary term to its ``TermRow``.
     ``share_denominators`` maps each category ``c`` to ``D_c``, the lcm of
-    the denominators of its shares weight / total.  ``shares`` maps each
+    the denominators of its shares weight / total, and ``shares`` maps each
     dictionary term to its nonzero category shares as integer numerators
     over ``D_c``.  An advert text's contribution is its filtered length
     ``n`` with, per category, the integer ``sum(count * share)``; its
@@ -82,40 +99,58 @@ class PriModel:
         self,
         categories: CategorySet,
         dictionary: Dictionary,
-        stats: TermStats,
+        rows: dict[str, TermRow],
         empty_categories: tuple[str, ...] = (),
     ) -> None:
         self.categories = categories
         self.dictionary = dictionary
-        self.stats = stats
+        self.rows = rows
         self.empty_categories = empty_categories
-        ratios = {
-            term: [
-                (category, weight / total)
-                for category, weight in stats.per_category[term].items()
-                if weight
-            ]
-            for term, total in stats.total.items()
-        }
-        denominators = dict.fromkeys(categories.all_labels, 1)
-        for pairs in ratios.values():
-            for category, share in pairs:
-                denominators[category] = math.lcm(
-                    denominators[category], share.denominator)
-        self.share_denominators = denominators
-        self.shares: dict[str, CategoryMass] = {
-            term: tuple(
-                (category,
-                 share.numerator * (denominators[category] // share.denominator))
-                for category, share in pairs
-            )
-            for term, pairs in ratios.items()
-        }
         self._seen: set[str] = set()
         self._contributions: dict[str, tuple[int, CategoryMass]] = {}
         # Sorted nonzero contributions of a scored page -> its ScoreVector.
         self.page_scores: dict[tuple[tuple[int, CategoryMass], ...],
                                ScoreVector] = {}
+
+    @cached_property
+    def stats(self) -> TermStats:
+        """The rows as ``Fraction``s in lowest terms, built on first use;
+        every term has an entry, zero or not, for every label."""
+        from fractions import Fraction
+
+        labels = self.categories.all_labels
+        total: dict[str, Fraction] = {}
+        per_category: dict[str, dict[str, Fraction]] = {}
+        for term, (denominator, whole, weights) in self.rows.items():
+            total[term] = Fraction(whole, denominator)
+            per_category[term] = {label: Fraction(weight, denominator)
+                                  for label, weight in zip(labels, weights)}
+        return TermStats(total=total, per_category=per_category)
+
+    @cached_property
+    def share_denominators(self) -> dict[str, int]:
+        """Each category's ``D_c``, derived on first use.  A share weight /
+        total needs no row denominator, which cancels; one gcd reduces it."""
+        gcd, lcm = math.gcd, math.lcm
+        labels = self.categories.all_labels
+        denominators = dict.fromkeys(labels, 1)
+        for _, total, weights in self.rows.values():
+            for label, weight in zip(labels, weights):
+                if weight:
+                    denominators[label] = lcm(denominators[label],
+                                              total // gcd(weight, total))
+        return denominators
+
+    @cached_property
+    def shares(self) -> dict[str, CategoryMass]:
+        """Each term's nonzero shares over ``D_c``, derived on first use."""
+        denominators = self.share_denominators
+        labels = self.categories.all_labels
+        return {
+            term: tuple([(label, weight * denominators[label] // total)
+                         for label, weight in zip(labels, weights) if weight])
+            for term, (_, total, weights) in self.rows.items()
+        }
 
     @property
     def term_filter(self) -> TermFilter:
@@ -170,6 +205,8 @@ class ScoreVector:
     @cached_property
     def scores(self) -> dict[str, Fraction]:
         """The exact scores, in lowest terms, built on first access."""
+        from fractions import Fraction
+
         common = self.common
         return {category: Fraction(n, self.denominators[category] * common)
                 for category, n in self.numerators.items()}
@@ -191,41 +228,34 @@ def train(
             raise ValidationError(f"corpus label {advert.label!r} not in categories")
 
     labels = categories.all_labels
+    column = {label: i for i, label in enumerate(labels)}
     # Each copy of an identical (label, text) pair adds the same frequencies.
-    pairs = [(advert.label, filter_terms(advert.text), copies)
+    pairs = [(column[advert.label], filter_terms(advert.text), copies)
              for advert, copies in Counter(corpus).items()]
     # Every cell is summed as an integer over the lcm of the advert lengths.
     common = math.lcm(*(len(terms) for _, terms, _ in pairs if terms))
     # Cells open in first-occurrence order, which gives the dictionary ids.
-    cells: dict[str, dict[str, int]] = {}
-    for label, terms, copies in pairs:
-        scale = copies * (common // len(terms)) if terms else 0
+    cells: dict[str, list[int]] = {}
+    for index, terms, copies in pairs:
+        if not terms:
+            continue
+        scale = copies * (common // len(terms))
         # Each occurrence adds its scale: a term's cell gets count * scale.
         for term in terms:
             cell = cells.get(term)
             if cell is None:
-                cell = cells[term] = {}
-            cell[label] = cell.get(label, 0) + scale
+                cell = cells[term] = [0] * len(labels)
+            cell[index] += scale
     if not cells:
         raise ValidationError("corpus contains no content terms after filtering")
-    dictionary = Dictionary({term: i for i, term in enumerate(cells)})
-
-    total: dict[str, Fraction] = {}
-    per_category: dict[str, dict[str, Fraction]] = {}
-    for term, cell in cells.items():
-        total[term] = Fraction(sum(cell.values()), common)
-        row = dict.fromkeys(labels, _ZERO)
-        for label, value in cell.items():
-            row[label] = Fraction(value, common)
-        per_category[term] = row
 
     seen_labels = {advert.label for advert in corpus}
-    empty = tuple(c for c in labels if c not in seen_labels)
     return PriModel(
         categories=categories,
-        dictionary=dictionary,
-        stats=TermStats(total=total, per_category=per_category),
-        empty_categories=empty,
+        dictionary=Dictionary({term: i for i, term in enumerate(cells)}),
+        rows={term: TermRow(common, sum(cell), tuple(cell))
+              for term, cell in cells.items()},
+        empty_categories=tuple(c for c in labels if c not in seen_labels),
     )
 
 
@@ -273,21 +303,25 @@ def score(model: PriModel, adverts: Sequence[str | Advert]) -> ScoreVector:
 # ---------------------------------------------------------------------------
 
 
-def _format_fraction(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _parse_fraction(text: str, lineno: int) -> Fraction:
+def _parse_rational(text: str, lineno: int) -> tuple[int, int]:
+    """``p/q`` as the pair (numerator, positive denominator) that
+    ``Fraction(int(p), int(q))`` equals, unreduced."""
     num, sep, den = text.partition("/")
-    if not sep:
-        raise ValidationError(f"model line {lineno}: bad rational {text!r}")
     try:
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"model line {lineno}: bad rational {text!r}") from exc
+        if sep:
+            numerator, denominator = int(num), int(den)
+            if denominator > 0:
+                return numerator, denominator
+            if denominator < 0:
+                return -numerator, -denominator
+    except ValueError:  # not an int, or more digits than int() converts
+        pass
+    raise ValidationError(f"model line {lineno}: bad rational {text!r}")
 
 
 def write_model(model: PriModel, out: IO[str]) -> None:
+    """Write the model file: each rational in lowest terms, and a term's
+    nonzero weights by category name."""
     out.write(MODEL_HEADER + "\n")
     out.write("categories\t" + ",".join(model.categories.sensitive) + "\n")
     out.write("catchall\t" + model.categories.catchall + "\n")
@@ -296,17 +330,24 @@ def write_model(model: PriModel, out: IO[str]) -> None:
     terms = model.dictionary.terms
     for term_id, term in enumerate(terms):
         out.write(f"dict\t{term_id}\t{term}\n")
+    labels = model.categories.all_labels
+    by_name = sorted(zip(labels, range(len(labels))))
+    gcd = math.gcd
+    rows = model.rows
+    lines = []
     for term_id, term in enumerate(terms):
-        parts = [
-            f"{category}={_format_fraction(weight)}"
-            for category, weight in sorted(model.stats.per_category[term].items())
-            if weight
-        ]
-        out.write(
-            f"stat\t{term_id}\t{_format_fraction(model.stats.total[term])}\t"
-            + ",".join(parts)
-            + "\n"
-        )
+        denominator, total, weights = rows[term]
+        parts = []
+        for label, column in by_name:
+            weight = weights[column]
+            if weight:
+                divisor = gcd(weight, denominator)
+                parts.append(
+                    f"{label}={weight // divisor}/{denominator // divisor}")
+        divisor = gcd(total, denominator)
+        lines.append(f"stat\t{term_id}\t{total // divisor}/"
+                     f"{denominator // divisor}\t{','.join(parts)}\n")
+    out.write("".join(lines))
 
 
 def save_model(model: PriModel, path: str | Path) -> None:
@@ -328,8 +369,8 @@ def parse_model(lines: Iterable[str]) -> PriModel:
     heads: dict[str, str] = {}
     mapping: dict[str, int] = {}
     id_to_term: dict[int, str] = {}
-    totals: dict[str, Fraction] = {}
-    per_category: dict[str, dict[str, Fraction]] = {}
+    # term -> its total and category weights, as (numerator, denominator)
+    stats: dict[str, tuple[tuple[int, int], dict[str, tuple[int, int]]]] = {}
 
     for lineno, line in headed_lines(lines, MODEL_HEADER, "model"):
         kind, _, rest = line.partition("\t")
@@ -354,13 +395,13 @@ def parse_model(lines: Iterable[str]) -> PriModel:
             term = id_to_term.get(_parse_id(fields[0], lineno))
             if term is None:
                 raise ValidationError(f"model line {lineno}: unknown term id")
-            if term in totals:
+            if term in stats:
                 raise ValidationError(
                     f"model line {lineno}: duplicate stat for {term!r}")
-            total = _parse_fraction(fields[1], lineno)
-            if total <= 0:
+            total = _parse_rational(fields[1], lineno)
+            if total[0] <= 0:
                 raise ValidationError(f"model line {lineno}: total must be positive")
-            buckets: dict[str, Fraction] = {}
+            buckets: dict[str, tuple[int, int]] = {}
             for part in fields[2].split(","):
                 if not part:
                     continue
@@ -368,12 +409,11 @@ def parse_model(lines: Iterable[str]) -> PriModel:
                 if category in buckets:
                     raise ValidationError(
                         f"model line {lineno}: duplicate category {category!r}")
-                weight = _parse_fraction(value, lineno)
-                if weight < 0:
+                weight = _parse_rational(value, lineno)
+                if weight[0] < 0:
                     raise ValidationError(f"model line {lineno}: negative weight")
                 buckets[category] = weight
-            totals[term] = total
-            per_category[term] = buckets
+            stats[term] = (total, buckets)
         else:
             raise ValidationError(f"model line {lineno}: unknown record {kind!r}")
 
@@ -389,21 +429,29 @@ def parse_model(lines: Iterable[str]) -> PriModel:
             f"model empty line names undeclared categories {undeclared}")
     if sorted(id_to_term) != list(range(len(id_to_term))):
         raise ValidationError("model dict ids are not dense from 0")
-    if set(totals) != set(mapping):
+    if set(stats) != set(mapping):
         raise ValidationError("model stats do not cover the dictionary")
     labels = categories.all_labels
-    for term, total in totals.items():
-        undeclared = sorted(set(per_category[term]) - set(labels))
-        if undeclared:
+    column = {label: i for i, label in enumerate(labels)}
+    rows: dict[str, TermRow] = {}
+    for term, ((numerator, denominator), buckets) in stats.items():
+        if not buckets.keys() <= column.keys():
+            undeclared = sorted(set(buckets) - set(labels))
             raise ValidationError(
                 f"model stats for {term!r} name undeclared categories {undeclared}")
-        if sum(per_category[term].values(), _ZERO) != total:
+        # Every value of the line over one denominator, the lcm of theirs.
+        common = math.lcm(denominator, *[d for _, d in buckets.values()])
+        weights = [0] * len(labels)
+        for label, (n, d) in buckets.items():
+            weights[column[label]] = n * (common // d)
+        total = numerator * (common // denominator)
+        if sum(weights) != total:
             raise ValidationError(f"model stats for {term!r} do not sum to total")
-        per_category[term] = {c: per_category[term].get(c, _ZERO) for c in labels}
+        rows[term] = TermRow(common, total, tuple(weights))
 
     return PriModel(
         categories=categories,
         dictionary=Dictionary(mapping),
-        stats=TermStats(total=totals, per_category=per_category),
+        rows=rows,
         empty_categories=empty,
     )

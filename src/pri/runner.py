@@ -48,7 +48,15 @@ from .scripts import (
     keyword_catalog,
     load_default_keywords,
 )
-from .simulator import AdEngine, EngineConfig, EngineTables, build_ad_pools, load_engine_config, new_engine
+from .simulator import (
+    AdEngine,
+    EngineConfig,
+    EngineTables,
+    build_ad_pools,
+    load_engine_config,
+    new_engine,
+    sha256,
+)
 
 DEFAULT_PROBE = "symptoms and causes"
 DEFAULT_ENGINE = "google_like"
@@ -58,9 +66,7 @@ DEFAULT_TEST_SESSIONS = 10
 
 def derive_seed(master_seed: int, channel: str) -> int:
     """Stable 64-bit seed for one named random channel of a run."""
-    import hashlib  # here, not at top level: only campaigns pay its import
-
-    digest = hashlib.sha256(f"{master_seed}:{channel}".encode("utf-8")).digest()
+    digest = sha256(f"{master_seed}:{channel}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

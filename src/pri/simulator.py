@@ -200,15 +200,25 @@ _RANK_SUFFIXES = tuple(str(rank).encode("ascii") for rank in range(LINKS_PER_PAG
 Links = tuple[tuple[str, str], ...]
 
 
+# ``hashlib.sha256`` without hashlib's import, whose OpenSSL binding costs a
+# few milliseconds: CPython's own SHA-256, in ``_sha2`` from Python 3.12 on
+# and in ``_sha256`` before.  The digests are the same.
+try:
+    from _sha2 import sha256  # type: ignore[import-not-found]
+except ImportError:
+    try:
+        from _sha256 import sha256  # type: ignore[import-not-found]
+    except ImportError:  # a build without CPython's own module
+        from hashlib import sha256
+
+
 def links_for_query(query: str) -> Links:
     """Organic links for a query: stable, rank-ordered, content-free.
 
     The words of rank ``r`` come from the first 8 bytes of the sha256
     digest of ``f"{query}\\x1f{r}"``; the shared prefix is hashed once.
     """
-    import hashlib  # here, not at top level: only simulated sessions pay it
-
-    prefix = hashlib.sha256(query.encode("utf-8") + b"\x1f")
+    prefix = sha256(query.encode("utf-8") + b"\x1f")
     words = _BYTE_WORDS
     links = []
     for suffix in _RANK_SUFFIXES:

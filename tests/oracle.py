@@ -2,8 +2,10 @@
 
 These are deliberately naive, literal translations of the scoring definition:
 a double loop over dictionary terms and adverts in exact rational arithmetic.
-The slot apportionment, the topic-score matrix and the capture writer are
-kept in their plain forms, one dict per intermediate, one Fraction addition
+``reference_model`` trains with one Fraction per cell and writes the model
+file from them, and ``reference_sample_sigma`` rounds the root of a Fraction
+variance by testing float midpoints.  The slot apportionment, the
+topic-score matrix and the capture writer are kept in their plain forms, one dict per intermediate, one Fraction addition
 per score and one ``json.dumps`` per record, as the references for the
 package's faster versions.  The engine's belief is replayed from the whole
 log of registered updates at every step, with no pending queue.
@@ -74,6 +76,90 @@ def reference_score_texts(
     training = [(label, filter_fn(text)) for label, text in corpus]
     page = [filter_fn(text) for text in page_texts]
     return reference_score(training, page, category)
+
+
+def reference_model(
+    corpus: Sequence[tuple[str, str]],
+    sensitive: Sequence[str],
+    catchall: str,
+    filter_fn: Callable[[str], list[str]],
+) -> dict:
+    """What training on ``corpus`` gives, one Fraction per cell, walking
+    every copy of every advert: ``total`` and ``per_category`` (every label
+    of every term), ``share_denominators`` and ``shares`` (each category's
+    shares weight / total over the lcm of their denominators, the nonzero
+    ones in label order), and ``text``, the model file."""
+    labels = (*sensitive, catchall)
+    training = [(label, filter_fn(text)) for label, text in corpus]
+    terms = list(dict.fromkeys(t for _, advert in training for t in advert))
+    dictionary = set(terms)
+    per_category = {
+        term: {label: sum((frequency(term, advert, dictionary)
+                           for owner, advert in training if owner == label),
+                          Fraction(0))
+               for label in labels}
+        for term in terms}
+    total = {term: sum(row.values(), Fraction(0))
+             for term, row in per_category.items()}
+    ratios = {term: {label: weight / total[term]
+                     for label, weight in row.items() if weight}
+              for term, row in per_category.items()}
+    share_denominators = {
+        label: math.lcm(1, *(row[label].denominator for row in ratios.values()
+                             if label in row))
+        for label in labels}
+    shares = {term: tuple((label, (ratio * share_denominators[label]).numerator)
+                          for label, ratio in row.items())
+              for term, row in ratios.items()}
+
+    def rational(value: Fraction) -> str:
+        return f"{value.numerator}/{value.denominator}"
+
+    lines = ["#pri-model v1", "categories\t" + ",".join(sensitive),
+             "catchall\t" + catchall]
+    empty = [label for label in labels
+             if all(owner != label for owner, _ in corpus)]
+    if empty:
+        lines.append("empty\t" + ",".join(empty))
+    lines += [f"dict\t{i}\t{term}" for i, term in enumerate(terms)]
+    for i, term in enumerate(terms):
+        cells = ",".join(f"{label}={rational(weight)}" for label, weight
+                         in sorted(per_category[term].items()) if weight)
+        lines.append(f"stat\t{i}\t{rational(total[term])}\t{cells}")
+    return {"total": total, "per_category": per_category,
+            "share_denominators": share_denominators, "shares": shares,
+            "text": "\n".join(lines) + "\n"}
+
+
+def reference_sample_sigma(values: Sequence[float]) -> float:
+    """The square root of the exact sample variance, Fraction by Fraction,
+    rounded to the nearest float (a tie to the even one) by testing the
+    midpoints between a float and its neighbours."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact, Fraction(0)) / len(exact)
+    variance = sum(((x - mean) ** 2 for x in exact), Fraction(0)) / (len(exact) - 1)
+    if not variance:
+        return 0.0
+    # A guess within a few hundred ulps, then one Newton step in Fractions.
+    guess = math.exp((math.log(variance.numerator)
+                      - math.log(variance.denominator)) / 2) or 5e-324
+    guess = float((Fraction(guess) + variance / Fraction(guess)) / 2)
+    while True:
+        below, above = math.nextafter(guess, 0.0), math.nextafter(guess, math.inf)
+        low = (Fraction(guess) + Fraction(below)) / 2
+        high = (Fraction(guess) + Fraction(above)) / 2
+        if variance < low * low:
+            guess = below
+        elif variance > high * high:
+            guess = above
+        else:
+            break
+    odd = int(guess / math.ulp(guess)) % 2 == 1
+    if odd and variance == low * low:
+        return below
+    if odd and variance == high * high:
+        return above
+    return guess
 
 
 def reference_apportion_slots(

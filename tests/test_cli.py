@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -30,7 +34,7 @@ from pri.detector import (
     save_baselines,
 )
 from pri.errors import PriError, ValidationError
-from pri.estimator import PriModel, TermStats, parse_model, save_model
+from pri.estimator import PriModel, parse_model, save_model
 from pri.probes import parse_ambiguity_csv
 from pri.reports import write_bundle
 from pri.runner import CampaignConfig
@@ -347,6 +351,9 @@ _MALFORMED_MODELS = {
         "dict\t0\tfoo\nstat\t0\t1/1\ta=2/1,other=-1/1\n", "negative weight"),
     "zero-denominator": (
         "dict\t0\tfoo\nstat\t0\t3/0\ta=1/1\n", "bad rational '3/0'"),
+    "negative-denominator-total": (
+        "dict\t0\tfoo\nstat\t0\t1/-2\ta=1/2\n",
+        "model line 5: total must be positive"),
     "two-field-stat": (
         "dict\t0\tfoo\nstat\t0\t1/1\n", "model line 5: malformed stat line"),
     "second-categories": (
@@ -680,6 +687,42 @@ class TestCampaign:
         sessions = {row.split(",")[0] for row
                     in (out / "sessions.csv").read_text().splitlines()[1:]}
         assert len(sessions) == 12
+
+    @pytest.mark.parametrize("where", ["campaign", "included"])
+    def test_config_engine_path_is_relative_to_its_file(
+            self, tmp_path, monkeypatch, capsys, where):
+        # The file that sets ``engine`` sits next to the engine file; the
+        # command runs from the parent of its directory.
+        home = tmp_path / ("dir" if where == "campaign" else "shared")
+        home.mkdir(exist_ok=True)
+        (home / "eng.cfg").write_text("ads_per_page = 2\n", encoding="utf-8")
+        (home / "base.cfg").write_text("engine = eng.cfg\n", encoding="utf-8")
+        (tmp_path / "dir").mkdir(exist_ok=True)
+        (tmp_path / "dir" / "campaign.cfg").write_text(
+            "engine = eng.cfg\n" if where == "campaign"
+            else "include ../shared/base.cfg\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["campaign", "--seed", "1", "--train", "1", "--test", "1",
+                     "--config", "dir/campaign.cfg", "--out", "b"]) == 0
+        assert "ads_per_page=2," in (tmp_path / "b" / "summary.md").read_text()
+
+    def test_config_engine_preset_is_not_a_path(self, tmp_path, monkeypatch,
+                                                capsys):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "dir" / "bing_like").write_text("seed = 1\n",
+                                                    encoding="utf-8")
+        (tmp_path / "dir" / "campaign.cfg").write_text(
+            "engine = bing_like\n", encoding="utf-8")
+        (tmp_path / "dir" / "lost.cfg").write_text(
+            "engine = missing.cfg\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["campaign", "--seed", "1", "--train", "1", "--test", "1",
+                     "--config", "dir/campaign.cfg", "--out", "b"]) == 0
+        assert "ads_per_page=3," in (tmp_path / "b" / "summary.md").read_text()
+        assert main(["campaign", "--seed", "1", "--config", "dir/lost.cfg",
+                     "--out", "c"]) == 1
+        missing = tmp_path.resolve() / "dir" / "missing.cfg"
+        assert f"unknown engine {str(missing)!r}" in capsys.readouterr().err
 
 
 # name -> (campaign --config text, expected error text)
@@ -1030,6 +1073,29 @@ class TestTopLevel:
         assert main(["annoy"]) == 1
         assert "annoy" in capsys.readouterr().err
 
+    def test_main_leaves_the_callers_collector_alone(self, capsys):
+        before = gc.get_threshold()
+        assert main(["--help"]) == 0
+        assert gc.get_threshold() == before
+
+    def test_the_installed_command_starts_through_run(self):
+        pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        assert re.findall(r'^pri = "(.*)"$', pyproject, re.M) == ["pri.cli:run"]
+
+    def test_run_raises_the_gc_threshold_for_python_m(self):
+        # ``python -m pri.cli`` goes through run as well; the threshold is
+        # read once the command has exited.
+        src = str(Path(__file__).parent.parent / "src")
+        code = ("import atexit, gc, runpy, sys\n"
+                f"sys.path.insert(0, {src!r})\n"
+                "atexit.register(lambda: print(gc.get_threshold()))\n"
+                "sys.argv = ['pri', '--help']\n"
+                "runpy.run_module('pri.cli', run_name='__main__')\n")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "(100000, 50, 100)"
+
     @pytest.mark.parametrize("command", ["detect", "report", "campaign"])
     def test_epsilon_flag_is_gone(self, cli_bundle, tmp_path, command, capsys):
         # It was parsed but never read; the flag is now unknown.
@@ -1154,12 +1220,11 @@ def renamed_bundles(mini_campaign, tmp_path_factory):
     write_bundle(mini_campaign, original)
     renamed = tmp_path_factory.mktemp("misc")
     model = mini_campaign.model
+    # Rows hold their weights in label order, where the catch-all stays last.
     save_model(PriModel(
         CategorySet(model.categories.sensitive, "misc"),
         model.dictionary,
-        TermStats(model.stats.total,
-                  {term: {_misc(c): w for c, w in cells.items()}
-                   for term, cells in model.stats.per_category.items()}),
+        model.rows,
         model.empty_categories,
     ), renamed / "model.txt")
     baseline = mini_campaign.baseline

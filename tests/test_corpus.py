@@ -188,6 +188,30 @@ class TestCaptureRoundTrip:
         with pytest.raises(ValidationError, match=f"line 3: {field} must be"):
             parse_capture(lines)
 
+    # A record's first mistyped field, in the order of the table in
+    # docs/FORMATS.md, is reported before any missing one; missing fields
+    # are reported in the order session_id, step, query, links, adverts,
+    # clicked, is_probe.
+    @pytest.mark.parametrize("dropped, changes, message", [
+        (("session_id",), {"clicked": "[true]"},
+         "clicked must be a list of ints"),
+        ((), {"clicked": "[true]", "topic": "1"}, "topic must be a string"),
+        (("adverts",), {"is_probe": "null"}, "is_probe must be a bool"),
+        (("is_probe", "step"), {}, "missing field 'step'"),
+        (("clicked", "links", "query"), {}, "missing field 'query'"),
+        (("is_probe", "clicked"), {}, "missing field 'clicked'"),
+    ])
+    def test_type_errors_come_before_missing_fields(self, dropped, changes,
+                                                     message):
+        fields = {"adverts": '["ad"]', "clicked": "[]", "is_probe": "false",
+                  "links": "[]", "query": '"q"', "session_id": '"s"',
+                  "step": "1", "topic": '"other"', **changes}
+        record = ",".join(f'"{key}":{value}' for key, value in fields.items()
+                          if key not in dropped)
+        with pytest.raises(ValidationError) as info:
+            parse_capture(["#pri-capture v1", "{" + record + "}"])
+        assert str(info.value) == f"capture line 2: {message}"
+
     def test_sessions_must_be_sorted(self):
         base = (
             '{{"adverts":[],"clicked":[],"is_probe":false,"links":[],'

@@ -33,7 +33,7 @@ from pri.detector import (
 from pri.errors import ValidationError
 from pri.estimator import ScoreVector, train
 
-from oracle import reference_aggregates
+from oracle import reference_aggregates, reference_sample_sigma
 
 
 def _vector(catchall_value, **topic_values):
@@ -85,6 +85,18 @@ class TestCalibration:
     @settings(max_examples=300, deadline=None)
     def test_sample_sigma_equals_correctly_rounded_stdev(self, values):
         assert sample_sigma(values) == statistics.stdev(values)
+
+    # Probe-score scale, the float extremes, subnormals, and values of
+    # widely different scales in one sample.
+    @given(st.lists(st.one_of(st.floats(0.0, 4.0), st.floats(-1e300, 1e300),
+                              st.floats(-1e-300, 1e-300)),
+                    min_size=2, max_size=12))
+    @example([5e-324, 0.0])
+    @example([1e300, -1e300, 5e-324])
+    @example([0.1, 0.1, 0.1])
+    @settings(max_examples=300, deadline=None)
+    def test_sample_sigma_equals_the_fraction_formula(self, values):
+        assert sample_sigma(values) == reference_sample_sigma(values)
 
     def test_too_few_samples_names_category(self):
         with pytest.raises(ValidationError, match="gambling"):

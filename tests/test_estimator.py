@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 from io import StringIO
@@ -15,8 +16,10 @@ from pri.errors import ValidationError
 from pri.config import read_lines
 from pri.estimator import (
     PriModel,
+    TermRow,
     TermStats,
     parse_model,
+    save_model,
     score,
     train,
     write_model,
@@ -24,7 +27,7 @@ from pri.estimator import (
 from pri.textproc import TermFilter, filter_terms
 
 from conftest import GOLDEN_DICTIONARY, GOLDEN_PAGE_ADVERT
-from oracle import frequency, reference_score_texts
+from oracle import frequency, reference_model, reference_score_texts
 
 
 @pytest.fixture(scope="module")
@@ -390,19 +393,18 @@ _HUGE = st.integers(10**170, 10**185)
 def _huge_model(draw) -> PriModel:
     categories = CategorySet(sensitive=_LABELS[:-1], catchall="other")
     terms = sorted({filter_terms(word)[0] for word in _WORDS[:8]})
-    per_category = {}
+    rows = {}
     for term in terms:
         denominators = draw(st.lists(_HUGE, min_size=len(_LABELS),
                                      max_size=len(_LABELS), unique=True))
-        per_category[term] = {
-            label: F(draw(st.integers(1, 10**185)), denominator)
-            for label, denominator in zip(_LABELS, denominators)}
+        common = math.lcm(*denominators)
+        weights = tuple(draw(st.integers(1, 10**185)) * (common // denominator)
+                        for denominator in denominators)
+        rows[term] = TermRow(common, sum(weights), weights)
     return PriModel(
         categories=categories,
         dictionary=Dictionary({term: i for i, term in enumerate(terms)}),
-        stats=TermStats(total={t: sum(row.values()) for t, row in
-                               per_category.items()},
-                        per_category=per_category),
+        rows=rows,
     )
 
 
@@ -413,6 +415,58 @@ def test_float_value_is_exact_with_huge_denominators(model, page):
     vector = score(model, [" ".join(words) for words in page])
     for category in _LABELS:
         assert vector.value(category) == float(vector.scores[category])
+
+
+# Stopwords among the words: some adverts filter to no terms at all.
+_training_corpus = st.lists(
+    st.tuples(st.sampled_from(_LABELS),
+              st.lists(st.sampled_from(_WORDS[:12] + ["the", "and"]),
+                       min_size=1, max_size=8),
+              st.integers(1, 3)),
+    min_size=1, max_size=12)
+
+
+@given(corpus=_training_corpus)
+@settings(max_examples=80, deadline=None)
+def test_integer_model_matches_the_fraction_reference(corpus):
+    pairs = [(label, " ".join(words)) for label, words, copies in corpus
+             for _ in range(copies)]
+    expected = reference_model(pairs, _LABELS[:-1], "other", TermFilter().terms)
+    adverts = [LabeledAdvert(label, text) for label, text in pairs]
+    categories = CategorySet(sensitive=_LABELS[:-1], catchall="other")
+    if not expected["total"]:
+        with pytest.raises(ValidationError, match="no content terms"):
+            train(adverts, categories)
+        return
+    model = train(adverts, categories)
+    buffer = StringIO()
+    write_model(model, buffer)
+    assert buffer.getvalue() == expected["text"]
+    again = parse_model(buffer.getvalue().splitlines())
+    for got in (model, again):
+        assert got.stats == TermStats(expected["total"],
+                                      expected["per_category"])
+        assert got.share_denominators == expected["share_denominators"]
+        assert got.shares == expected["shares"]
+        rewritten = StringIO()
+        write_model(got, rewritten)
+        assert rewritten.getvalue() == expected["text"]
+
+
+def test_training_and_saving_derive_no_shares(golden_corpus, golden_categories,
+                                              tmp_path):
+    # Only scoring reads the shares; `pri train` never pays for them.
+    model = train(golden_corpus, golden_categories)
+    save_model(model, tmp_path / "model.txt")
+    derived = {"shares", "share_denominators", "stats"}
+    assert not derived & set(vars(model))
+    score(model, [GOLDEN_PAGE_ADVERT])
+    assert {"shares", "share_denominators"} <= set(vars(model))
+
+
+def test_the_fraction_view_is_built_once(golden_model):
+    # A loop over terms that reads model.stats builds the view once.
+    assert golden_model.stats is golden_model.stats
 
 
 def test_equal_scores_compare_equal_over_different_lcms(golden_model):
@@ -464,6 +518,50 @@ def test_model_round_trip_is_canonical(golden_model):
 def test_model_rejects_bad_header():
     with pytest.raises(ValidationError):
         parse_model(["#pri-model v9", "dict\t0\thelp"])
+
+
+def _one_term_model(stat: str) -> PriModel:
+    return parse_model(["#pri-model v1", "categories\ta", "catchall\tother",
+                        "dict\t0\tfoo", f"stat\t0\t{stat}"])
+
+
+# A model rational reads as Fraction(int(p), int(q)) does: int()'s grammar
+# on each side, and a negative denominator moves the sign to the numerator.
+@pytest.mark.parametrize("stat, total, a", [
+    ("1/2\ta=-1/-2", F(1, 2), F(1, 2)),
+    ("3/ 4\ta=3/4", F(3, 4), F(3, 4)),
+    ("-6/-8\ta=+3/4", F(3, 4), F(3, 4)),
+    ("1_0/4\ta=5/2", F(5, 2), F(5, 2)),
+    ("1/1\ta= 1/ 2,other=-1/-2 ", F(1), F(1, 2)),
+    ("2/4\ta=0/-7,other=1/2", F(1, 2), F(0)),
+])
+def test_model_rationals_read_as_int_pairs(stat, total, a):
+    model = _one_term_model(stat)
+    assert model.stats.total["foo"] == total
+    assert model.stats.per_category["foo"]["a"] == a
+
+
+@pytest.mark.parametrize("stat, message", [
+    ("1/-2\ta=1/2", "model line 5: total must be positive"),
+    ("0/5\ta=1/2", "model line 5: total must be positive"),
+    ("3/0\ta=1/1", "model line 5: bad rational '3/0'"),
+    ("3\ta=1/1", "model line 5: bad rational '3'"),
+    ("1/2/3\ta=1/1", "model line 5: bad rational '1/2/3'"),
+    ("1/x\ta=1/0", "model line 5: bad rational '1/x'"),
+    ("1/1\ta=1/0", "model line 5: bad rational '1/0'"),
+    ("1/1\ta=1/-2,other=3/2", "model line 5: negative weight"),
+    ("1/1\ta=1/0,a=1/1", "model line 5: bad rational '1/0'"),
+    ("1/1\ta=-1/2,a=1/0", "model line 5: negative weight"),
+    ("1/1\ta=1/2,a=-1/2", "model line 5: duplicate category 'a'"),
+    ("1/1\ta=1/3", "model stats for 'foo' do not sum to total"),
+    ("1/1\ta=1/3,zzz=2/3",
+     "model stats for 'foo' name undeclared categories ['zzz']"),
+    ("1/1\ta=1/" + "1" * 5000, "model line 5: bad rational"),
+])
+def test_model_rational_errors(stat, message):
+    with pytest.raises(ValidationError) as info:
+        _one_term_model(stat)
+    assert str(info.value).startswith(message)
 
 
 def test_dictionary_ids_follow_first_occurrence(golden_corpus,

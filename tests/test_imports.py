@@ -23,10 +23,11 @@ reference never shares a rule table or a helper with the code it checks.
 A fifth check keeps start-up cheap: a fresh interpreter that imports
 ``pri.cli`` loads neither ``dataclasses`` nor ``inspect``, whose import and
 generated classes cost every command tens of milliseconds, nor ``hashlib``,
-whose OpenSSL binding costs a few milliseconds that only campaigns and
-simulated sessions need.  A fresh ``import pri`` loads no ``pri.*``
-submodule, so that importing one module, such as ``pri.porter``, loads only
-what that module needs.
+whose OpenSSL binding costs a few milliseconds, nor ``fractions`` and the
+``decimal`` it loads (about 2 ms).  Running a campaign, ``train`` and
+``detect`` loads none of them either.  A fresh ``import pri`` loads no
+``pri.*`` submodule, so that importing one module, such as ``pri.porter``,
+loads only what that module needs.
 
 A sixth check keeps every output file in one byte form: each
 ``write_text`` call, and each ``open`` for writing, in ``src/pri`` passes
@@ -241,7 +242,8 @@ def test_the_check_finds_a_package_import():
 
 
 # Modules a fresh ``import pri.cli`` must not load.
-STARTUP_FORBIDDEN = ("dataclasses", "inspect", "hashlib")
+STARTUP_FORBIDDEN = ("dataclasses", "inspect", "hashlib", "fractions",
+                     "decimal")
 
 
 def modules_after(code: str) -> set[str]:
@@ -270,6 +272,42 @@ def test_the_check_finds_a_stray_startup_import():
         "dataclasses", "inspect"]
     assert loaded_in_fresh_interpreter("import pri.cli; import hashlib") == [
         "hashlib"]
+    assert loaded_in_fresh_interpreter("import pri.cli; import fractions") == [
+        "fractions", "decimal"]
+
+
+def commands_code(out: Path, extra: str = "") -> str:
+    """Code that runs a tiny campaign, then ``train`` and ``detect`` on its
+    bundle, through ``pri.cli.main`` with stdout discarded, then ``extra``."""
+    bundle = out / "bundle"
+    runs = [
+        ["campaign", "--seed", "3", "--train", "1", "--test", "1",
+         "--out", str(bundle)],
+        ["train", "--corpus", str(SRC / "data" / "examples" / "toy_corpus.txt"),
+         "--out", str(out / "toy.txt")],
+        ["detect", "--model", str(bundle / "model.txt"),
+         "--calibrate", str(bundle / "train.capture"),
+         "--capture", str(bundle / "test.capture"),
+         "--out", str(out / "sessions.csv")],
+    ]
+    source = ("import contextlib, io\nfrom pri.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    assert [main(argv) for argv in {runs!r}] == [0, 0, 0]\n"
+              f"{extra}")
+    return f"exec({source!r})"
+
+
+def test_commands_load_no_hashlib_or_fractions(tmp_path):
+    # A campaign hashes with CPython's own SHA-256, and the model's
+    # integers build no Fraction on any command's path.
+    assert loaded_in_fresh_interpreter(commands_code(tmp_path)) == []
+
+
+def test_the_check_finds_a_module_a_command_loads(tmp_path):
+    loaded = loaded_in_fresh_interpreter(commands_code(
+        tmp_path, "import pri.estimator as e, pri.corpus as c\n"
+                  "e.PriModel(c.CategorySet(()), None, {}).stats"))
+    assert loaded == ["fractions", "decimal"]
 
 
 def pri_submodules_after(code: str) -> list[str]:

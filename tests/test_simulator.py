@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -32,6 +33,7 @@ from pri.simulator import (
     load_engine_config,
     new_engine,
     parse_prior_knowledge,
+    sha256,
 )
 from pri.textproc import filter_terms, term_set
 
@@ -293,6 +295,16 @@ class TestLinks:
 
     def test_queries_get_distinct_links(self):
         assert links_for_query("payday loans") != links_for_query("divorce")
+
+    @pytest.mark.parametrize("data", [
+        b"", b"abc", b"2026:train-payday-00:engine", "caf\u00e9\x1f3".encode(),
+        bytes(range(256)) * 9])
+    def test_sha256_is_hashlib_sha256(self, data):
+        # The golden bundle hashes pin the digests; this names the cause.
+        assert sha256(data).digest() == hashlib.sha256(data).digest()
+        copied = sha256(data[:7]).copy()
+        copied.update(data[7:])
+        assert copied.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 class TestEngineServing:
