@@ -8,10 +8,12 @@ Two on-disk formats live here:
   record per interaction, sorted by (session_id, step).  The writer emits a
   single canonical byte form so round-trip equality is meaningful.
 
-``write_capture`` encodes each distinct advert text once per file and each
-distinct links value once per session.  ``parse_capture`` is where a capture
-from outside becomes ``SessionTrace`` records, so it alone checks what a
-record holds; the records themselves are plain ``NamedTuple``s.
+``write_capture`` encodes each distinct advert once per file, and each
+query's ``"links":[...],"query":"..."`` fragment once per file: a record
+reuses the fragment when its links are the cached links object or equal to
+it, and encodes a fresh one when they differ.  ``parse_capture`` is where a
+capture from outside becomes ``SessionTrace`` records, so it alone checks
+what a record holds; the records themselves are plain ``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -168,32 +170,34 @@ def write_capture(traces: Iterable[SessionTrace], out: IO[str]) -> None:
     """
     out.write(CAPTURE_HEADER + "\n")
     encode = encode_basestring_ascii
-    # A campaign writes a few dozen distinct advert texts thousands of times.
-    encoded: dict[str, str] = {}
+    # A campaign writes a few dozen distinct adverts thousands of times.
+    encoded: dict[Advert, str] = {}
+    # query -> (its links, the encoded '"links":[...],"query":"..."' run).
+    # Queries repeat across sessions, their links nearly always with them.
+    fragments: dict[str, tuple[tuple[tuple[str, str], ...], str]] = {}
     for trace in sorted(traces, key=lambda t: t.session_id):
-        # A session repeats its probe, and with it the probe's links.
-        session_links: dict[tuple[tuple[str, str], ...], str] = {}
         session_field = f',"session_id":{encode(trace.session_id)},"step":'
         topic_field = f',"topic":{encode(trace.topic_label)}}}\n'
         records = []
-        for interaction in trace.interactions:
-            page = interaction.page
-            for ad in page.adverts:
-                if ad.text not in encoded:
-                    encoded[ad.text] = encode(ad.text)
-            adverts = ",".join([encoded[ad.text] for ad in page.adverts])
-            links = session_links.get(page.links)
-            if links is None:
-                links = session_links[page.links] = ",".join([
-                    f"[{encode(title)},{encode(snippet)}]"
-                    for title, snippet in page.links])
-            clicked = ",".join(map(str, interaction.clicked))
-            is_probe = "true" if interaction.is_probe else "false"
+        for step, query, (links, ads), clicked, is_probe in trace.interactions:
+            try:
+                adverts = ",".join([encoded[ad] for ad in ads])
+            except KeyError:  # an advert the file has not held before
+                encoded.update([(ad, encode(ad.text)) for ad in ads])
+                adverts = ",".join([encoded[ad] for ad in ads])
+            cached = fragments.get(query)
+            if cached is not None and (cached[0] is links or cached[0] == links):
+                fragment = cached[1]
+            else:
+                pairs = ",".join([f"[{encode(title)},{encode(snippet)}]"
+                                  for title, snippet in links])
+                fragment = f'"links":[{pairs}],"query":{encode(query)}'
+                fragments[query] = (links, fragment)
             records.append(
-                f'{{"adverts":[{adverts}],"clicked":[{clicked}],'
-                f'"is_probe":{is_probe},"links":[{links}],'
-                f'"query":{encode(interaction.query)}'
-                f'{session_field}{interaction.step}{topic_field}')
+                f'{{"adverts":[{adverts}],'
+                f'"clicked":[{",".join(map(str, clicked))}],'
+                f'"is_probe":{"true" if is_probe else "false"},{fragment}'
+                f'{session_field}{step}{topic_field}')
         out.write("".join(records))
 
 

@@ -3,7 +3,10 @@
 A script is the unit of a user session: an ordered list of query entries,
 user queries and injected probes.  User queries are keyword groups drawn
 with replacement from a category's phrase list and dressed with a connective
-so they read like search queries.
+so they read like search queries.  A generated script draws every number
+through one ``below(n)`` (``uniform_below``), which reads the generator
+exactly as ``randint`` and ``choice`` do, so the scripts a seed gives are
+theirs without their per-call argument checks.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .config import bundled_lines
 from .corpus import parse_corpus
@@ -108,20 +111,48 @@ def load_trending_queries() -> list[str]:
     ]
 
 
+def uniform_below(rng: random.Random) -> Callable[[int], int]:
+    """``below(n)``, a uniform int in ``[0, n)`` drawn as ``rng`` draws it.
+
+    ``below(n)`` reads the generator exactly as ``rng.choice(range(n))``
+    does through ``_randbelow`` on Python 3.10-3.13: ``r = getrandbits(k)``
+    with ``k = n.bit_length()``, again while ``r >= n``.  So
+    ``rng.randint(a, b)`` is ``a + below(b - a + 1)`` and ``rng.choice(s)``
+    is ``s[below(len(s))]``, draw for draw, without their argument checks.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def generate_script(
     keywords: CategoryKeywords, probe: str, rng: random.Random
 ) -> QueryScript:
-    """Probe-led script: [probe, gap of 1-5 user queries]... ending on a probe."""
-    # Aim below the ceiling so a final full gap cannot overshoot it.
-    target = rng.randint(MIN_QUERIES, MAX_QUERIES - MAX_PROBE_GAP - 1)
+    """Probe-led script: [probe, gap of 1-5 user queries]... ending on a probe.
 
-    randint, choice = rng.randint, rng.choice
+    It reads ``rng`` as ``randint`` and ``choice`` would, through
+    ``uniform_below``.
+    """
+    below = uniform_below(rng)
+    # Aim below the ceiling so a final full gap cannot overshoot it.
+    highest = MAX_QUERIES - MAX_PROBE_GAP - 1
+    target = MIN_QUERIES + below(highest - MIN_QUERIES + 1)
+
     phrases = keywords.query_phrases
+    n_phrases, n_connectives = len(phrases), len(CONNECTIVES)
+    gaps = MAX_PROBE_GAP - MIN_PROBE_GAP + 1
     probe_entry = ScriptEntry(probe, True)
     queries: list[ScriptEntry] = [probe_entry]
     while len(queries) < target:
         gap_room = target - len(queries) - 1
-        gap = randint(MIN_PROBE_GAP, MAX_PROBE_GAP)
+        gap = MIN_PROBE_GAP + below(gaps)
         if gap >= gap_room:
             gap = gap_room  # close the script on this probe
         elif gap_room - gap == 1:
@@ -129,8 +160,8 @@ def generate_script(
             # would then follow this one with no user queries between.
             gap = gap - 1 if gap > 1 else gap_room
         for _ in range(gap):
-            group = [choice(phrases) for _ in range(randint(1, 2))]
-            connective = choice(CONNECTIVES)
+            group = [phrases[below(n_phrases)] for _ in range(1 + below(2))]
+            connective = CONNECTIVES[below(n_connectives)]
             if connective:
                 group.insert(0, connective)
             queries.append(ScriptEntry(" ".join(group), False))

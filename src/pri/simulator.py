@@ -18,17 +18,23 @@ the expected number of distinct adverts on a page matches the configured
 
 A campaign, and ``pri simulate``, builds one ``EngineTables`` from the
 engine settings, the advert pools and the categories.  It holds what every
-engine reads and none changes: each category's diversity slice and
-vocabulary, the prior belief, and, filled as sessions submit them, each
-distinct query's organic links and matched categories,
-and each distinct weight state's slot labels (the category of each advert
-slot).  Every page serves the campaign's frozen ``Advert``s.  An
-``AdEngine`` holds only its session's state: its copy of the weights, the
-slot labels of its next page, looked up again only after the weights
-change, the pending queue, the step, its random generator and the slot
-labels of the last page served.  Each interaction does its work once: the
-query's labels, and then a page's clicks in one ``register_clicks`` call,
-join the pending queue, which is drained once per call.
+engine reads and none changes: each category's diversity slice, the prior
+belief, a term -> label bits index over the slices' vocabularies, and,
+filled as sessions meet them, each distinct query's organic links and
+matched categories, each distinct label mask's labels, and each distinct
+weight state's slot labels with their draw table.  A query's categories are
+the OR of its terms' label bits.  A draw table holds, per slot, the slice
+``s``, ``n = len(s)`` and ``k = n.bit_length()``, and a slot's advert is
+``s[r]`` for the first ``r = getrandbits(k)`` below ``n``: exactly what
+``Random.choice(s)`` draws, through ``_randbelow``, on Python 3.10-3.13, so
+the random stream is the one ``choice`` would read.  Every page serves the
+campaign's frozen ``Advert``s.  An ``AdEngine`` holds only its session's
+state: its copy of the weights, the slot labels and draw table of its next
+page, looked up again only after the weights change, the pending queue, the
+step, its random generator and the slot labels of the last page served.
+Each interaction does its work once: the query's labels, and then a page's
+clicks in one ``register_clicks`` call, join the pending queue, which is
+drained only when its head is due.
 """
 
 from __future__ import annotations
@@ -267,10 +273,17 @@ def build_ad_pools(
     return pools
 
 
+# Per advert slot: the category's slice, its length n and n.bit_length().
+DrawTable = tuple[tuple[tuple[Advert, ...], int, int], ...]
+# A page's slot labels, in slot order, and their draw table.
+Slots = tuple[tuple[str, ...], DrawTable]
+
+
 class EngineTables:
     """What every engine of a campaign reads and none changes, derived once:
-    each category's slice and vocabulary, the prior belief, and each distinct
-    query's organic links and the labels whose vocabulary it hits.
+    each category's slice, the prior belief, the label bits of every slice
+    term, and each distinct query's organic links and the labels whose
+    vocabulary it hits.
 
     ``pools`` holds a nonempty pool for every category, as
     ``build_ad_pools`` makes them.
@@ -285,13 +298,16 @@ class EngineTables:
         self.config = config
         self.categories = categories
         self.slices: dict[str, tuple[Advert, ...]] = {}
-        for label in categories.all_labels:
+        # term -> bit i set for the i-th label whose slice holds the term
+        self._label_bits: dict[str, int] = {}
+        for bit, label in enumerate(categories.all_labels):
             pool = tuple(pools[label])
             size = diversity_slice(len(pool), config.ads_per_page,
                                    config.pool_diversity)
             self.slices[label] = pool[:size]
-        self._vocab = tuple((label, term_set(ad.text for ad in ads))
-                            for label, ads in self.slices.items())
+            for term in term_set(ad.text for ad in self.slices[label]):
+                self._label_bits[term] = (self._label_bits.get(term, 0)
+                                          | (1 << bit))
         prior = parse_prior_knowledge(config.prior_knowledge)
         unknown = sorted(set(prior) - set(categories.all_labels))
         if unknown:
@@ -305,32 +321,45 @@ class EngineTables:
                 f"weights' sum overflow")
         self.prior = {label: value / total for label, value in raw.items()}
         self._answers: dict[str, tuple[Links, tuple[str, ...]]] = {}
-        # Weight values in label order -> the category of each advert slot.
-        # Sessions revisit the same weight states, so each is apportioned
-        # once per campaign.
-        self._slot_labels: dict[tuple[float, ...], tuple[str, ...]] = {}
+        # label mask -> its labels, in label order
+        self._mask_labels: dict[int, tuple[str, ...]] = {}
+        # Weight values in label order -> the category of each advert slot
+        # and the slot's draw.  Sessions revisit the same weight states, so
+        # each is apportioned once per campaign.
+        self._slots: dict[tuple[float, ...], Slots] = {}
 
     def answer(self, query: str) -> tuple[Links, tuple[str, ...]]:
         """The query's organic links and the labels its terms match."""
         entry = self._answers.get(query)
         if entry is None:
-            terms = set(filter_terms(query))
-            labels = tuple(label for label, words in self._vocab
-                           if terms & words)
+            bits = self._label_bits
+            mask = 0
+            for term in filter_terms(query):
+                mask |= bits.get(term, 0)
+            labels = self._mask_labels.get(mask)
+            if labels is None:
+                labels = self._mask_labels[mask] = tuple(
+                    label for bit, label in enumerate(self.slices)
+                    if mask >> bit & 1)
             entry = self._answers[query] = (links_for_query(query), labels)
         return entry
 
-    def slot_labels(self, weights: dict[str, float]) -> tuple[str, ...]:
+    def slots(self, weights: dict[str, float]) -> Slots:
         """The category of each advert slot of a page served from `weights`,
-        an engine's weights, which keep the labels' order."""
+        an engine's weights, which keep the labels' order, and each slot's
+        draw: its slice, the slice's length n and n.bit_length()."""
         key = tuple(weights.values())
-        labels = self._slot_labels.get(key)
-        if labels is None:
+        entry = self._slots.get(key)
+        if entry is None:
             counts = apportion_slots(weights, self.categories.all_labels,
                                      self.config.ads_per_page)
-            labels = self._slot_labels[key] = tuple(
-                label for label, count in counts.items() for _ in range(count))
-        return labels
+            labels = tuple(label for label, count in counts.items()
+                           for _ in range(count))
+            slices = self.slices
+            entry = self._slots[key] = (labels, tuple(
+                (slices[label], len(slices[label]),
+                 len(slices[label]).bit_length()) for label in labels))
+        return entry
 
 
 class AdEngine:
@@ -340,16 +369,16 @@ class AdEngine:
     def __init__(self, tables: EngineTables, seed: int) -> None:
         self._tables = tables
         self._weights = dict(tables.prior)
-        # The category of each advert slot of the next page; None after the
+        # The slot labels and draw table of the next page; None after the
         # weights change.
-        self._slot_labels: tuple[str, ...] | None = None
+        self._slots: Slots | None = None
         # (due step, label, is_click) in registration order.  Due steps never
         # decrease along the queue, so draining its front applies updates in
         # registration order, which keeps float results fixed (boosts
         # multiply, queries add).
         self._queue: deque[tuple[int, str, bool]] = deque()
         self._step = 0
-        self._rng = random.Random(seed)
+        self._getrandbits = random.Random(seed).getrandbits
         self._last_served: tuple[str, ...] = ()
 
     def belief(self) -> dict[str, float]:
@@ -358,23 +387,32 @@ class AdEngine:
 
     def submit_query(self, query: str) -> ResultPage:
         """Serve a page from the applied weights, then register the labels
-        the query matches and apply every update now due."""
+        the query matches and apply every update now due.
+
+        Each slot draws ``random.Random.choice``'s index from its slice,
+        straight from the generator (see the module docstring).
+        """
         self._step += 1
         tables = self._tables
         links, labels = tables.answer(query)
-        slot_labels = self._slot_labels
-        if slot_labels is None:
-            slot_labels = self._slot_labels = tables.slot_labels(self._weights)
-        choice = self._rng.choice
-        slices = tables.slices
-        page = ResultPage(links, tuple([choice(slices[label])
-                                        for label in slot_labels]))
-        self._last_served = slot_labels
+        slots = self._slots
+        if slots is None:
+            slots = self._slots = tables.slots(self._weights)
+        self._last_served, draws = slots
+        getrandbits = self._getrandbits
+        adverts = []
+        for ads, n, k in draws:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            adverts.append(ads[r])
+        queue = self._queue
         if labels:
             due = self._step + tables.config.adaptation_lag
-            self._queue.extend([(due, label, False) for label in labels])
-        self._apply_due()
-        return page
+            queue.extend([(due, label, False) for label in labels])
+        if queue and queue[0][0] <= self._step:
+            self._apply_due()
+        return ResultPage(links, tuple(adverts))
 
     def register_clicks(self, positions: Sequence[int]) -> None:
         """Record clicks on advert slots of the most recent page, in order.
@@ -383,17 +421,17 @@ class AdEngine:
         """
         served = self._last_served
         due = self._step + self._tables.config.adaptation_lag
-        self._queue.extend([(due, served[position], True)
-                            for position in positions])
-        self._apply_due()
+        queue = self._queue
+        queue.extend([(due, served[position], True) for position in positions])
+        if queue and queue[0][0] <= self._step:
+            self._apply_due()
 
     # -- internals --------------------------------------------------------
 
     def _apply_due(self) -> None:
+        """Apply the queue's updates due by now; its head is due."""
         queue = self._queue
         step = self._step
-        if not queue or queue[0][0] > step:
-            return
         weights = self._weights
         config = self._tables.config
         while queue and queue[0][0] <= step:
@@ -407,7 +445,7 @@ class AdEngine:
                         f"{label!r} weight overflow")
             else:
                 weights[label] += QUERY_INCREMENT
-        self._slot_labels = None
+        self._slots = None
 
 
 def new_engine(tables: EngineTables, seed: int) -> AdEngine:
@@ -429,7 +467,7 @@ def load_engine_config(source: str | Path) -> EngineConfig:
         mapping = parse_config(bundled_lines(f"{name}.cfg"), source=name)
     else:
         path = Path(source)
-        if not path.exists():
+        if not path.is_file():
             raise UsageError(
                 f"unknown engine {name!r}: not one of "
                 f"{', '.join(ENGINE_PRESETS)} and no such file"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import os
 import re
 import subprocess
 import sys
@@ -48,6 +49,7 @@ _DEEP_RECORD = "[" * 100_000
 _LONG_INT = "9" * 5000
 
 TOY_CORPUS = str(resources.files("pri") / "data" / "examples" / "toy_corpus.txt")
+SRC = Path(__file__).parent.parent / "src"
 
 # The seed-11 mini campaign's report tables, as tests/test_reports.py pins them.
 PINNED = Path(__file__).parent / "data" / "mini_campaign_seed11"
@@ -724,6 +726,33 @@ class TestCampaign:
         missing = tmp_path.resolve() / "dir" / "missing.cfg"
         assert f"unknown engine {str(missing)!r}" in capsys.readouterr().err
 
+    def test_empty_engine_setting_is_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "dir").mkdir()
+        cfg = tmp_path / "dir" / "empty.cfg"
+        cfg.write_text("engine =\n", encoding="utf-8")
+        out = tmp_path / "e"
+        assert main(["campaign", "--seed", "1", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert (f"error: {cfg}: bad value for engine: ''"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "campaign"])
+    @pytest.mark.parametrize("engine", ["", "DIR"])
+    def test_engine_naming_no_file_is_a_usage_error(self, tmp_path, capsys,
+                                                   command, engine):
+        engine = str(tmp_path) if engine == "DIR" else engine
+        script = tmp_path / "s.script"
+        script.write_text(TestSimulate.SCRIPT, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = (["simulate", "--script", str(script)] if command == "simulate"
+                else ["campaign"])
+        assert main(argv + ["--engine", engine, "--seed", "1",
+                            "--out", str(out)]) == 1
+        assert (f"error: unknown engine {engine!r}: not one of google_like, "
+                "bing_like and no such file" in capsys.readouterr().err)
+        assert not out.exists()
+
 
 # name -> (campaign --config text, expected error text)
 _MALFORMED_CONFIGS = {
@@ -1082,19 +1111,25 @@ class TestTopLevel:
         pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
         assert re.findall(r'^pri = "(.*)"$', pyproject, re.M) == ["pri.cli:run"]
 
-    def test_run_raises_the_gc_threshold_for_python_m(self):
-        # ``python -m pri.cli`` goes through run as well; the threshold is
-        # read once the command has exited.
-        src = str(Path(__file__).parent.parent / "src")
-        code = ("import atexit, gc, runpy, sys\n"
-                f"sys.path.insert(0, {src!r})\n"
-                "atexit.register(lambda: print(gc.get_threshold()))\n"
-                "sys.argv = ['pri', '--help']\n"
+    def test_run_raises_the_gc_threshold_for_python_m(self, tmp_path):
+        # ``python -m pri.cli`` goes through run as well.  The process ends
+        # without running exit hooks, so the command itself reads the
+        # threshold: a spy on the reader ``train`` calls prints it.
+        code = ("import gc, runpy, sys\n"
+                f"sys.path.insert(0, {str(SRC)!r})\n"
+                "import pri.config\n"
+                "read_lines = pri.config.read_lines\n"
+                "def spy(path):\n"
+                "    print(gc.get_threshold())\n"
+                "    return read_lines(path)\n"
+                "pri.config.read_lines = spy\n"
+                f"sys.argv = ['pri', 'train', '--corpus', {TOY_CORPUS!r},\n"
+                f"            '--out', {str(tmp_path / 'm.txt')!r}]\n"
                 "runpy.run_module('pri.cli', run_name='__main__')\n")
         done = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "(100000, 50, 100)"
+        assert done.stdout.splitlines() == ["(100000, 50, 100)"]
 
     @pytest.mark.parametrize("command", ["detect", "report", "campaign"])
     def test_epsilon_flag_is_gone(self, cli_bundle, tmp_path, command, capsys):
@@ -1107,6 +1142,85 @@ class TestTopLevel:
                      "--capture", str(cli_bundle / "test.capture")]
         assert main([command, *flags, "--epsilon", "0.1"]) == 1
         assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+
+
+def pri_env() -> dict[str, str]:
+    """The environment with ``src`` on the path and ``PYTHONUNBUFFERED``
+    removed, so a command's standard output is block-buffered as in a
+    pipe."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def pri_process(argv: list[str], **options) -> subprocess.CompletedProcess:
+    """``python -m pri.cli ARGV`` in a new process, which ends through
+    ``run``."""
+    options.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "pri.cli", *argv],
+                          env=pri_env(), stderr=subprocess.PIPE, text=True,
+                          **options)
+
+
+class TestRunInAProcess:
+    """``run`` flushes, then ends the process without interpreter teardown."""
+
+    @staticmethod
+    def argv(command: str, bundle: Path) -> list[str]:
+        return {
+            "score": ["score", "--model", str(bundle / "model.txt"),
+                      "--capture", str(bundle / "test.capture")],
+            "detect": ["detect", "--model", str(bundle / "model.txt"),
+                       "--baselines", str(bundle / "baselines.txt"),
+                       "--capture", str(bundle / "test.capture")],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["detect", "score"])
+    def test_piped_output_equals_mains(self, cli_bundle, capsys, command):
+        argv = self.argv(command, cli_bundle)
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        done = pri_process(argv)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == expected
+
+    @pytest.mark.parametrize("argv, code", [
+        (["probe-select", "--topics", "anorexia,diabetes,prostate"], 0),
+        (["annoy"], 1),
+        (["probe-select", "--topics", "anorexia", "--min-ratio", "nan"], 2),
+    ])
+    def test_exit_codes_propagate(self, argv, code, capsys):
+        expected = main(argv)
+        assert expected == code
+        done = pri_process(argv)
+        assert done.returncode == code
+        assert (done.stdout, done.stderr) == capsys.readouterr()
+
+    # score's rows overflow the output buffer, so its write fails inside
+    # main; detect's few rows wait in the buffer for run's flush.
+    @pytest.mark.parametrize("command", ["score", "detect"])
+    def test_a_closed_stdout_exits_1(self, cli_bundle, command):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = pri_process(self.argv(command, cli_bundle), stdout=write)
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert done.stderr == "error: [Errno 32] Broken pipe\n"
+
+    def test_a_stdout_closed_from_the_start_is_no_error(self, tmp_path,
+                                                        toy_model):
+        # Python then has no sys.stdout; train writes only its model.
+        out = tmp_path / "m.txt"
+        done = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+             "pri.cli", "train", "--corpus", TOY_CORPUS, "--out", str(out)],
+            env=pri_env(), stderr=subprocess.PIPE, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert out.read_bytes() == toy_model.read_bytes()
 
 
 # Valid text on lines 1 and 2; line 3 holds a byte UTF-8 never produces.

@@ -325,6 +325,10 @@ def test_capture_writer_full_and_empty_clicks_and_escapes():
         Interaction(1, "q\b\f\r", page, (0, 1), False),
         Interaction(2, "", page, (), True),
         Interaction(3, "x", _page(), (), False),
+        # Step 3's query again, with other links, and then with links equal
+        # to step 4's in another tuple.
+        Interaction(4, "x", _page(links=[("t", "s")]), (), False),
+        Interaction(5, "x", _page(links=[("t", "s")]), (), False),
     ))
     fast, reference = StringIO(), StringIO()
     write_capture([trace], fast)

@@ -40,6 +40,11 @@ An eighth check keeps one reader of ``key = value`` settings: only
 ``pri/config.py`` raises the ``unknown ... setting`` and ``bad value for``
 errors, from ``typed_settings``, which engine and campaign files both go
 through.
+
+A ninth check keeps every file closed by the time a command returns: each
+``open`` call in ``src/pri``, builtin or a method such as ``Path.open``, is
+the expression of a ``with`` item.  The ``pri`` command ends through
+``os._exit``, so no finalizer would flush or close a file left open.
 """
 
 from __future__ import annotations
@@ -438,3 +443,30 @@ def test_the_check_finds_a_stray_settings_error():
               "    raise ValidationError('unknown engine '\n"
               "                          'setting')\n")
     assert settings_errors_raised(source) == ["line 3", "line 5", "line 7"]
+
+
+def opens_outside_with(source: str) -> list[str]:
+    """``line N`` of each ``open`` call, by that name or as a method, that is
+    not the expression of a ``with`` item."""
+    tree = ast.parse(source)
+    items = {id(item.context_expr) for node in ast.walk(tree)
+             if isinstance(node, (ast.With, ast.AsyncWith))
+             for item in node.items}
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in items
+            and (node.func.attr if isinstance(node.func, ast.Attribute)
+                 else getattr(node.func, "id", None)) == "open"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_open_is_a_with_item(path):
+    assert opens_outside_with(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_an_open_outside_with():
+    source = ("with open('a') as a, Path('b').open('w') as b:\n    pass\n"
+              "fh = open('c')\n"
+              "lines = Path('d').open().readlines()\n"
+              "with closing(open('e')):\n    pass\n"
+              "with io.open('f'):\n    pass\n")
+    assert opens_outside_with(source) == ["line 3", "line 4", "line 5"]

@@ -11,12 +11,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pri.corpus import CategorySet
+from pri.corpus import Advert, CategorySet
 from pri.errors import UsageError, ValidationError
-from pri.scripts import click_decision, generate_script, keyword_catalog
+from pri.scripts import (
+    click_decision,
+    generate_script,
+    keyword_catalog,
+    uniform_below,
+)
 from pri.simulator import (
     AD_TAIL,
     ENGINE_PRESETS,
@@ -687,3 +692,48 @@ class TestEngineMatchesTheReferenceEngine:
                 if error:
                     break
             assert engine.belief() == reference.weights
+
+
+# Sizes 1 to 70, with 1 and every power of two among them: there a draw of
+# n.bit_length() bits is rejected most often (1 in 2 for a power of two).
+DRAW_SIZES = st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+                       st.integers(1, 70))
+
+
+class TestDrawsMatchTheRandomModule:
+    """The engine's slot draw and the scripts' ``below`` read the generator
+    exactly as ``random.Random.choice`` and ``randint`` do, draw for draw."""
+
+    @given(n=DRAW_SIZES, slots=st.integers(2, 4), pages=st.integers(1, 12),
+           seed=st.integers(0, 2**64 - 1))
+    @example(n=1, slots=4, pages=12, seed=0)
+    @example(n=64, slots=3, pages=12, seed=7)
+    @settings(max_examples=100, deadline=None)
+    def test_slot_draws_are_choices(self, n, slots, pages, seed):
+        # Every slice is a whole pool of n adverts, whose text names its
+        # index (with two or more slots a page, the widest slice comes
+        # nearest the diversity target); queries match no vocabulary, so
+        # every page has the same slots.
+        categories = CategorySet(("topic",), "other")
+        pools = {label: tuple(Advert(f"{label} {i}") for i in range(n))
+                 for label in categories.all_labels}
+        config = EngineConfig(ads_per_page=slots, pool_diversity=1000.0)
+        tables = EngineTables(config, pools, categories)
+        assert all(len(tables.slices[label]) == n for label in pools)
+        engine = new_engine(tables, seed)
+        drawn = [int(ad.text.split()[1]) for _ in range(pages)
+                 for ad in engine.submit_query("zzz").adverts]
+        reference = random.Random(seed)
+        assert drawn == [reference.choice(range(n))
+                         for _ in range(pages * slots)]
+
+    @given(sizes=st.lists(DRAW_SIZES, min_size=1, max_size=40),
+           low=st.integers(-5, 30), seed=st.integers(0, 2**64 - 1))
+    @example(sizes=[1, 2, 4, 8, 16, 32, 64, 1, 64], low=0, seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_below_is_choice_and_randint(self, sizes, low, seed):
+        below = uniform_below(random.Random(seed))
+        reference = random.Random(seed)
+        for n in sizes:
+            assert below(n) == reference.choice(range(n))
+            assert low + below(n) == reference.randint(low, low + n - 1)
