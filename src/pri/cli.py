@@ -2,7 +2,10 @@
 
 Every subcommand is a thin wrapper over the library: parse flags, read
 files, call one pipeline function, format the result.  Exit codes: 0
-success, 1 usage problem, 2 invalid input data, 3 unexpected failure.
+success, 1 usage problem, 2 invalid input data, 3 unexpected failure.  An
+output that cannot be written is a usage problem, and so is a standard
+output the process started without: every output goes through
+``pri.config.write_output``, and the ``error:`` line names what failed.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .config import load_config, read_lines, typed_settings
+from .config import load_config, read_lines, typed_settings, write_output
 from .corpus import CategorySet, parse_capture, parse_corpus, save_capture
 from .detector import (
     DEFAULT_PROBE_COUNT,
@@ -73,10 +76,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+    """Write ``text`` to ``--out``, or to standard output when that flag is
+    absent or empty."""
+    write_output(out or None, lambda stream: stream.write(text))
 
 
 def _list_flag(value: str, flag: str, sep: str = ",") -> tuple[str, ...]:
@@ -262,11 +264,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     result = run_campaign(config, master_seed=args.seed)
     paths = write_bundle(result, args.out)
     evaluation = result.evaluation
-    sys.stdout.write(
-        f"sensitive detection rate: {percent(evaluation.sensitive_rate)}\n"
-        f"false positive rate: {percent(evaluation.false_positive_rate)}\n"
-        f"wrote {len(paths)} files under {args.out}\n"
-    )
+    _emit(f"sensitive detection rate: {percent(evaluation.sensitive_rate)}\n"
+          f"false positive rate: {percent(evaluation.false_positive_rate)}\n"
+          f"wrote {len(paths)} files under {args.out}\n", None)
     return 0
 
 
@@ -471,7 +471,9 @@ def run() -> NoReturn:
     makes the same trade.  A standard output the flush cannot write, such
     as a pipe whose reader has gone, is reported as ``main`` reports any
     OSError, with an ``error:`` line and exit code 1, unless ``main`` has
-    already failed and said why.
+    already failed and said why.  A command that prints, started with no
+    standard output at all, has already failed in ``main`` the same way,
+    through ``pri.config.write_output``; one that prints nothing succeeds.
     """
     gc.set_threshold(100_000, 50, 100)
     code = main()

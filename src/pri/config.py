@@ -1,7 +1,11 @@
-"""Reading input files, and line-oriented ``key = value`` configuration.
+"""Reading input files, writing outputs, and line-oriented ``key = value``
+configuration.
 
 ``read_lines`` is the one way a user's path becomes lines of text, and
 ``bundled_lines`` the one way a data file shipped with the package does.
+``write_output`` is the one way any output is written: UTF-8 text with
+``\\n`` line ends, to a path or to standard output.  An output that cannot be
+written, a missing standard output among them, raises ``OSError`` (exit 1).
 
 In configuration files, blank lines and ``#`` comments are skipped.  An
 ``include FILE`` line splices in another file, resolved relative to the
@@ -14,9 +18,11 @@ is the one way such a file's text values become typed settings.
 
 from __future__ import annotations
 
+import sys
 from argparse import ArgumentTypeError
 from collections.abc import Callable, Iterable, Mapping
 from pathlib import Path
+from typing import IO
 
 from .errors import UsageError, ValidationError
 
@@ -41,6 +47,22 @@ def read_lines(path: str | Path) -> list[str]:
         before = data[:exc.start].decode("utf-8")
         lineno = len((before + "x").splitlines())
         raise ValidationError(f"{path} line {lineno}: not UTF-8 text") from None
+
+
+def write_output(target: str | Path | None,
+                 write: Callable[[IO[str]], object]) -> None:
+    """Pass ``write`` the stream an output goes to: ``target`` opened as
+    UTF-8 text with ``\\n`` line ends, closed once ``write`` returns, or
+    standard output when ``target`` is None.  A process started with its
+    standard output closed has none, which raises ``OSError`` as any
+    unwritable output does."""
+    if target is not None:
+        with open(target, "w", encoding="utf-8", newline="\n") as out:
+            write(out)
+    elif sys.stdout is None:
+        raise OSError("cannot write to standard output: it is closed")
+    else:
+        write(sys.stdout)
 
 
 def bundled_lines(name: str) -> list[str]:

@@ -24,6 +24,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
+from .config import write_output
 from .errors import ValidationError
 
 CAPTURE_HEADER = "#pri-capture v1"
@@ -202,8 +203,7 @@ def write_capture(traces: Iterable[SessionTrace], out: IO[str]) -> None:
 
 
 def save_capture(traces: Iterable[SessionTrace], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_capture(traces, fh)
+    write_output(path, lambda out: write_capture(traces, out))
 
 
 # Record key -> (the type docs/FORMATS.md gives it, a check for that type).

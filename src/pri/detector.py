@@ -15,6 +15,7 @@ from collections import Counter
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
+from .config import write_output
 from .corpus import SessionTrace, headed_lines
 from .errors import ValidationError
 from .estimator import PriModel, ScoreVector, score
@@ -281,8 +282,7 @@ def write_baselines(baseline: TopicBaseline, out: IO[str]) -> None:
 
 
 def save_baselines(baseline: TopicBaseline, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_baselines(baseline, fh)
+    write_output(path, lambda out: write_baselines(baseline, out))
 
 
 def parse_baselines(lines: Iterable[str]) -> TopicBaseline:

@@ -42,6 +42,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
+from .config import write_output
 from .corpus import (
     Advert,
     CategorySet,
@@ -351,8 +352,7 @@ def write_model(model: PriModel, out: IO[str]) -> None:
 
 
 def save_model(model: PriModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_model(model, fh)
+    write_output(path, lambda out: write_model(model, out))
 
 
 def _parse_id(text: str, lineno: int) -> int:

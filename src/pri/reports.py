@@ -15,6 +15,7 @@ from collections import Counter
 from io import StringIO
 from pathlib import Path
 
+from .config import write_output
 from .corpus import save_capture
 from .detector import ConfusionRow, LagStatistics, save_baselines
 from .estimator import save_model
@@ -287,7 +288,7 @@ def write_bundle(result: CampaignResult, out_dir: str | Path) -> tuple[Path, ...
         "summary.md": _summary_markdown(result),
     }
     for name, text in tables.items():
-        (directory / name).write_text(text, encoding="utf-8", newline="\n")
+        write_output(directory / name, lambda out: out.write(text))
     return tuple(directory / name for name in BUNDLE_FILES)
 
 

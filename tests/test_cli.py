@@ -37,7 +37,7 @@ from pri.detector import (
 from pri.errors import PriError, ValidationError
 from pri.estimator import PriModel, parse_model, save_model
 from pri.probes import parse_ambiguity_csv
-from pri.reports import write_bundle
+from pri.reports import read_bundle_bytes, write_bundle
 from pri.runner import CampaignConfig
 from pri.scripts import parse_script
 from pri.simulator import parse_prior_knowledge
@@ -1155,13 +1155,16 @@ def pri_env() -> dict[str, str]:
     return env
 
 
-def pri_process(argv: list[str], **options) -> subprocess.CompletedProcess:
+def pri_process(argv: list[str], redirect: str = "",
+                **options) -> subprocess.CompletedProcess:
     """``python -m pri.cli ARGV`` in a new process, which ends through
-    ``run``."""
+    ``run``; a shell applies ``redirect``, such as ``>&-``, first."""
     options.setdefault("stdout", subprocess.PIPE)
-    return subprocess.run([sys.executable, "-m", "pri.cli", *argv],
-                          env=pri_env(), stderr=subprocess.PIPE, text=True,
-                          **options)
+    command = [sys.executable, "-m", "pri.cli", *argv]
+    if redirect:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+    return subprocess.run(command, env=pri_env(), stderr=subprocess.PIPE,
+                          text=True, **options)
 
 
 class TestRunInAProcess:
@@ -1211,16 +1214,94 @@ class TestRunInAProcess:
         assert done.returncode == 1
         assert done.stderr == "error: [Errno 32] Broken pipe\n"
 
-    def test_a_stdout_closed_from_the_start_is_no_error(self, tmp_path,
-                                                        toy_model):
-        # Python then has no sys.stdout; train writes only its model.
-        out = tmp_path / "m.txt"
-        done = subprocess.run(
-            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
-             "pri.cli", "train", "--corpus", TOY_CORPUS, "--out", str(out)],
-            env=pri_env(), stderr=subprocess.PIPE, text=True)
-        assert (done.returncode, done.stderr) == (0, "")
-        assert out.read_bytes() == toy_model.read_bytes()
+
+class TestOutputMatrix:
+    """Each command run with one of its outputs unwritable.
+
+    An output that cannot be written exits 1 with an ``error:`` line.  A
+    standard output the process started without is one, for a command that
+    prints; a closed standard error is no error at all.
+    """
+
+    # command -> (argv, in which B/ is the campaign bundle and SCRIPT a
+    # query script; the --out it writes in a case that names none)
+    COMMANDS = {
+        "train": (["train", "--corpus", TOY_CORPUS], "model.txt"),
+        "score": (["score", "--model", "B/model.txt",
+                   "--capture", "B/test.capture"], None),
+        "detect": (["detect", "--model", "B/model.txt",
+                    "--baselines", "B/baselines.txt",
+                    "--capture", "B/test.capture"], None),
+        "report": (["report", "--model", "B/model.txt",
+                    "--baselines", "B/baselines.txt",
+                    "--capture", "B/test.capture"], None),
+        "probe-select": (["probe-select", "--topics",
+                          "anorexia,diabetes,prostate"], None),
+        "simulate": (["simulate", "--script", "SCRIPT", "--engine",
+                      "google_like", "--seed", "9"], "s.capture"),
+        # cli_bundle's campaign, so a finished bundle equals that one
+        "campaign": (["campaign", "--seed", "41", "--train", "1",
+                      "--test", "1"], "bundle"),
+    }
+    PRINTS = ("score", "detect", "report", "probe-select", "campaign")
+
+    @pytest.mark.parametrize("case", ["stdout-closed", "stdout-full",
+                                      "out-full", "out-under-file",
+                                      "stderr-closed"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_unwritable_outputs_exit_1(self, cli_bundle, toy_model, tmp_path,
+                                       capsys, command, case):
+        if "full" in case and not os.path.exists("/dev/full"):
+            pytest.skip("this system has no /dev/full")
+        script = tmp_path / "s.script"
+        script.write_text(TestSimulate.SCRIPT, encoding="utf-8")
+        blocker = tmp_path / "a-file"
+        blocker.write_text("", encoding="utf-8")
+        args, default_out = self.COMMANDS[command]
+        argv = [str(cli_bundle / arg[2:]) if arg.startswith("B/")
+                else str(script) if arg == "SCRIPT" else arg for arg in args]
+        out = {"out-full": "/dev/full",
+               "out-under-file": str(blocker / "out")}.get(
+            case, default_out and str(tmp_path / default_out))
+        if out:
+            argv += ["--out", out]
+        prints = command in self.PRINTS
+        expected = {"stdout-closed": prints, "stdout-full": prints,
+                    "out-full": 1, "out-under-file": 1,
+                    "stderr-closed": 0}[case]
+
+        if case == "stdout-full":
+            with open("/dev/full", "w", encoding="utf-8") as full:
+                done = pri_process(argv, stdout=full)
+        else:
+            done = pri_process(argv, {"stdout-closed": ">&-",
+                                      "stderr-closed": "2>&-"}.get(case, ""))
+
+        assert done.returncode == expected
+        if expected:
+            assert re.search("^error: ", done.stderr, re.MULTILINE)
+        else:
+            assert done.stderr == ""
+        # Python then has no sys.stdout, and a command's files are whole.
+        if case == "stdout-closed" and prints:
+            assert "error: cannot write to standard output" in done.stderr
+        if case == "stdout-closed" and command == "train":
+            assert Path(out).read_bytes() == toy_model.read_bytes()
+        if case == "stdout-closed" and command == "campaign":
+            assert read_bundle_bytes(out) == read_bundle_bytes(cli_bundle)
+        if case == "stderr-closed":
+            assert main(argv) == 0
+            assert done.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["score", "detect", "report"])
+    def test_an_empty_out_is_standard_output(self, cli_bundle, capsys,
+                                             command):
+        argv = [str(cli_bundle / arg[2:]) if arg.startswith("B/") else arg
+                for arg in self.COMMANDS[command][0]]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main(argv + ["--out", ""]) == 0
+        assert capsys.readouterr().out == printed != ""
 
 
 # Valid text on lines 1 and 2; line 3 holds a byte UTF-8 never produces.

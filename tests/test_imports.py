@@ -29,9 +29,11 @@ whose OpenSSL binding costs a few milliseconds, nor ``fractions`` and the
 ``pri.*`` submodule, so that importing one module, such as ``pri.porter``,
 loads only what that module needs.
 
-A sixth check keeps every output file in one byte form: each
-``write_text`` call, and each ``open`` for writing, in ``src/pri`` passes
-``newline="\n"``, so that no platform turns line ends into ``\r\n``.
+A sixth check keeps one writer of every output: outside ``pri/config.py``
+no module calls ``open`` in a writing mode, ``write_text``, ``write_bytes``
+or ``sys.stdout.write``, and ``pri/config.py`` makes exactly one such call,
+the ``open`` of ``write_output``, which passes ``newline="\n"`` so that no
+platform turns line ends into ``\r\n``.
 
 A seventh check keeps one CSV dialect: ``csv.writer`` is called only in
 ``pri/reports.py``, whose ``csv_text`` every CSV output goes through.
@@ -327,9 +329,10 @@ def test_the_check_finds_a_loaded_submodule():
     assert pri_submodules_after("import pri.porter") == ["pri.porter"]
 
 
-def writes_without_newline(source: str) -> list[str]:
-    """``line call`` of each ``write_text`` call, and each ``open`` call
-    with a writing mode, that does not pass ``newline="\\n"``."""
+def output_writes(source: str) -> list[str]:
+    """``line form`` of each call that writes an output: ``open`` with a
+    writing mode, ``write_text``, ``write_bytes`` or ``sys.stdout.write``.
+    An ``open`` that does not pass ``newline="\\n"`` is ``open*``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -342,33 +345,48 @@ def writes_without_newline(source: str) -> list[str]:
                      else node.args[:1])
             modes += [k.value for k in node.keywords if k.arg == "mode"]
             if not any(isinstance(m, ast.Constant) and isinstance(m.value, str)
-                       and "b" not in m.value and set("wax+") & set(m.value)
-                       for m in modes):
+                       and set("wax+") & set(m.value) for m in modes):
                 continue
-        elif name != "write_text":
+            if not any(k.arg == "newline" and isinstance(k.value, ast.Constant)
+                       and k.value.value == "\n" for k in node.keywords):
+                name = "open*"
+        elif ast.unparse(node.func).startswith("sys.stdout.write"):
+            name = ast.unparse(node.func)
+        elif name not in ("write_text", "write_bytes"):
             continue
-        if not any(k.arg == "newline" and isinstance(k.value, ast.Constant)
-                   and k.value.value == "\n" for k in node.keywords):
-            found.append(f"line {node.lineno} {name}")
+        found.append(f"line {node.lineno} {name}")
     return found
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_writes_name_the_line_end(path):
-    assert writes_without_newline(path.read_text(encoding="utf-8")) == []
+def test_only_config_writes_outputs(path):
+    writes = output_writes(path.read_text(encoding="utf-8"))
+    if path.name == "config.py":
+        assert [write.split()[-1] for write in writes] == ["open"]
+    else:
+        assert writes == []
 
 
-def test_the_check_finds_a_platform_line_end():
-    source = ("from pathlib import Path\n"
-              "Path('a').write_text('x', encoding='utf-8')\n"
-              "Path('b').write_text('x', newline='\\n')\n"
+def test_the_check_finds_every_stray_write():
+    source = ("import sys\nfrom pathlib import Path\n"
+              "Path('a').write_text('x', encoding='utf-8', newline='\\n')\n"
+              "Path('b').write_bytes(b'x')\n"
               "open('c', 'w', encoding='utf-8')\n"
               "open('d', mode='a', newline='\\n')\n"
               "open('e', encoding='utf-8')\n"
               "open('f', 'wb')\n"
-              "Path('g').open('w')\n")
-    assert writes_without_newline(source) == [
-        "line 2 write_text", "line 4 open", "line 8 open"]
+              "Path('g').open('w')\n"
+              "sys.stdout.write('h')\n"
+              "sys.stdout.writelines(['i'])\n"
+              "sys.stderr.write('j')\n"
+              "Path('k').read_text('utf-8')\n"
+              "with open('l', 'r+', newline='\\n') as out:\n"
+              "    out.write('l')\n")
+    assert output_writes(source) == [
+        "line 3 write_text", "line 4 write_bytes", "line 5 open*",
+        "line 6 open", "line 8 open*", "line 9 open*",
+        "line 10 sys.stdout.write", "line 11 sys.stdout.writelines",
+        "line 14 open"]
 
 
 def csv_writer_calls(source: str) -> list[str]:
