@@ -107,6 +107,14 @@ def _engine_name(value: str) -> str:
     return value
 
 
+def _out_path(value: str) -> str:
+    """Type of the ``--out`` that names a file or directory to write, never
+    empty: ``Path("")`` would be the working directory."""
+    if not value:
+        raise argparse.ArgumentTypeError("must name a path, not be empty")
+    return value
+
+
 def _given(**values) -> dict:
     """The settings that were set; the config classes hold the defaults."""
     return {key: value for key, value in values.items() if value is not None}
@@ -300,7 +308,8 @@ def _add_detector_flags(parser: argparse.ArgumentParser) -> None:
 def _train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", required=True,
                    help="label<TAB>advert text file")
-    p.add_argument("--out", required=True, help="model file to write")
+    p.add_argument("--out", required=True, type=_out_path,
+                   help="model file to write")
     p.add_argument("--categories", default=None,
                    help="comma-separated sensitive labels "
                         "(default: every corpus label except the catch-all)")
@@ -355,14 +364,16 @@ def _simulate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--clicks", type=_on_off, default="on",
                    help="on|off (default on)")
     p.add_argument("--catchall", default="other")
-    p.add_argument("--out", required=True, help="capture file to write")
+    p.add_argument("--out", required=True, type=_out_path,
+                   help="capture file to write")
     p.set_defaults(func=cmd_simulate)
 
 
 def _campaign_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True,
                    help="master seed every session derives from")
-    p.add_argument("--out", required=True, help="directory for the artifacts")
+    p.add_argument("--out", required=True, type=_out_path,
+                   help="directory for the artifacts")
     p.add_argument("--config", default=None,
                    help="key = value settings file (flags override it)")
     p.add_argument("--engine", default=None,

@@ -18,7 +18,6 @@ it on a capture file.
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import CategorySet, Interaction, LabeledAdvert, SessionTrace
@@ -79,7 +78,8 @@ def run_session(
     """Drive one script against one engine and capture what the user saw.
 
     With ``keywords`` None the user never clicks.  The script's topic is
-    one of the engine's categories.
+    one of the engine's categories.  Each advert text's ``click_decision``
+    is kept in ``keywords.click_memo``.
     """
     decided = None if keywords is None else keywords.click_memo
     submit = engine.submit_query
@@ -92,7 +92,8 @@ def run_session(
             for slot, advert in enumerate(page.adverts):
                 click = decided.get(advert.text)
                 if click is None:
-                    click = click_decision(advert.text, keywords)
+                    click = decided[advert.text] = click_decision(
+                        advert.text, keywords)
                 if click:
                     clicks.append(slot)
             if clicks:
@@ -255,10 +256,8 @@ def run_campaign(config: CampaignConfig, master_seed: int) -> CampaignResult:
             for index in range(count):
                 session_id = f"{role}-{topic}-{index:02d}"
                 script = generate_script(
-                    catalog[topic],
-                    config.probe,
-                    random.Random(derive_seed(master_seed, f"{session_id}:script")),
-                )
+                    catalog[topic], config.probe,
+                    derive_seed(master_seed, f"{session_id}:script"))
                 engine = new_engine(
                     tables, derive_seed(master_seed, f"{session_id}:engine"))
                 clicks = catalog[topic] if config.clicks_enabled else None

@@ -3,16 +3,16 @@
 A script is the unit of a user session: an ordered list of query entries,
 user queries and injected probes.  User queries are keyword groups drawn
 with replacement from a category's phrase list and dressed with a connective
-so they read like search queries.  A generated script draws every number
-through one ``below(n)`` (``uniform_below``), which reads the generator
-exactly as ``randint`` and ``choice`` do, so the scripts a seed gives are
-theirs without their per-call argument checks.
+so they read like search queries.
+
+``uniform_below`` is the package's one draw rule: the only code that turns a
+seed into random numbers.  A generated script and an engine's advert slots
+both draw through it.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -50,8 +50,9 @@ class CategoryKeywords:
             )
         self.label = label
         self.phrases = phrases
-        # Advert text -> click_decision's answer: sessions meet a few hundred
-        # distinct adverts thousands of times, so each is decided once.
+        # Advert text -> click_decision's answer, kept by run_session:
+        # sessions meet a few hundred distinct adverts thousands of times,
+        # so each is decided once.
         self.click_memo: dict[str, bool] = {}
 
     @cached_property
@@ -111,16 +112,19 @@ def load_trending_queries() -> list[str]:
     ]
 
 
-def uniform_below(rng: random.Random) -> Callable[[int], int]:
-    """``below(n)``, a uniform int in ``[0, n)`` drawn as ``rng`` draws it.
+def uniform_below(seed: int) -> Callable[[int], int]:
+    """``below(n)``, a uniform int in ``[0, n)``, drawn from
+    ``random.Random(seed)``.
 
-    ``below(n)`` reads the generator exactly as ``rng.choice(range(n))``
-    does through ``_randbelow`` on Python 3.10-3.13: ``r = getrandbits(k)``
-    with ``k = n.bit_length()``, again while ``r >= n``.  So
-    ``rng.randint(a, b)`` is ``a + below(b - a + 1)`` and ``rng.choice(s)``
-    is ``s[below(len(s))]``, draw for draw, without their argument checks.
+    ``below(n)`` reads the generator exactly as ``choice(range(n))`` does
+    through ``_randbelow`` on Python 3.10-3.13: ``r = getrandbits(k)`` with
+    ``k = n.bit_length()``, again while ``r >= n``.  So ``randint(a, b)`` is
+    ``a + below(b - a + 1)`` and ``choice(s)`` is ``s[below(len(s))]``, draw
+    for draw, without their argument checks.
     """
-    getrandbits = rng.getrandbits
+    import random
+
+    getrandbits = random.Random(seed).getrandbits
 
     def below(n: int) -> int:
         k = n.bit_length()
@@ -133,14 +137,11 @@ def uniform_below(rng: random.Random) -> Callable[[int], int]:
 
 
 def generate_script(
-    keywords: CategoryKeywords, probe: str, rng: random.Random
+    keywords: CategoryKeywords, probe: str, seed: int
 ) -> QueryScript:
-    """Probe-led script: [probe, gap of 1-5 user queries]... ending on a probe.
-
-    It reads ``rng`` as ``randint`` and ``choice`` would, through
-    ``uniform_below``.
-    """
-    below = uniform_below(rng)
+    """Probe-led script: [probe, gap of 1-5 user queries]... ending on a probe,
+    drawn through ``uniform_below(seed)``."""
+    below = uniform_below(seed)
     # Aim below the ceiling so a final full gap cannot overshoot it.
     highest = MAX_QUERIES - MAX_PROBE_GAP - 1
     target = MIN_QUERIES + below(highest - MIN_QUERIES + 1)
@@ -175,13 +176,9 @@ def click_decision(item_text: str, keywords: CategoryKeywords) -> bool:
 
     A text with no terms is never clicked.
     """
-    clicked = keywords.click_memo.get(item_text)
-    if clicked is None:
-        terms = filter_terms(item_text)
-        hits = sum(1 for t in terms if t in keywords.term_set)
-        clicked = keywords.click_memo[item_text] = (
-            bool(terms) and hits / len(terms) > CLICK_SHARE)
-    return clicked
+    terms = filter_terms(item_text)
+    hits = sum(1 for t in terms if t in keywords.term_set)
+    return bool(terms) and hits / len(terms) > CLICK_SHARE
 
 
 # ---------------------------------------------------------------------------

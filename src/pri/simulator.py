@@ -22,16 +22,14 @@ engine reads and none changes: each category's diversity slice, the prior
 belief, a term -> label bits index over the slices' vocabularies, and,
 filled as sessions meet them, each distinct query's organic links and
 matched categories, each distinct label mask's labels, and each distinct
-weight state's slot labels with their draw table.  A query's categories are
-the OR of its terms' label bits.  A draw table holds, per slot, the slice
-``s``, ``n = len(s)`` and ``k = n.bit_length()``, and a slot's advert is
-``s[r]`` for the first ``r = getrandbits(k)`` below ``n``: exactly what
-``Random.choice(s)`` draws, through ``_randbelow``, on Python 3.10-3.13, so
-the random stream is the one ``choice`` would read.  Every page serves the
-campaign's frozen ``Advert``s.  An ``AdEngine`` holds only its session's
-state: its copy of the weights, the slot labels and draw table of its next
-page, looked up again only after the weights change, the pending queue, the
-step, its random generator and the slot labels of the last page served.
+weight state's slot labels with their slices.  A query's categories are the
+OR of its terms' label bits.  A slot's advert is ``s[below(len(s))]`` for
+its slice ``s``, drawn through ``pri.scripts.uniform_below`` from the
+engine's seed.  Every page serves the campaign's frozen ``Advert``s.  An
+``AdEngine`` holds only its session's state: its copy of the weights, the
+slot labels and slices of its next page, looked up again only after the
+weights change, the pending queue, the step, its ``below`` and the slot
+labels of the last page served.
 Each interaction does its work once: the query's labels, and then a page's
 clicks in one ``register_clicks`` call, join the pending queue, which is
 drained only when its head is due.
@@ -40,7 +38,6 @@ drained only when its head is due.
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -48,6 +45,7 @@ from typing import Mapping, Sequence
 from .config import bundled_lines, load_config, parse_config, typed_settings
 from .corpus import Advert, CategorySet, ResultPage
 from .errors import UsageError, ValidationError
+from .scripts import uniform_below
 from .textproc import filter_terms, term_set
 
 QUERY_INCREMENT = 1.0
@@ -273,10 +271,8 @@ def build_ad_pools(
     return pools
 
 
-# Per advert slot: the category's slice, its length n and n.bit_length().
-DrawTable = tuple[tuple[tuple[Advert, ...], int, int], ...]
-# A page's slot labels, in slot order, and their draw table.
-Slots = tuple[tuple[str, ...], DrawTable]
+# A page's slot labels, in slot order, and each slot's slice.
+Slots = tuple[tuple[str, ...], tuple[tuple[Advert, ...], ...]]
 
 
 class EngineTables:
@@ -323,8 +319,8 @@ class EngineTables:
         self._answers: dict[str, tuple[Links, tuple[str, ...]]] = {}
         # label mask -> its labels, in label order
         self._mask_labels: dict[int, tuple[str, ...]] = {}
-        # Weight values in label order -> the category of each advert slot
-        # and the slot's draw.  Sessions revisit the same weight states, so
+        # Weight values in label order -> the category and slice of each
+        # advert slot.  Sessions revisit the same weight states, so
         # each is apportioned once per campaign.
         self._slots: dict[tuple[float, ...], Slots] = {}
 
@@ -347,7 +343,7 @@ class EngineTables:
     def slots(self, weights: dict[str, float]) -> Slots:
         """The category of each advert slot of a page served from `weights`,
         an engine's weights, which keep the labels' order, and each slot's
-        draw: its slice, the slice's length n and n.bit_length()."""
+        slice."""
         key = tuple(weights.values())
         entry = self._slots.get(key)
         if entry is None:
@@ -355,10 +351,8 @@ class EngineTables:
                                      self.config.ads_per_page)
             labels = tuple(label for label, count in counts.items()
                            for _ in range(count))
-            slices = self.slices
-            entry = self._slots[key] = (labels, tuple(
-                (slices[label], len(slices[label]),
-                 len(slices[label]).bit_length()) for label in labels))
+            entry = self._slots[key] = (
+                labels, tuple(self.slices[label] for label in labels))
         return entry
 
 
@@ -369,7 +363,7 @@ class AdEngine:
     def __init__(self, tables: EngineTables, seed: int) -> None:
         self._tables = tables
         self._weights = dict(tables.prior)
-        # The slot labels and draw table of the next page; None after the
+        # The slot labels and slices of the next page; None after the
         # weights change.
         self._slots: Slots | None = None
         # (due step, label, is_click) in registration order.  Due steps never
@@ -378,7 +372,7 @@ class AdEngine:
         # multiply, queries add).
         self._queue: deque[tuple[int, str, bool]] = deque()
         self._step = 0
-        self._getrandbits = random.Random(seed).getrandbits
+        self._below = uniform_below(seed)
         self._last_served: tuple[str, ...] = ()
 
     def belief(self) -> dict[str, float]:
@@ -387,32 +381,23 @@ class AdEngine:
 
     def submit_query(self, query: str) -> ResultPage:
         """Serve a page from the applied weights, then register the labels
-        the query matches and apply every update now due.
-
-        Each slot draws ``random.Random.choice``'s index from its slice,
-        straight from the generator (see the module docstring).
-        """
+        the query matches and apply every update now due."""
         self._step += 1
         tables = self._tables
         links, labels = tables.answer(query)
         slots = self._slots
         if slots is None:
             slots = self._slots = tables.slots(self._weights)
-        self._last_served, draws = slots
-        getrandbits = self._getrandbits
-        adverts = []
-        for ads, n, k in draws:
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            adverts.append(ads[r])
+        self._last_served, slices = slots
+        below = self._below
+        adverts = tuple([ads[below(len(ads))] for ads in slices])
         queue = self._queue
         if labels:
             due = self._step + tables.config.adaptation_lag
             queue.extend([(due, label, False) for label in labels])
         if queue and queue[0][0] <= self._step:
             self._apply_due()
-        return ResultPage(links, tuple(adverts))
+        return ResultPage(links, adverts)
 
     def register_clicks(self, positions: Sequence[int]) -> None:
         """Record clicks on advert slots of the most recent page, in order.

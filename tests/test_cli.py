@@ -1245,6 +1245,14 @@ class TestOutputMatrix:
     }
     PRINTS = ("score", "detect", "report", "probe-select", "campaign")
 
+    def argv(self, command, cli_bundle, tmp_path):
+        """The command's argv, with a query script written under tmp_path."""
+        script = tmp_path / "s.script"
+        script.write_text(TestSimulate.SCRIPT, encoding="utf-8")
+        return [str(cli_bundle / arg[2:]) if arg.startswith("B/")
+                else str(script) if arg == "SCRIPT" else arg
+                for arg in self.COMMANDS[command][0]]
+
     @pytest.mark.parametrize("case", ["stdout-closed", "stdout-full",
                                       "out-full", "out-under-file",
                                       "stderr-closed"])
@@ -1253,13 +1261,10 @@ class TestOutputMatrix:
                                        capsys, command, case):
         if "full" in case and not os.path.exists("/dev/full"):
             pytest.skip("this system has no /dev/full")
-        script = tmp_path / "s.script"
-        script.write_text(TestSimulate.SCRIPT, encoding="utf-8")
         blocker = tmp_path / "a-file"
         blocker.write_text("", encoding="utf-8")
-        args, default_out = self.COMMANDS[command]
-        argv = [str(cli_bundle / arg[2:]) if arg.startswith("B/")
-                else str(script) if arg == "SCRIPT" else arg for arg in args]
+        argv = self.argv(command, cli_bundle, tmp_path)
+        default_out = self.COMMANDS[command][1]
         out = {"out-full": "/dev/full",
                "out-under-file": str(blocker / "out")}.get(
             case, default_out and str(tmp_path / default_out))
@@ -1293,11 +1298,23 @@ class TestOutputMatrix:
             assert main(argv) == 0
             assert done.stdout == capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["score", "detect", "report"])
-    def test_an_empty_out_is_standard_output(self, cli_bundle, capsys,
-                                             command):
-        argv = [str(cli_bundle / arg[2:]) if arg.startswith("B/") else arg
-                for arg in self.COMMANDS[command][0]]
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_an_empty_out_is_standard_output(self, cli_bundle, tmp_path,
+                                             monkeypatch, capsys, command):
+        """An empty ``--out`` is standard output for a command that prints.
+        Where ``--out`` names the file or directory a command writes, an
+        empty one is a usage error that writes nothing."""
+        argv = self.argv(command, cli_bundle, tmp_path)
+        workdir = tmp_path / "workdir"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        if self.COMMANDS[command][1]:
+            assert main(argv + ["--out", ""]) == 1
+            printed, error = capsys.readouterr()
+            assert (printed, error) == (
+                "", "error: argument --out: must name a path, not be empty\n")
+            assert list(workdir.iterdir()) == []
+            return
         assert main(argv) == 0
         printed = capsys.readouterr().out
         assert main(argv + ["--out", ""]) == 0

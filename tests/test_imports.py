@@ -47,6 +47,12 @@ A ninth check keeps every file closed by the time a command returns: each
 ``open`` call in ``src/pri``, builtin or a method such as ``Path.open``, is
 the expression of a ``with`` item.  The ``pri`` command ends through
 ``os._exit``, so no finalizer would flush or close a file left open.
+
+A tenth check keeps one draw rule: ``scripts.uniform_below`` is the only
+code in ``src/pri`` that imports ``random``, constructs ``random.Random`` or
+calls a draw (``getrandbits``, ``choice``, ``choices``, ``randint``,
+``randrange``, ``shuffle`` or ``sample``), so every number a seed gives is
+drawn the same way.
 """
 
 from __future__ import annotations
@@ -488,3 +494,67 @@ def test_the_check_finds_an_open_outside_with():
               "with closing(open('e')):\n    pass\n"
               "with io.open('f'):\n    pass\n")
     assert opens_outside_with(source) == ["line 3", "line 4", "line 5"]
+
+
+DRAWS = ("Random", "getrandbits", "choice", "choices", "randint", "randrange",
+         "shuffle", "sample")
+
+
+def random_uses(source: str, exempt: str = "") -> list[str]:
+    """``line form`` of each import of ``random`` and each call of a name in
+    DRAWS, by that name or as a method, outside the top-level function
+    ``exempt``."""
+    tree = ast.parse(source)
+    inside = {id(inner) for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == exempt
+              for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call):
+            name = (node.func.attr if isinstance(node.func, ast.Attribute)
+                    else getattr(node.func, "id", None))
+            if name in DRAWS:
+                found.append((node.lineno, name))
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [(node.lineno, "import random") for module in modules
+                  if module.partition(".")[0] == "random"]
+    return [f"line {line} {form}" for line, form in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_uniform_below_draws(path):
+    source = path.read_text(encoding="utf-8")
+    if path.name == "scripts.py":
+        assert random_uses(source, "uniform_below") == []
+        assert [use.split(maxsplit=2)[2] for use in random_uses(source)] == [
+            "import random", "Random", "getrandbits", "getrandbits"]
+    else:
+        assert random_uses(source) == []
+
+
+def test_the_check_finds_every_stray_draw():
+    source = ("import random\nimport os, random as r\n"
+              "from random import Random, choice\n"
+              "rng = random.Random(1)\nRandom(2)\n"
+              "rng.getrandbits(3)\nchoice('ab')\nrng.choices('ab', k=2)\n"
+              "rng.randint(1, 6)\nrng.randrange(9)\nrng.shuffle([])\n"
+              "r.sample('abc', 2)\nrng.random()\n"
+              "def uniform_below(seed):\n"
+              "    import random\n"
+              "    return random.Random(seed).getrandbits(8)\n"
+              "def helper():\n    from random import getrandbits\n")
+    assert random_uses(source, "uniform_below") == [
+        "line 1 import random", "line 2 import random",
+        "line 3 import random", "line 4 Random", "line 5 Random",
+        "line 6 getrandbits", "line 7 choice", "line 8 choices",
+        "line 9 randint", "line 10 randrange", "line 11 shuffle",
+        "line 12 sample", "line 18 import random"]
+    assert len(random_uses(source)) == 16

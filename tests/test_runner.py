@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import random
 import weakref
 from io import StringIO
 
@@ -23,8 +22,10 @@ from pri.runner import (
     training_corpus,
 )
 from pri.scripts import (
+    CategoryKeywords,
     QueryScript,
     ScriptEntry,
+    click_decision,
     generate_script,
     keyword_catalog,
     parse_script,
@@ -97,7 +98,7 @@ class TestRunSession:
             assert probe.query == "help and advice"
 
     def test_every_generated_entry_is_one_interaction(self, default_keywords):
-        script = generate_script(LOCATION, "help and advice", random.Random(4))
+        script = generate_script(LOCATION, "help and advice", 4)
         trace = run_session(location_engine(default_keywords), script,
                             LOCATION, "s")
         assert [(it.query, it.is_probe) for it in trace.interactions] == [
@@ -113,6 +114,22 @@ class TestRunSession:
             for position in it.clicked:
                 text = it.page.adverts[position].text
                 assert {"london", "england", "uk"} & set(text.lower().split())
+
+    def test_the_click_memo_keeps_each_decision(self, default_keywords):
+        # run_session keeps click_memo: a session leaves click_decision's
+        # answer for every advert its user queries were served, and a
+        # session on the warm memo clicks the same slots.
+        keywords = CategoryKeywords(LOCATION.label, LOCATION.phrases)
+        script = example_script()
+        first = run_session(location_engine(default_keywords), script,
+                            keywords, "s")
+        served = {advert.text for it in first.interactions
+                  if not it.is_probe for advert in it.page.adverts}
+        assert keywords.click_memo == {
+            text: click_decision(text, keywords) for text in served}
+        assert any(keywords.click_memo.values())
+        assert run_session(location_engine(default_keywords), script,
+                           keywords, "s") == first
 
     def test_no_policy_means_no_clicks(self, default_keywords):
         script = example_script()
@@ -181,8 +198,7 @@ class TestSessionsMatchTheReferenceEngine:
             config.adaptation_lag, config.click_boost, seed, matches, LINK_WORDS)
         catalog = keyword_catalog(default_keywords, "other")
         topic = catalog[order[seed % len(order)]]
-        script = generate_script(topic, "symptoms and causes",
-                                 random.Random(seed))
+        script = generate_script(topic, "symptoms and causes", seed)
         topic_terms = {t for phrase in topic.phrases for t in filter_terms(phrase)}
 
         def click(text):

@@ -544,7 +544,7 @@ class TestSlotLabelMemo:
         for seed, topic in enumerate(("gambling", "payday", "location", "other")):
             engine = engine_for(config, pools, categories, seed)
             script = generate_script(catalog[topic], "symptoms and causes",
-                                     random.Random(seed))
+                                     seed)
             previous = None
             for entry in script.entries:
                 counts = reference_apportion_slots(
@@ -732,7 +732,7 @@ class TestDrawsMatchTheRandomModule:
     @example(sizes=[1, 2, 4, 8, 16, 32, 64, 1, 64], low=0, seed=0)
     @settings(max_examples=100, deadline=None)
     def test_below_is_choice_and_randint(self, sizes, low, seed):
-        below = uniform_below(random.Random(seed))
+        below = uniform_below(seed)
         reference = random.Random(seed)
         for n in sizes:
             assert below(n) == reference.choice(range(n))
